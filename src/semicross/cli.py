@@ -6,8 +6,9 @@ so parsing recovers them bit-exactly):
 
     algorithm,nu,delta,n,K_n,K,rel_error,expected_rate,info_count,seed
 
-Exit codes: 0 success, 1 configuration error, 2 runtime cap exceeded,
-3 I/O failure.
+Exit codes: 0 success, 1 configuration error, 2 runtime cap exceeded (in
+any row), 3 I/O failure, 4 a row failed for another reason (``run`` still
+writes every row; failed rows carry NaN errors and are reported on stderr).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CAP = 2
 EXIT_IO = 3
+EXIT_ROW = 4
 
 
 @dataclass(frozen=True)
@@ -187,12 +189,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(rows, path) -> None:
-    """Write grid rows in the fixed 10-column schema."""
+def emit_csv(rows, path=None) -> None:
+    """Write grid rows in the fixed 10-column schema to ``path``, or to
+    standard output when ``path`` is None."""
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(_fmt(row[c]) for c in CSV_COLUMNS) for row in rows]
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in CSV_COLUMNS) + "\n")
+        fh.write(text)
 
 
 def read_csv(path) -> list:
@@ -269,7 +276,9 @@ def _coerce(raw: str):
     return raw
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(run_defaults: bool = True) -> argparse.ArgumentParser:
+    """The command-line parser; ``run_defaults=False`` leaves every ``run``
+    flag not given on the command line unset."""
     parser = argparse.ArgumentParser(
         prog="semicross",
         description="Adaptive semiiterative regularization experiments",
@@ -304,6 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--noise-dim", type=int, default=2 ** 20)
     run.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     run.add_argument("--out", default=None, help="CSV path (default stdout)")
+    if not run_defaults:
+        for action in run._actions:
+            action.default = argparse.SUPPRESS
 
     rates = sub.add_parser("rates", help="fit log-log slopes from a CSV")
     rates.add_argument("--csv", required=True)
@@ -326,25 +338,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    if getattr(args, "config", None) is None:
+def _apply_config(args: argparse.Namespace, argv) -> argparse.Namespace:
+    if args.config is None:
         return args
     file_values = _load_config(args.config)
-    parser = _build_parser()
-    defaults = parser.parse_args(["run"])  # baked-in defaults
+    # the command line wins over the file, even where a flag repeats its
+    # default: a parse without defaults tells which flags were given
+    given = vars(_build_parser(run_defaults=False).parse_args(argv))
     for key, raw in file_values.items():
         attr = key.replace("-", "_")
-        if not hasattr(defaults, attr):
+        if not hasattr(args, attr):
             raise ConfigError(f"unknown config key {key!r}")
-        # the command line wins over the file: only fill values the user
-        # left at their defaults
-        if getattr(args, attr) == getattr(defaults, attr):
+        if attr not in given:
             setattr(args, attr, _coerce(raw))
     return args
 
 
-def _cmd_run(args) -> int:
-    args = _apply_config(args)
+def _cmd_run(args, argv) -> int:
+    args = _apply_config(args, argv)
     mu = args.mu_diagnostic if args.mu_diagnostic is not None else DEFAULT_MU[args.problem]
     tau = args.tau if args.tau is not None else _default_tau(args.nu, args.gamma)
     params = RunParams(
@@ -378,16 +389,11 @@ def _cmd_run(args) -> int:
         if row["error"] is not None:
             print(f"row delta={row['delta']:g} failed: {row['error']}",
                   file=sys.stderr)
-    if args.out is None:
-        sys.stdout.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(_fmt(row[c]) for c in CSV_COLUMNS) + "\n")
-    else:
-        emit_csv(rows, args.out)
-    if any(row["error"] is not None and row["error"].startswith("cap:")
-           for row in rows):
+    emit_csv(rows, args.out)
+    errors = [row["error"] for row in rows if row["error"] is not None]
+    if any(error.startswith("cap:") for error in errors):
         return EXIT_CAP
-    return EXIT_OK
+    return EXIT_ROW if errors else EXIT_OK
 
 
 def _cmd_rates(args) -> int:
@@ -435,7 +441,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {
-        "run": _cmd_run,
+        "run": lambda a: _cmd_run(a, argv),
         "rates": _cmd_rates,
         "gamma-dump": _cmd_gamma_dump,
         "constants": _cmd_constants,

@@ -1,8 +1,8 @@
 """Adaptive drivers: level initialization, per-level iteration budgets, the
 refinement loop, and the a-priori constants used as runtime diagnostics.
 
-Both drivers share one skeleton. The starting level is the smallest n >= 1
-with
+Both drivers run one level loop and differ only in its stopping rule. The
+starting level is the smallest n >= 1 with
 
     (1 + 2^{r+3}) 2^{-2rn} n < gamma delta / (2 rho),
 
@@ -13,15 +13,19 @@ different dimensions) against the data truncated to the level window; the
 driver then either stops -- residual norm at or below tau delta for the
 discrepancy variant, nonempty admissible set for the balancing variant --
 or refines the discretization by one level, computing only the new Galerkin
-entries.
+entries. The iteration runs on the operator's nonzero rows and columns
+only (``_SupportKernel``); the reported solution is scattered back to full
+length.
 
 Safety caps convert non-termination under violated assumptions into
 reported errors: ``n_max`` bounds the level, ``k_abs_max`` the total number
-of iteration steps across levels.
+of iteration steps across levels, and a non-finite residual norm raises
+``NumericalDegeneracyError`` at once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,7 +34,7 @@ import numpy as np
 
 from .coeffs import CoeffVec, norm
 from .hypercross import assemble, refine
-from .methods import MethodSpec, init_state, step
+from .methods import MethodSpec, NumericalDegeneracyError, _advance
 from .problems import Problem, perturb
 from .stopping import BalancingWindow, balancing_admissible_set, balancing_stop_index
 
@@ -228,7 +232,7 @@ def theoretical_constants(spec: MethodSpec, p: RunParams, mu: float,
 
 
 # ---------------------------------------------------------------------------
-# run skeleton
+# the shared level loop
 # ---------------------------------------------------------------------------
 
 
@@ -240,21 +244,50 @@ def _window(fdelta: CoeffVec, dim: int) -> CoeffVec:
 
 
 def _residual_norm(ax: CoeffVec, rhs: CoeffVec) -> float:
+    """||A x - f|| on full-length vectors (the reference the support kernel
+    reproduces)."""
     d = ax.coeffs - rhs.coeffs
     return float(np.sqrt(np.sum(d * d)))
 
 
-class _IterationBudget:
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.used = 0
+class _SupportKernel:
+    """The iteration of one level on the operator's support.
 
-    def bump(self):
-        self.used += 1
-        if self.used > self.cap:
-            raise CapExceededError(
-                "iterations", f"total iteration cap k_abs_max={self.cap} exceeded"
-            )
+    Only the nonzero rows R and nonzero columns C of the level-n matrix take
+    part: every iterate vanishes off C, and off R the residual is the data
+    itself. The iteration therefore runs on length-|C| arrays with the block
+    A[R][:, C], and the residual norm is sqrt(||A_RC x - f_R||^2 + off2),
+    where off2 = sum over i not in R of f_i^2 is summed once from the off-R
+    entries (not as ||f||^2 - ||f_R||^2, which cancels).
+    """
+
+    def __init__(self, op, fdelta: CoeffVec):
+        self.dim = op.dim
+        rows, self.cols, self.block, self.block_t = op.support_block()
+        data = _window(fdelta, op.dim).coeffs
+        self.data = data[rows]
+        off = np.delete(data, rows)
+        self.off2 = float(off @ off)
+
+    def iterates(self, spec: MethodSpec):
+        """Yield (x_k restricted to C, ||A x_k - f||) for k = 1, 2, ...;
+        each step is computed only when it is asked for."""
+        a, a_t, f = self.block, self.block_t, self.data
+        zero = np.zeros(self.cols.size)
+        x, omega = _advance(spec, 0, 0.0, zero, zero, a_t @ f)
+        x_prev = zero
+        r = f - a @ x
+        for k in itertools.count(1):
+            x_new, omega = _advance(spec, k, omega, x, x_prev, a_t @ r)
+            x_prev, x = x, x_new
+            r = f - a @ x
+            yield x, math.sqrt(float(r @ r) + self.off2)
+
+    def scatter(self, x: np.ndarray) -> CoeffVec:
+        """A support iterate as a full-length coefficient vector."""
+        full = np.zeros(self.dim)
+        full[self.cols] = x
+        return CoeffVec._wrap(full)
 
 
 def _prepare(problem: Problem, p: RunParams):
@@ -278,8 +311,8 @@ def _prepare(problem: Problem, p: RunParams):
 
 
 def _finish(problem: Problem, spec: MethodSpec, p: RunParams, algorithm: int,
-            levels, budgets, stop_index, solution, residuals, total, src,
-            rhs_norm, mu):
+            levels, budgets, stop_index, solution, residuals, src, rhs_norm,
+            mu):
     dim_ref = max(solution.dim, p.noise_dim)
     exact = problem.exact(dim_ref)
     exact_norm = norm(exact)
@@ -287,7 +320,10 @@ def _finish(problem: Problem, spec: MethodSpec, p: RunParams, algorithm: int,
     rel_error = abs_error / exact_norm if exact_norm > 0.0 else math.nan
     diagnostics = None
     if mu is not None:
-        diagnostics = _diagnostics(spec, p, mu, levels)
+        try:
+            diagnostics = _diagnostics(spec, p, mu, levels)
+        except ValueError as exc:  # e.g. mu beyond the qualification
+            diagnostics = {"mu": mu, "unavailable": str(exc)}
     return RunReport(
         algorithm=algorithm,
         method=spec.name,
@@ -302,7 +338,7 @@ def _finish(problem: Problem, spec: MethodSpec, p: RunParams, algorithm: int,
         budgets=tuple(budgets),
         final_level=levels[-1],
         stop_index=stop_index,
-        total_iterations=total,
+        total_iterations=len(residuals),
         solution=solution,
         residual_norms=tuple(residuals),
         info_count=src.eval_count,
@@ -341,6 +377,79 @@ def _diagnostics(spec: MethodSpec, p: RunParams, mu: float, levels) -> dict:
     return diag
 
 
+def _recorded(iterates, n: int, residuals: list, cap: int):
+    """Number the iterates of level n and append their residual norms to
+    ``residuals`` (one per step of the run), enforcing the total iteration
+    cap and finite residual norms."""
+    for k, (x, res) in enumerate(iterates, 1):
+        if len(residuals) >= cap:
+            raise CapExceededError(
+                "iterations", f"total iteration cap k_abs_max={cap} exceeded"
+            )
+        if not math.isfinite(res):
+            raise NumericalDegeneracyError(
+                f"non-finite residual norm at level {n}, step {k}"
+            )
+        residuals.append(res)
+        yield k, x, res
+
+
+def _discrepancy_stop(steps, k_n: int, p: RunParams, spec: MethodSpec):
+    """First of the iterates 1..K_n whose residual norm is at most tau delta."""
+    for k, x, res in itertools.islice(steps, k_n):
+        if res <= p.tau * p.delta:
+            return k, x
+    return None
+
+
+def _balancing_stop(steps, k_n: int, p: RunParams, spec: MethodSpec):
+    """Smallest admissible index of the K_n + k_sec iterates with bound
+    8 (1 + gamma) kappa0 j delta."""
+    stored = [CoeffVec._wrap(x) for _, x, _ in itertools.islice(steps, k_n + p.k_sec)]
+    window = BalancingWindow(
+        iterates=tuple(stored), k_n=k_n, k_sec=p.k_sec,
+        bound_factor=8.0 * (1.0 + p.gamma) * spec.kappa0 * p.delta,
+    )
+    stop = balancing_stop_index(balancing_admissible_set(window))
+    return None if stop is None else (stop, stored[stop - 1].coeffs)
+
+
+def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
+                algorithm: int, stop_rule) -> RunReport:
+    """The refinement loop both drivers share.
+
+    Per level it computes the budget K_n and, when K_n >= 1, hands
+    ``stop_rule(steps, K_n, p, spec)`` the level's iterates as ``(k, x_k on
+    C, residual norm)``; the rule takes as many as it needs and returns
+    ``(k, x_k)`` to stop or None to refine.
+    """
+    fdelta, rhs_norm, src = _prepare(problem, p)
+    n = initial_level(p)
+    op = assemble(src, n)
+    levels: list = []
+    budgets: list = []
+    residuals: list = []
+    while True:
+        k_n = max_iter_count(n, p)
+        levels.append(n)
+        budgets.append(k_n)
+        if k_n >= 1:
+            kernel = _SupportKernel(op, fdelta)
+            steps = _recorded(kernel.iterates(spec), n, residuals, p.k_abs_max)
+            hit = stop_rule(steps, k_n, p, spec)
+            if hit is not None:
+                stop, x = hit
+                return _finish(problem, spec, p, algorithm, levels, budgets,
+                               stop, kernel.scatter(x), residuals, src,
+                               rhs_norm, mu)
+        if n >= p.n_max:
+            raise CapExceededError(
+                "level", f"level cap n_max={p.n_max} reached without stopping"
+            )
+        op = refine(op, src)
+        n += 1
+
+
 def run_discrepancy(problem: Problem, spec: MethodSpec, p: RunParams,
                     mu: float | None = None) -> RunReport:
     """Adaptive run stopped by the residual discrepancy test.
@@ -360,37 +469,7 @@ def run_discrepancy(problem: Problem, spec: MethodSpec, p: RunParams,
         raise ConfigError(
             f"tau={p.tau} must exceed the admissibility threshold {thr:.6f}"
         )
-    fdelta, rhs_norm, src = _prepare(problem, p)
-    budget_guard = _IterationBudget(p.k_abs_max)
-    n = initial_level(p)
-    op = assemble(src, n)
-    levels: list = []
-    budgets: list = []
-    residuals: list = []
-    while True:
-        k_n = max_iter_count(n, p)
-        levels.append(n)
-        budgets.append(k_n)
-        if k_n >= 1:
-            rhs_n = _window(fdelta, op.dim)
-            state = init_state(op, rhs_n, spec)
-            ax = op.apply(state.x_curr)
-            for k in range(1, k_n + 1):
-                budget_guard.bump()
-                state = step(state, op, rhs_n, spec, ax_curr=ax)
-                ax = op.apply(state.x_curr)
-                res = _residual_norm(ax, rhs_n)
-                residuals.append(res)
-                if res <= p.tau * p.delta:
-                    return _finish(problem, spec, p, 1, levels, budgets, k,
-                                   state.x_curr, residuals, budget_guard.used,
-                                   src, rhs_norm, mu)
-        if n >= p.n_max:
-            raise CapExceededError(
-                "level", f"level cap n_max={p.n_max} reached without stopping"
-            )
-        op = refine(op, src)
-        n += 1
+    return _level_loop(problem, spec, p, mu, 1, _discrepancy_stop)
 
 
 def run_balancing(problem: Problem, spec: MethodSpec, p: RunParams,
@@ -400,49 +479,8 @@ def run_balancing(problem: Problem, spec: MethodSpec, p: RunParams,
     Per level, K_n + k_sec iterates are computed and the admissible set with
     bound 8 (1 + gamma) kappa0 j delta is evaluated; an empty set triggers
     refinement, otherwise the smallest admissible index is returned. The
-    iterate window is stored restricted to the operator's nonzero column
+    iterate window holds the iterates on the operator's nonzero column
     support (every iterate vanishes off it), which bounds memory without
     changing any norm.
     """
-    fdelta, rhs_norm, src = _prepare(problem, p)
-    budget_guard = _IterationBudget(p.k_abs_max)
-    bound_factor = 8.0 * (1.0 + p.gamma) * spec.kappa0 * p.delta
-    n = initial_level(p)
-    op = assemble(src, n)
-    levels: list = []
-    budgets: list = []
-    residuals: list = []
-    while True:
-        k_n = max_iter_count(n, p)
-        levels.append(n)
-        budgets.append(k_n)
-        if k_n >= 1:
-            rhs_n = _window(fdelta, op.dim)
-            support = op.column_support()
-            idx = support - 1 if support.size else np.array([0])
-            state = init_state(op, rhs_n, spec)
-            ax = op.apply(state.x_curr)
-            stored = []
-            for k in range(1, k_n + p.k_sec + 1):
-                budget_guard.bump()
-                state = step(state, op, rhs_n, spec, ax_curr=ax)
-                ax = op.apply(state.x_curr)
-                residuals.append(_residual_norm(ax, rhs_n))
-                stored.append(CoeffVec._wrap(state.x_curr.coeffs[idx].copy()))
-            window = BalancingWindow(
-                iterates=tuple(stored), k_n=k_n, k_sec=p.k_sec,
-                bound_factor=bound_factor,
-            )
-            stop = balancing_stop_index(balancing_admissible_set(window))
-            if stop is not None:
-                full = np.zeros(op.dim)
-                full[idx] = stored[stop - 1].coeffs
-                return _finish(problem, spec, p, 2, levels, budgets, stop,
-                               CoeffVec._wrap(full), residuals,
-                               budget_guard.used, src, rhs_norm, mu)
-        if n >= p.n_max:
-            raise CapExceededError(
-                "level", f"level cap n_max={p.n_max} reached without stopping"
-            )
-        op = refine(op, src)
-        n += 1
+    return _level_loop(problem, spec, p, mu, 2, _balancing_stop)

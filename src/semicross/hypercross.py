@@ -32,7 +32,6 @@ __all__ = [
     "gamma_set",
     "gamma_delta",
     "export_gamma",
-    "rectangle_pairs",
     "GalerkinInfoSource",
     "DiagonalSource",
     "GalerkinOperator",
@@ -137,25 +136,12 @@ def export_gamma(n: int, path) -> None:
             fh.write(f"{j} {i}\n")
 
 
-def rectangle_pairs(m_rows: int, n_cols: int) -> np.ndarray:
-    """The full rectangle [1, m_rows] x [1, n_cols], row-major.
-
-    Reference discretization domain for cost comparisons only; the adaptive
-    drivers never use it.
-    """
-    if m_rows < 1 or n_cols < 1:
-        raise ValueError("rectangle sides must be >= 1")
-    r, c = _strip(0, m_rows, 0, n_cols)
-    return np.column_stack(_sorted_rowmajor(r, c))
-
-
 class GalerkinInfoSource:
     """Provider of the discrete information about an operator equation.
 
     ``entry(i, j)`` returns the Galerkin coefficient at output index i and
     input index j, deterministically, and increments the evaluation counter
     by one; ``entry_many`` is the vectorized form counting one per element.
-    ``rhs_entry(j)`` reads coefficient j of an attached right-hand side.
     ``r`` declares the smoothness-class exponent of the operator (projection
     tails decay like m^{-r}).
 
@@ -168,7 +154,6 @@ class GalerkinInfoSource:
             raise ValueError("smoothness exponent r must be positive")
         self.r = float(r)
         self._count = 0
-        self._rhs: CoeffVec | None = None
 
     # -- information accounting ------------------------------------------
     @property
@@ -196,17 +181,6 @@ class GalerkinInfoSource:
             raise ValueError("row/column index arrays must align")
         self._count += rows.size
         return np.asarray(self._values(rows, cols), dtype=float)
-
-    # -- right-hand side ---------------------------------------------------
-    def attach_rhs(self, rhs: CoeffVec) -> None:
-        self._rhs = rhs
-
-    def rhs_entry(self, j: int) -> float:
-        if self._rhs is None:
-            raise ValueError("no right-hand side attached")
-        if j < 1:
-            raise ValueError("indices are 1-based")
-        return float(self._rhs.coeffs[j - 1]) if j <= self._rhs.dim else 0.0
 
 
 class DiagonalSource(GalerkinInfoSource):
@@ -271,9 +245,6 @@ class GalerkinOperator:
     def entry_count(self) -> int:
         return self.vals.size
 
-    def index_pairs(self) -> np.ndarray:
-        return np.column_stack((self.rows, self.cols))
-
     def entry_map(self) -> dict:
         """Retained entries as a dict keyed by (row, column); intended for
         inspection at small levels."""
@@ -285,7 +256,20 @@ class GalerkinOperator:
     def column_support(self) -> np.ndarray:
         """Sorted 1-based column indices carrying a nonzero entry. Every
         iterate of the two-step recursion lives in their span."""
-        return np.unique(self.cols[self.vals != 0.0])
+        return np.flatnonzero(np.diff(self._mat_t.indptr)) + 1
+
+    def support_block(self):
+        """The operator restricted to its nonzero rows R and nonzero columns
+        C: ``(rows, cols, block, block_t)`` with the sorted 0-based index
+        arrays of R and C, the CSR matrix A[R][:, C] and its transpose.
+
+        Every nonzero entry lies in the block, and each row of either matrix
+        keeps the entry order of the full CSR, so block products equal the
+        full products on R (resp. C) bit for bit.
+        """
+        rows = np.flatnonzero(np.diff(self._mat.indptr))
+        cols = np.flatnonzero(np.diff(self._mat_t.indptr))
+        return rows, cols, self._mat[rows][:, cols], self._mat_t[cols][:, rows]
 
     def apply(self, v: CoeffVec) -> CoeffVec:
         if v.dim > self.dim:

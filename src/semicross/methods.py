@@ -171,100 +171,70 @@ def omega_next(spec: MethodSpec, k: int, omega_prev: float) -> float:
     return 1.0 / den
 
 
+def _advance(spec: MethodSpec, k: int, omega_prev: float, x_curr: np.ndarray,
+             x_prev: np.ndarray, update: np.ndarray):
+    """Step k of the two-step recursion on raw arrays: returns (x_k, omega_k)
+    from x_{k-1} = ``x_curr``, x_{k-2} = ``x_prev`` and ``update`` =
+    A*(f - A x_{k-1}). At k = 0 with zero ``x_curr``/``x_prev`` this is
+    x_0 = 2 omega_0 A* f exactly. ``step`` and the drivers' support kernel
+    both advance through here."""
+    omega = omega_next(spec, k, omega_prev)
+    mu_k = (1.0 - spec.alpha(k)) * omega - 1.0
+    return x_curr + mu_k * (x_curr - x_prev) + (2.0 * omega) * update, omega
+
+
 def init_state(op, rhs: CoeffVec, spec: MethodSpec) -> IterState:
     """Initial state: k = 0, x_{-1} = 0 and x_0 = 2 omega_0 A* f."""
     if rhs.dim > op.dim:
         raise ValueError(
             f"rhs dimension {rhs.dim} exceeds operator dimension {op.dim}"
         )
-    omega0 = omega_next(spec, 0, 0.0)
-    x0 = (2.0 * omega0) * op.apply_adjoint(rhs)
-    return IterState(k=0, x_curr=x0, x_prev=CoeffVec.zeros(op.dim), omega=omega0)
+    zero = CoeffVec.zeros(op.dim)
+    x0, omega0 = _advance(spec, 0, 0.0, zero.coeffs, zero.coeffs,
+                          op.apply_adjoint(rhs).coeffs)
+    return IterState(k=0, x_curr=CoeffVec._wrap(x0), x_prev=zero, omega=omega0)
 
 
 def step(state: IterState, op, rhs: CoeffVec, spec: MethodSpec,
          ax_curr: CoeffVec | None = None) -> IterState:
     """Advance the iteration by one step.
 
-    ``ax_curr`` may pass a precomputed A x_curr (drivers keep it around for
-    the residual of the previous iterate); omitted, it is recomputed.
+    ``ax_curr`` may pass a precomputed A x_curr (a caller that took the
+    residual of the previous iterate has it); omitted, it is recomputed.
     """
-    k = state.k + 1
-    omega = omega_next(spec, k, state.omega)
     if ax_curr is None:
         ax_curr = op.apply(state.x_curr)
-    residual = rhs - ax_curr
-    update = op.apply_adjoint(residual)
-    mu_k = (1.0 - spec.alpha(k)) * omega - 1.0
-    x_new = state.x_curr + mu_k * (state.x_curr - state.x_prev) + (2.0 * omega) * update
-    return IterState(k=k, x_curr=x_new, x_prev=state.x_curr, omega=omega)
+    update = op.apply_adjoint(rhs - ax_curr)
+    x_new, omega = _advance(spec, state.k + 1, state.omega, state.x_curr.coeffs,
+                            state.x_prev.coeffs, update.coeffs)
+    return IterState(k=state.k + 1, x_curr=CoeffVec._wrap(x_new),
+                     x_prev=state.x_curr, omega=omega)
 
 
-def _joint_recurrence(spec: MethodSpec, k: int, lam: np.ndarray) -> np.ndarray:
-    """Ratio P_k(1-2 lam)/P_k(1) by running both recurrences side by side.
+def _lam_array(lam) -> np.ndarray:
+    arr = np.asarray(lam, dtype=float)
+    if np.any(arr < 0.0) or np.any(arr > 1.0):
+        raise ValueError("lam must lie in [0, 1]")
+    return arr
 
-    The single division happens at the end; intermediate joint rescaling by
+
+def _residual_ratios(spec: MethodSpec, k_max: int, lam: np.ndarray):
+    """Yield r_k(lam) = P_k(1-2 lam)/P_k(1) for k = 0..k_max, running the
+    recurrences of P_k(1 - 2 lam) and P_k(1) side by side.
+
+    Each ratio is one division of the two current values; joint rescaling by
     powers of two (exact in binary floating point) guards against under- or
     overflow of the monic values for large k without touching the ratio.
     """
     x = 1.0 - 2.0 * lam
-    if k == 0:
-        return np.ones_like(x)
-    u_prev = np.ones_like(x)
-    u = x - spec.alpha(0)
-    v_prev = 1.0
-    v = 1.0 - spec.alpha(0)
-    for j in range(1, k):
-        a_j = spec.alpha(j)
-        b_j = spec.beta(j)
-        u_prev, u = u, (x - a_j) * u - b_j * u_prev
-        v_prev, v = v, (1.0 - a_j) * v - b_j * v_prev
-        mag = abs(v)
-        if mag < 1e-140 or mag > 1e140:
-            scale = 2.0 ** (-math.frexp(mag)[1])
-            u_prev = u_prev * scale
-            u = u * scale
-            v_prev *= scale
-            v *= scale
-    return u / v
-
-
-def residual_value(spec: MethodSpec, k: int, lam):
-    """Residual polynomial value r_k(lam) = P_k(1-2 lam)/P_k(1), r_0 = 1.
-
-    ``lam`` may be a scalar or an array with entries in [0, 1].
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    arr = np.asarray(lam, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("lam must lie in [0, 1]")
-    out = _joint_recurrence(spec, k, np.atleast_1d(arr))
-    return float(out[0]) if arr.ndim == 0 else out
-
-
-def residual_profile(spec: MethodSpec, k_max: int, lam) -> np.ndarray:
-    """All residual polynomial values r_0..r_{k_max} on a grid.
-
-    Returns an array of shape (k_max + 1, len(lam)); row k is r_k. One run
-    of the joint recurrence serves every row, which keeps sweep-style
-    diagnostics (condition suites, Lipschitz samples) cheap.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("lam must lie in [0, 1]")
-    x = 1.0 - 2.0 * arr
-    rows = np.empty((k_max + 1, arr.size))
-    rows[0] = 1.0
+    yield np.ones_like(x)
     if k_max == 0:
-        return rows
+        return
     u_prev = np.ones_like(x)
     u = x - spec.alpha(0)
     v_prev = 1.0
     v = 1.0 - spec.alpha(0)
-    rows[1] = u / v
+    yield u / v
     for j in range(1, k_max):
         a_j = spec.alpha(j)
         b_j = spec.beta(j)
@@ -277,8 +247,33 @@ def residual_profile(spec: MethodSpec, k_max: int, lam) -> np.ndarray:
             u = u * scale
             v_prev *= scale
             v *= scale
-        rows[j + 1] = u / v
-    return rows
+        yield u / v
+
+
+def residual_value(spec: MethodSpec, k: int, lam):
+    """Residual polynomial value r_k(lam) = P_k(1-2 lam)/P_k(1), r_0 = 1.
+
+    ``lam`` may be a scalar or an array with entries in [0, 1].
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    arr = _lam_array(lam)
+    for out in _residual_ratios(spec, k, np.atleast_1d(arr)):
+        pass
+    return float(out[0]) if arr.ndim == 0 else out
+
+
+def residual_profile(spec: MethodSpec, k_max: int, lam) -> np.ndarray:
+    """All residual polynomial values r_0..r_{k_max} on a grid.
+
+    Returns an array of shape (k_max + 1, len(lam)); row k is r_k. One run
+    of the joint recurrence serves every row, which keeps sweep-style
+    diagnostics (condition suites, Lipschitz samples) cheap.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    arr = np.atleast_1d(_lam_array(lam))
+    return np.stack(list(_residual_ratios(spec, k_max, arr)))
 
 
 def filter_value(spec: MethodSpec, k: int, lam):

@@ -56,7 +56,6 @@ __all__ = [
     "Problem",
     "get_problem",
     "PROBLEM_IDS",
-    "dump_coefficients",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -183,33 +182,13 @@ def smoothness_envelope(x: CoeffVec, src: DiagonalSource, mu: float) -> float:
 
 @dataclass(frozen=True)
 class Problem:
-    """One shipped instance of the operator equation.
-
-    ``mu_range`` is the open interval of source-condition exponents the
-    exact solution satisfies; ``scaling`` is the factor applied to the raw
-    operator (pi^2 by default), ``rhs_factor`` the extra normalization
-    applied to the rhs/solution pair.
-    """
+    """One shipped instance of the operator equation (see the module
+    docstring for the scale conventions ``scaled``/``normalize``)."""
 
     pid: str
     scaled: bool = True
     normalize: bool = True
     r: float = 2.0
-
-    @property
-    def mu_range(self) -> tuple:
-        return (0.0, 1.25) if self.pid == "p1" else (0.0, 0.25)
-
-    @property
-    def scaling(self) -> float:
-        return math.pi ** 2 if self.scaled else 1.0
-
-    @property
-    def rhs_factor(self) -> float:
-        if not self.normalize:
-            return 1.0
-        c = _UNIT_FACTOR[self.pid]
-        return c if self.scaled else c * math.pi ** 2
 
     def fresh_source(self, dim_hint: int = 1) -> DiagonalSource:
         """A new information source with a zeroed evaluation counter (one
@@ -228,13 +207,3 @@ class Problem:
 
 def get_problem(pid, scaled: bool = True, normalize: bool = True) -> Problem:
     return Problem(pid=_canonical_pid(pid), scaled=scaled, normalize=normalize)
-
-
-def dump_coefficients(pid, count: int, stream, scaled: bool = True,
-                      normalize: bool = True) -> None:
-    """Write the first ``count`` coefficients of rhs and exact solution as
-    text rows ``k  f_k  x_k`` for inspection."""
-    f, x = problem_coeffs(pid, count, scaled, normalize)
-    stream.write("k f x\n")
-    for k in range(count):
-        stream.write(f"{k + 1} {f.coeffs[k]:.17g} {x.coeffs[k]:.17g}\n")

@@ -106,3 +106,21 @@ def dense_cross_assembly(src, n: int) -> np.ndarray:
         band = proj(1 << k) - proj(1 << (k - 1))
         total += band @ full @ proj(1 << (2 * n - k))
     return total
+
+
+class BandSource(GalerkinInfoSource):
+    """Off-diagonal information source: for even i the entries (i, i+1) and
+    (i, i+3) are nonzero, every other entry is zero. The nonzero rows (even)
+    and columns (odd, from 3) of an assembled level differ and neither is a
+    leading block; the singular values lie in [0.4, 0.8]."""
+
+    def __init__(self):
+        super().__init__(r=2.0)
+
+    def _value(self, i, j):
+        return float(self._values(np.asarray([i]), np.asarray([j]))[0])
+
+    def _values(self, rows, cols):
+        even = rows % 2 == 0
+        return (np.where(even & (cols == rows + 1), 0.6, 0.0)
+                + np.where(even & (cols == rows + 3), 0.2, 0.0))

@@ -5,8 +5,10 @@ line (run with -s to see them). The delta grids reuse shared module-scoped
 fixtures so the expensive adaptive runs execute once.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ GRID_DELTAS = tuple(2.0 ** -e for e in range(4, 14))
 GRID_MU = {"p1": 1.2, "p2": 0.2}
 ERROR_WINDOW = {"p1": (0.40, 0.70), "p2": (0.10, 0.30)}
 K_WINDOW_P1 = (-0.60, -0.30)
+#: levels, budgets, stop index, info_count and rel_error of every grid run
+GRID_PINNED = Path(__file__).with_name("grid_pinned.json")
 
 
 def _ok(label: str, passed: bool, detail: str = "") -> None:
@@ -236,6 +240,25 @@ def test_problem1_table_shape(grid_reports):
     stops = [r.stop_index for r in reports[(1, "p1")]]
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert all(b >= a for a, b in zip(stops, stops[1:]))
+
+
+def test_grid_matches_pinned_table(grid_reports):
+    # a flipped stop index or a changed level path on any of the 40 runs
+    # fails here; rel_error may move only by rounding
+    reports, _ = grid_reports
+    pinned = json.loads(GRID_PINNED.read_text())
+    seen = set()
+    for (algorithm, pid), sweep in reports.items():
+        for e, rep in zip(range(4, 14), sweep):
+            key = f"a{algorithm}/{pid}/e{e}"
+            want = pinned[key]
+            seen.add(key)
+            assert list(rep.levels) == want["levels"], key
+            assert list(rep.budgets) == want["budgets"], key
+            assert rep.stop_index == want["stop_index"], key
+            assert rep.info_count == want["info_count"], key
+            assert rep.rel_error == pytest.approx(want["rel_error"], rel=1e-9), key
+    assert seen == set(pinned)
 
 
 # ---------------------------------------------------------------------------

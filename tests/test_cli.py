@@ -217,6 +217,40 @@ def test_main_cap_exit_code(tmp_path):
     assert out.exists()
 
 
+def test_main_diagnostics_never_fail_rows(tmp_path):
+    # the default diagnostic mu = 1.2 exceeds the qualification 0.5 of the
+    # nu = 1/4 method: the rows must still run
+    out = tmp_path / "low.csv"
+    code = main([
+        "run", "--algorithm", "2", "--nu", "0.25", "--delta-max", "0.0625",
+        "--delta-min", "0.03", "--noise-dim", "4096", "--jobs", "1",
+        "--out", str(out),
+    ])
+    assert code == 0
+    rows = read_csv(out)
+    assert len(rows) == 2
+    assert all(math.isfinite(r["rel_error"]) and r["K"] >= 1 for r in rows)
+
+
+def test_main_failed_row_exit_code(tmp_path, monkeypatch, capsys):
+    from semicross import cli
+    from semicross.methods import NumericalDegeneracyError
+
+    def diverge(*args, **kwargs):
+        raise NumericalDegeneracyError("non-finite residual norm")
+
+    monkeypatch.setattr(cli, "run_discrepancy", diverge)
+    out = tmp_path / "failed.csv"
+    code = main([
+        "run", "--problem", "p1", "--delta-max", "0.03125",
+        "--delta-min", "0.03125", "--noise-dim", "4096", "--jobs", "1",
+        "--out", str(out),
+    ])
+    assert code == 4
+    assert math.isnan(read_csv(out)[0]["rel_error"])
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_main_rates(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     main([
@@ -277,6 +311,20 @@ def test_config_file_with_override(tmp_path):
     assert main(["run", "--config", str(cfg), "--seed", "8",
                  "--out", str(out2)]) == 0
     assert read_csv(out2)[0]["seed"] == 8
+
+
+def test_config_file_loses_to_flag_given_at_its_default(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = 0.9\n")
+    common = ["run", "--problem", "p1", "--delta-max", "0.0078125",
+              "--delta-min", "0.0078125", "--noise-dim", "4096", "--jobs", "1"]
+    paths = {tag: tmp_path / f"{tag}.csv" for tag in ("both", "flag", "file")}
+    assert main(common + ["--config", str(cfg), "--gamma", "0.5",
+                          "--out", str(paths["both"])]) == 0
+    assert main(common + ["--gamma", "0.5", "--out", str(paths["flag"])]) == 0
+    assert main(common + ["--config", str(cfg), "--out", str(paths["file"])]) == 0
+    assert paths["both"].read_text() == paths["flag"].read_text()
+    assert paths["file"].read_text() != paths["flag"].read_text()
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from semicross.coeffs import CoeffVec
+from semicross import driver
+from semicross.coeffs import CoeffVec, norm
 from semicross.driver import (
     CapExceededError,
     ConfigError,
@@ -15,9 +17,16 @@ from semicross.driver import (
     run_discrepancy,
     theoretical_constants,
 )
-from semicross.hypercross import DiagonalSource, gamma_count
-from semicross.methods import nu_method
-from semicross.problems import get_problem
+from semicross.hypercross import DiagonalSource, assemble, gamma_count, refine
+from semicross.methods import NumericalDegeneracyError, init_state, nu_method, step
+from semicross.problems import get_problem, perturb
+from semicross.stopping import (
+    BalancingWindow,
+    balancing_admissible_set,
+    balancing_stop_index,
+)
+
+from helpers import BandSource
 
 TAU_REF = 1.01 + math.sqrt(13.0 / 8.0)
 NU32 = nu_method(1.5)
@@ -272,39 +281,154 @@ def test_level_cap():
     assert err.value.kind == "level"
 
 
+class BandProblem:
+    """Duck-typed problem on the off-diagonal ``BandSource``: smooth data on
+    the even (row-support) components, tiny data on the odd ones."""
+
+    r = 2.0
+
+    def rhs(self, dim):
+        k = np.arange(1, dim + 1, dtype=float)
+        return CoeffVec(np.where(k % 2 == 0, 1.0, 1e-6) / k ** 2)
+
+    def exact(self, dim):
+        return CoeffVec(1.0 / np.arange(1, dim + 1, dtype=float) ** 2)
+
+    def fresh_source(self, dim_hint=1):
+        return BandSource()
+
+
+def _full_length_run(problem, spec, p, algorithm):
+    """Reference level loop on full-length vectors through the public
+    ``init_state``/``step``: returns (level, stop index, solution,
+    residual norms)."""
+    fdelta = perturb(problem.rhs(p.noise_dim), p.delta, p.seed)
+    src = problem.fresh_source()
+    n = initial_level(p)
+    op = assemble(src, n)
+    residuals = []
+    while True:
+        k_n = max_iter_count(n, p)
+        if k_n >= 1:
+            rhs = CoeffVec(fdelta.extended(max(op.dim, fdelta.dim))[: op.dim])
+            state = init_state(op, rhs, spec)
+            iterates = []
+            for k in range(1, k_n + (p.k_sec if algorithm == 2 else 0) + 1):
+                state = step(state, op, rhs, spec)
+                iterates.append(state.x_curr)
+                residuals.append(driver._residual_norm(op.apply(state.x_curr), rhs))
+                if algorithm == 1 and residuals[-1] <= p.tau * p.delta:
+                    return n, k, state.x_curr, residuals
+            if algorithm == 2:
+                window = BalancingWindow(tuple(iterates), k_n, p.k_sec,
+                                         8.0 * (1.0 + p.gamma) * spec.kappa0 * p.delta)
+                stop = balancing_stop_index(balancing_admissible_set(window))
+                if stop is not None:
+                    return n, stop, iterates[stop - 1], residuals
+        assert n < p.n_max
+        op = refine(op, src)
+        n += 1
+
+
 def test_balancing_window_restriction_matches_full_storage():
     # the support-restricted window must yield the same stopping index as
-    # full-dimension storage: re-run balancing by hand with full vectors
-    from semicross.hypercross import assemble
-    from semicross.methods import init_state, step
-    from semicross.problems import perturb
-    from semicross.stopping import (BalancingWindow,
-                                    balancing_admissible_set,
-                                    balancing_stop_index)
-
+    # full-dimension storage
     p = params(2.0 ** -5)
     problem = get_problem("p1")
     report = run_balancing(problem, NU32, p)
-
-    f = problem.rhs(p.noise_dim)
-    fdelta = perturb(f, p.delta, p.seed)
-    src = problem.fresh_source()
-    n = initial_level(p)
-    stop = None
-    while stop is None:
-        op = assemble(src, n) if n == initial_level(p) else op_next  # noqa: F821
-        k_n = max_iter_count(n, p)
-        rhs = CoeffVec(fdelta.coeffs[: op.dim])
-        state = init_state(op, rhs, NU32)
-        iterates = []
-        for _ in range(k_n + p.k_sec):
-            state = step(state, op, rhs, NU32)
-            iterates.append(state.x_curr)
-        w = BalancingWindow(tuple(iterates), k_n, p.k_sec,
-                            8.0 * 1.5 * NU32.kappa0 * p.delta)
-        stop = balancing_stop_index(balancing_admissible_set(w))
-        from semicross.hypercross import refine
-        if stop is None:
-            op_next = refine(op, src)
-            n += 1
+    n, stop, _, _ = _full_length_run(problem, NU32, p, 2)
     assert (n, stop) == (report.final_level, report.stop_index)
+
+
+# ---------------------------------------------------------------------------
+# support kernel and shared level loop
+# ---------------------------------------------------------------------------
+
+def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
+    scale = np.linalg.norm(b)
+    return float(np.linalg.norm(a - b) / scale) if scale > 0 else float(np.linalg.norm(a))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_support_kernel_matches_full_length_iteration(n):
+    op = assemble(BandSource(), n)
+    rows, cols, _, _ = op.support_block()
+    # R != C, and neither is a leading block
+    assert not np.array_equal(rows, cols)
+    assert rows[0] > 0 and cols[0] > 0
+    data = CoeffVec(np.random.default_rng(n).standard_normal(op.dim))
+    kernel = driver._SupportKernel(op, data)
+    state = init_state(op, data, NU32)
+    for x, res in itertools.islice(kernel.iterates(NU32), 60):
+        state = step(state, op, data, NU32)
+        ref = driver._residual_norm(op.apply(state.x_curr), data)
+        assert _relative_gap(kernel.scatter(x).coeffs, state.x_curr.coeffs) <= 1e-12
+        assert res == pytest.approx(ref, rel=1e-12)
+
+
+def test_support_kernel_residual_when_off_support_data_is_tiny():
+    # data almost entirely on the row support R: ||f_R||^2 - ... would
+    # cancel, the off-support energy summed directly does not
+    op = assemble(BandSource(), 4)
+    rows, cols, _, _ = op.support_block()
+    rng = np.random.default_rng(7)
+    x_true = np.zeros(op.dim)
+    x_true[cols] = rng.standard_normal(cols.size)
+    f = op.apply(CoeffVec(x_true)).coeffs.copy()
+    off = np.ones(op.dim, dtype=bool)
+    off[rows] = False
+    f[off] = 1e-6 * norm(CoeffVec(f)) * rng.standard_normal(off.sum()) / np.sqrt(off.sum())
+    data = CoeffVec(f)
+    kernel = driver._SupportKernel(op, data)
+    assert kernel.off2 <= 1e-11 * float(f @ f)
+    state = init_state(op, data, NU32)
+    last = None
+    for x, res in itertools.islice(kernel.iterates(NU32), 300):
+        state = step(state, op, data, NU32)
+        last = (res, driver._residual_norm(op.apply(state.x_curr), data))
+        assert res == pytest.approx(last[1], rel=1e-12)
+    # the last residuals are dominated by the off-support data
+    assert last[0] < 10.0 * np.sqrt(kernel.off2)
+
+
+@pytest.mark.parametrize("algorithm", [1, 2])
+def test_shared_loop_matches_full_length_reference_off_diagonal(algorithm):
+    p = params(2.0 ** -10, noise_dim=2 ** 10)
+    runner = run_discrepancy if algorithm == 1 else run_balancing
+    report = runner(BandProblem(), NU32, p)
+    n, stop, solution, residuals = _full_length_run(BandProblem(), NU32, p, algorithm)
+    assert len(report.levels) > 1  # refinement happened
+    assert (report.final_level, report.stop_index) == (n, stop)
+    assert len(report.residual_norms) == len(residuals)
+    assert np.allclose(report.residual_norms, residuals, rtol=1e-12, atol=0.0)
+    assert _relative_gap(report.solution.coeffs, solution.coeffs) <= 1e-12
+
+
+def test_nonfinite_residual_raises():
+    class BlowUpProblem:
+        # diagonal 10 puts A*A outside [0, 1]: the iteration diverges
+        r = 2.0
+
+        def rhs(self, dim):
+            return CoeffVec(np.full(dim, 1.0 / np.sqrt(dim)))
+
+        def exact(self, dim):
+            return CoeffVec(np.ones(dim))
+
+        def fresh_source(self, dim_hint=1):
+            return DiagonalSource(lambda kk: np.full(kk.size, 10.0), r=2.0)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for runner in (run_discrepancy, run_balancing):
+            with pytest.raises(NumericalDegeneracyError, match="non-finite"):
+                runner(BlowUpProblem(), NU32, params(2.0 ** -6, noise_dim=2 ** 10,
+                                                     n_max=6))
+
+
+def test_diagnostics_outside_qualification_do_not_abort_the_run():
+    # mu = 1.2 exceeds the qualification 0.5 of the nu = 1/4 method
+    report = run_balancing(get_problem("p1"), nu_method(0.25), params(2.0 ** -5),
+                           mu=1.2)
+    assert np.isfinite(report.rel_error)
+    assert report.diagnostics["mu"] == 1.2
+    assert "mu must lie" in report.diagnostics["unavailable"]

@@ -12,7 +12,6 @@ from semicross.hypercross import (
     gamma_delta_pairs,
     gamma_pairs,
     gamma_set,
-    rectangle_pairs,
     refine,
 )
 from semicross.problems import green_operator
@@ -60,12 +59,6 @@ def test_delta_cardinality():
     for n in range(1, 6):
         expected = gamma_count(n) - gamma_count(n - 1)
         assert gamma_delta_pairs(n).shape[0] == expected
-
-
-def test_rectangle_pairs():
-    pairs = rectangle_pairs(3, 5)
-    assert pairs.shape == (15, 2)
-    assert set(map(tuple, pairs)) == {(i, j) for i in range(1, 4) for j in range(1, 6)}
 
 
 def test_export_format(tmp_path):
@@ -178,15 +171,6 @@ def test_entry_requires_positive_indices():
     src = HashSource()
     with pytest.raises(ValueError):
         src.entry(0, 1)
-
-
-def test_rhs_entry_zero_extends():
-    src = HashSource()
-    with pytest.raises(ValueError):
-        src.rhs_entry(1)
-    src.attach_rhs(CoeffVec([1.0, 2.0]))
-    assert src.rhs_entry(2) == 2.0
-    assert src.rhs_entry(3) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -12,12 +11,15 @@ from semicross.problems import (
     perturb,
     problem_coeffs,
     smoothness_envelope,
-    dump_coefficients,
 )
 
 from helpers import monomial_sine_coeffs
 
 SQRT2 = math.sqrt(2.0)
+#: operator scaling pi^2 and the unit-norm factors 1/||f|| of the shipped pairs
+SCALING = math.pi ** 2
+UNIT_FACTOR = {"p1": math.sqrt(12012.0) / (3.0 * math.pi ** 2),
+               "p2": math.sqrt(7560.0) / math.pi ** 2}
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +88,14 @@ def _printed_solution_2(t):
 ])
 def test_closed_forms_match_quadrature(pid, rhs_fn, sol_fn):
     dim = 4096
-    prob = get_problem(pid)
     f, x = problem_coeffs(pid, dim)
     # the shipped pair carries the operator scaling and the unit-norm factor
-    scale = prob.scaling * prob.rhs_factor
+    scale = SCALING * UNIT_FACTOR[pid]
     for k in (1, 2, 3, 4, 5, 8, 33, 100, 512, 4096):
         assert f.coeffs[k - 1] == pytest.approx(
             scale * _quad_sine_coeff(rhs_fn, k), abs=1e-10)
         assert x.coeffs[k - 1] == pytest.approx(
-            prob.rhs_factor * _quad_sine_coeff(sol_fn, k), abs=1e-10)
+            UNIT_FACTOR[pid] * _quad_sine_coeff(sol_fn, k), abs=1e-10)
 
 
 @pytest.mark.parametrize("pid", ["p1", "p2"])
@@ -116,11 +117,10 @@ def test_pair_is_spectrally_consistent(pid, scaled):
 def test_p1_closed_forms_match_monomial_recurrence():
     # the recurrence oracle is reliable up to a few hundred k
     kk = np.arange(1, 300)
-    prob = get_problem("p1")
     f, x = problem_coeffs("p1", 299)
-    sol = prob.rhs_factor * monomial_sine_coeffs(
+    sol = UNIT_FACTOR["p1"] * monomial_sine_coeffs(
         {1: -18.0, 2: 108.0, 3: -180.0, 4: 90.0}, kk)
-    rhs = prob.scaling * prob.rhs_factor * monomial_sine_coeffs(
+    rhs = SCALING * UNIT_FACTOR["p1"] * monomial_sine_coeffs(
         {3: -3.0, 4: 9.0, 5: -9.0, 6: 3.0}, kk)  # -3 t^3 (1-t)^3
     assert np.allclose(x.coeffs, sol, rtol=1e-10, atol=1e-13)
     assert np.allclose(f.coeffs, rhs, rtol=1e-10, atol=1e-13)
@@ -153,8 +153,6 @@ def test_raw_scale_norms():
 def test_problem_accessors():
     prob = get_problem(1)
     assert prob.pid == "p1"
-    assert prob.mu_range == (0.0, 1.25)
-    assert get_problem("p2").mu_range == (0.0, 0.25)
     assert prob.r == 2.0
     src = prob.fresh_source()
     assert src.eval_count == 0
@@ -219,15 +217,3 @@ def test_envelope_growth_trend(pid, mu_ok, mu_bad):
     assert env_bad[1] / env_bad[0] > 1.3
     assert env_bad[2] / env_bad[1] > 1.3
 
-
-def test_dump_coefficients():
-    buf = io.StringIO()
-    dump_coefficients("p1", 5, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "k f x"
-    assert len(lines) == 6
-    k, fval, xval = lines[1].split()
-    assert int(k) == 1
-    f, x = problem_coeffs("p1", 5)
-    assert float(fval) == f.coeffs[0]
-    assert float(xval) == x.coeffs[0]
