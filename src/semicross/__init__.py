@@ -28,9 +28,7 @@ from .hypercross import (
     discretization_bounds,
     export_gamma,
     gamma_count,
-    gamma_delta,
     gamma_pairs,
-    gamma_set,
     refine,
 )
 from .methods import (

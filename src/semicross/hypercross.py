@@ -1,9 +1,9 @@
 """Hyperbolic-cross index sets and the sparse Galerkin operators they carry.
 
-The level-n cross is the union of dyadic strips with a full first row,
+The level-n cross is the union of dyadic rectangles with a full first row,
 
-    strips:  (2^{k-1}, 2^k] x [1, 2^{2n-k}],   k = 1..2n,
     row 1:   {1} x [1, 2^{2n}],
+    strips:  (2^{k-1}, 2^k] x [1, 2^{2n-k}],   k = 1..2n,
 
 holding 2^{2n}(n+1) index pairs out of the 2^{4n} of the square
 [1, 2^{2n}]^2. The first coordinate of a pair is the output (row) index of
@@ -12,10 +12,15 @@ source's ``entry(i, j)`` is read as the matrix element coupling input
 component j to output component i (for the self-adjoint operators shipped
 with this package the orientation is immaterial).
 
-Assembly queries the source exactly once per retained pair and refinement
-queries only the difference set of two consecutive levels, so the total
-number of entry evaluations after reaching level n is 2^{2n}(n+1) no matter
-how many refinement steps were taken.
+The cross of level n minus the cross of any lower level m is again a list
+of rectangles, one per row band, so both assembly and refinement put
+``entry_block`` queries to the source, one per rectangle. Each query counts
+every pair of its rectangle as one evaluation and returns only the nonzero
+entries. Assembly thus spends exactly one evaluation per pair of the cross,
+and refinement only those of the difference set of two consecutive levels,
+so the total number of evaluations after reaching level n is 2^{2n}(n+1) no
+matter how many refinement steps were taken; the operator stores the
+nonzero entries alone.
 """
 
 from __future__ import annotations
@@ -28,9 +33,6 @@ from .coeffs import CoeffVec
 __all__ = [
     "gamma_count",
     "gamma_pairs",
-    "gamma_delta_pairs",
-    "gamma_set",
-    "gamma_delta",
     "export_gamma",
     "GalerkinInfoSource",
     "DiagonalSource",
@@ -48,78 +50,37 @@ def gamma_count(n: int) -> int:
     return (1 << (2 * n)) * (n + 1)
 
 
-def _strip(rows_lo: int, rows_hi: int, cols_lo: int, cols_hi: int):
-    """All pairs of (rows_lo, rows_hi] x (cols_lo, cols_hi] as flat arrays."""
+def _rectangles(n: int, m: int | None = None):
+    """The level-n cross minus the level-m cross (m < n; the whole cross
+    when m is None) as half-open rectangles ``(rows_lo, rows_hi, cols_lo,
+    cols_hi)``, one per row band, in ascending row order.
+
+    Row band k (rows (2^{k-1}, 2^k], band 0 being row 1) spans the columns
+    (0, 2^{2n-k}] at level n; the level-m cross already holds its first
+    2^{2m-k} of them when k <= 2m.
+    """
+    for k in range(2 * n + 1):
+        cols_lo = 0 if m is None or k > 2 * m else 1 << (2 * m - k)
+        yield (1 << k) >> 1, 1 << k, cols_lo, 1 << (2 * n - k)
+
+
+def _block_pairs(rows_lo: int, rows_hi: int, cols_lo: int, cols_hi: int):
+    """All pairs of (rows_lo, rows_hi] x (cols_lo, cols_hi] as flat arrays,
+    row-major."""
     rr = np.arange(rows_lo + 1, rows_hi + 1, dtype=np.int64)
     cc = np.arange(cols_lo + 1, cols_hi + 1, dtype=np.int64)
-    return (
-        np.repeat(rr, cc.size),
-        np.tile(cc, rr.size),
-    )
-
-
-def _sorted_rowmajor(rows: np.ndarray, cols: np.ndarray):
-    order = np.lexsort((cols, rows))
-    return rows[order], cols[order]
+    return np.repeat(rr, cc.size), np.tile(cc, rr.size)
 
 
 def gamma_pairs(n: int) -> np.ndarray:
     """Level-n cross as an (m, 2) array of (row, column) pairs, sorted
-    row-major. The strips and the first-row block are pairwise disjoint, so
-    no deduplication is involved."""
+    row-major: the rectangles are disjoint and come in ascending row order,
+    so concatenating their row-major pairs needs neither a sort nor
+    deduplication."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    parts_r = []
-    parts_c = []
-    r, c = _strip(0, 1, 0, 1 << (2 * n))  # {1} x [1, 2^{2n}]
-    parts_r.append(r)
-    parts_c.append(c)
-    for k in range(1, 2 * n + 1):
-        r, c = _strip(1 << (k - 1), 1 << k, 0, 1 << (2 * n - k))
-        parts_r.append(r)
-        parts_c.append(c)
-    rows = np.concatenate(parts_r)
-    cols = np.concatenate(parts_c)
-    rows, cols = _sorted_rowmajor(rows, cols)
-    return np.column_stack((rows, cols))
-
-
-def gamma_delta_pairs(n: int) -> np.ndarray:
-    """The difference set of levels n and n-1 (n >= 1), built strip by strip
-    without materializing either full cross."""
-    if n < 1:
-        raise ValueError("level must be >= 1 for a difference set")
-    m = n - 1
-    parts_r = []
-    parts_c = []
-    # first-row block widens from 2^{2m} to 2^{2n}
-    r, c = _strip(0, 1, 1 << (2 * m), 1 << (2 * n))
-    parts_r.append(r)
-    parts_c.append(c)
-    # existing strips widen from 2^{2m-k} to 2^{2n-k} columns
-    for k in range(1, 2 * m + 1):
-        r, c = _strip(1 << (k - 1), 1 << k, 1 << (2 * m - k), 1 << (2 * n - k))
-        parts_r.append(r)
-        parts_c.append(c)
-    # two entirely new strips k = 2n-1, 2n
-    for k in (2 * n - 1, 2 * n):
-        r, c = _strip(1 << (k - 1), 1 << k, 0, 1 << (2 * n - k))
-        parts_r.append(r)
-        parts_c.append(c)
-    rows = np.concatenate(parts_r)
-    cols = np.concatenate(parts_c)
-    rows, cols = _sorted_rowmajor(rows, cols)
-    return np.column_stack((rows, cols))
-
-
-def gamma_set(n: int) -> set:
-    """Level-n cross as a set of (row, column) tuples."""
-    return {(int(i), int(j)) for i, j in gamma_pairs(n)}
-
-
-def gamma_delta(n: int) -> set:
-    """Difference set of levels n and n-1 as tuples (n >= 1)."""
-    return {(int(i), int(j)) for i, j in gamma_delta_pairs(n)}
+    blocks = [_block_pairs(*rect) for rect in _rectangles(n)]
+    return np.column_stack([np.concatenate(axis) for axis in zip(*blocks)])
 
 
 def export_gamma(n: int, path) -> None:
@@ -141,12 +102,13 @@ class GalerkinInfoSource:
 
     ``entry(i, j)`` returns the Galerkin coefficient at output index i and
     input index j, deterministically, and increments the evaluation counter
-    by one; ``entry_many`` is the vectorized form counting one per element.
-    ``r`` declares the smoothness-class exponent of the operator (projection
-    tails decay like m^{-r}).
+    by one; ``entry_block`` answers a whole rectangle, counting one per pair
+    of it. ``r`` declares the smoothness-class exponent of the operator
+    (projection tails decay like m^{-r}).
 
-    Subclasses implement ``_value``; vectorized subclasses may override
-    ``_values``.
+    Subclasses implement ``_values``, the entries at aligned 1-based index
+    arrays; a subclass that knows where its nonzeros lie may also override
+    ``entry_block``.
     """
 
     def __init__(self, r: float):
@@ -162,32 +124,34 @@ class GalerkinInfoSource:
         return self._count
 
     # -- entries -----------------------------------------------------------
-    def _value(self, i: int, j: int) -> float:
-        raise NotImplementedError
-
     def _values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return np.array([self._value(int(i), int(j)) for i, j in zip(rows, cols)])
+        raise NotImplementedError
 
     def entry(self, i: int, j: int) -> float:
         if i < 1 or j < 1:
             raise ValueError("indices are 1-based")
         self._count += 1
-        return float(self._value(i, j))
+        return float(self._values(np.array([i], dtype=np.int64),
+                                  np.array([j], dtype=np.int64))[0])
 
-    def entry_many(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        if rows.shape != cols.shape:
-            raise ValueError("row/column index arrays must align")
+    def entry_block(self, rows_lo: int, rows_hi: int, cols_lo: int,
+                    cols_hi: int):
+        """The nonzero entries of the rectangle (rows_lo, rows_hi] x
+        (cols_lo, cols_hi] as row-major ``(rows, cols, vals)``; every pair
+        of the rectangle counts as one evaluation."""
+        rows, cols = _block_pairs(rows_lo, rows_hi, cols_lo, cols_hi)
         self._count += rows.size
-        return np.asarray(self._values(rows, cols), dtype=float)
+        vals = np.asarray(self._values(rows, cols), dtype=float)
+        nz = vals != 0.0
+        return rows[nz], cols[nz], vals[nz]
 
 
 class DiagonalSource(GalerkinInfoSource):
     """Information source of an operator that is diagonal in the basis.
 
     ``diag`` maps a 1-based integer index array to the diagonal values;
-    off-diagonal entries are exactly zero.
+    off-diagonal entries are exactly zero, so a rectangle is answered from
+    its stretch of the diagonal alone (its whole area still counts).
     """
 
     def __init__(self, diag, r: float, dim_hint: int | None = None):
@@ -195,17 +159,21 @@ class DiagonalSource(GalerkinInfoSource):
         self._diag = diag
         self.dim_hint = dim_hint
 
-    def _value(self, i: int, j: int) -> float:
-        if i != j:
-            return 0.0
-        return float(self._diag(np.asarray([i], dtype=np.int64))[0])
-
     def _values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         vals = np.zeros(rows.size)
         on_diag = rows == cols
         if np.any(on_diag):
             vals[on_diag] = self._diag(rows[on_diag].astype(np.int64))
         return vals
+
+    def entry_block(self, rows_lo: int, rows_hi: int, cols_lo: int,
+                    cols_hi: int):
+        self._count += max(rows_hi - rows_lo, 0) * max(cols_hi - cols_lo, 0)
+        idx = np.arange(max(rows_lo, cols_lo) + 1, min(rows_hi, cols_hi) + 1,
+                        dtype=np.int64)
+        vals = np.asarray(self._diag(idx), dtype=float)
+        nz = vals != 0.0
+        return idx[nz], idx[nz], vals[nz]
 
     def diagonal(self, indices: np.ndarray) -> np.ndarray:
         """Diagnostic access to diagonal values; does not count as
@@ -215,12 +183,13 @@ class DiagonalSource(GalerkinInfoSource):
 
 class GalerkinOperator:
     """The discretized operator of one cross level: a sparse matrix over the
-    retained index pairs, acting on coefficient vectors of dimension 2^{2n}.
+    nonzero entries of the cross, acting on coefficient vectors of dimension
+    2^{2n}.
 
-    The retained-entry table keeps every pair of the cross (zero values
-    included) in sorted row-major order, which pins the information count and
-    makes construction reproducible; the matrix-vector products run on the
-    nonzero entries only.
+    ``rows``/``cols``/``vals`` hold the nonzero entries alone (1-based
+    indices), sorted row-major, which makes construction reproducible; the
+    zero entries of the cross were counted as information when queried but
+    are not stored.
     """
 
     __slots__ = ("level", "dim", "rows", "cols", "vals", "_mat", "_mat_t")
@@ -234,24 +203,11 @@ class GalerkinOperator:
         self.rows = rows
         self.cols = cols
         self.vals = vals
-        nz = vals != 0.0
         mat = scipy.sparse.csr_matrix(
-            (vals[nz], (rows[nz] - 1, cols[nz] - 1)), shape=(self.dim, self.dim)
+            (vals, (rows - 1, cols - 1)), shape=(self.dim, self.dim)
         )
         self._mat = mat
         self._mat_t = mat.T.tocsr()
-
-    @property
-    def entry_count(self) -> int:
-        return self.vals.size
-
-    def entry_map(self) -> dict:
-        """Retained entries as a dict keyed by (row, column); intended for
-        inspection at small levels."""
-        return {
-            (int(i), int(j)): float(v)
-            for i, j, v in zip(self.rows, self.cols, self.vals)
-        }
 
     def column_support(self) -> np.ndarray:
         """Sorted 1-based column indices carrying a nonzero entry. Every
@@ -282,30 +238,34 @@ class GalerkinOperator:
         return CoeffVec._wrap(self._mat_t.dot(w.extended(self.dim)))
 
 
+def _grow(src: GalerkinInfoSource, n: int,
+          op: GalerkinOperator | None = None) -> GalerkinOperator:
+    """The level-n operator: the nonzeros of ``op`` (a lower level built from
+    ``src``, or nothing) plus the answers to one ``entry_block`` query per
+    rectangle of the level-n cross that ``op`` does not cover."""
+    parts = [] if op is None else [(op.rows, op.cols, op.vals)]
+    parts += [src.entry_block(*rect)
+              for rect in _rectangles(n, None if op is None else op.level)]
+    rows, cols, vals = (np.concatenate(axis) for axis in zip(*parts))
+    order = np.lexsort((cols, rows))
+    return GalerkinOperator(n, rows[order], cols[order], vals[order])
+
+
 def assemble(src: GalerkinInfoSource, n: int) -> GalerkinOperator:
-    """Assemble the level-n operator, querying ``src.entry`` exactly once per
-    pair of the level-n cross."""
-    pairs = gamma_pairs(n)
-    rows = pairs[:, 0]
-    cols = pairs[:, 1]
-    vals = src.entry_many(rows, cols)
-    return GalerkinOperator(n, rows, cols, vals)
+    """Assemble the level-n operator, counting exactly one evaluation of
+    ``src`` per pair of the level-n cross."""
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    return _grow(src, n)
 
 
 def refine(op: GalerkinOperator, src: GalerkinInfoSource) -> GalerkinOperator:
     """Level n -> n+1, querying only the difference set of the two crosses.
 
     ``src`` must be the source ``op`` was assembled from (unchecked caller
-    contract); retained entries are identical to a from-scratch assembly.
+    contract); the result is identical to a from-scratch assembly.
     """
-    n_new = op.level + 1
-    delta = gamma_delta_pairs(n_new)
-    d_vals = src.entry_many(delta[:, 0], delta[:, 1])
-    rows = np.concatenate((op.rows, delta[:, 0]))
-    cols = np.concatenate((op.cols, delta[:, 1]))
-    vals = np.concatenate((op.vals, d_vals))
-    order = np.lexsort((cols, rows))
-    return GalerkinOperator(n_new, rows[order], cols[order], vals[order])
+    return _grow(src, op.level + 1, op)
 
 
 def discretization_bounds(r: float, n: int) -> tuple:

@@ -121,6 +121,20 @@ def _rhs_coeffs(pid: str, kk: np.ndarray, scaled: bool) -> np.ndarray:
     return raw * np.pi ** 2 if scaled else raw
 
 
+def _coeffs(pid, dim: int, scaled: bool, normalize: bool,
+            rhs: bool) -> CoeffVec:
+    """Basis coefficients 1..dim of the right-hand side (``rhs``) or of the
+    exact solution, in the scale conventions of ``problem_coeffs``."""
+    pid = _canonical_pid(pid)
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    kk = np.arange(1, dim + 1, dtype=np.int64)
+    v = _rhs_coeffs(pid, kk, scaled) if rhs else _exact_solution_coeffs(pid, kk)
+    if normalize:
+        v = v * (_UNIT_FACTOR[pid] if scaled else _UNIT_FACTOR[pid] * np.pi ** 2)
+    return CoeffVec(v)
+
+
 def problem_coeffs(pid, dim: int, scaled: bool = True,
                    normalize: bool = True):
     """Basis coefficients 1..dim of (right-hand side, exact solution).
@@ -129,17 +143,8 @@ def problem_coeffs(pid, dim: int, scaled: bool = True,
     scaling; with ``normalize`` both vectors are additionally divided by the
     exact norm of the scaled rhs.
     """
-    pid = _canonical_pid(pid)
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    kk = np.arange(1, dim + 1, dtype=np.int64)
-    f = _rhs_coeffs(pid, kk, scaled)
-    x = _exact_solution_coeffs(pid, kk)
-    if normalize:
-        c = _UNIT_FACTOR[pid] if scaled else _UNIT_FACTOR[pid] * np.pi ** 2
-        f = f * c
-        x = x * c
-    return CoeffVec(f), CoeffVec(x)
+    return (_coeffs(pid, dim, scaled, normalize, rhs=True),
+            _coeffs(pid, dim, scaled, normalize, rhs=False))
 
 
 def _canonical_pid(pid) -> str:
@@ -196,10 +201,10 @@ class Problem:
         return green_operator(max(int(dim_hint), 1), scaled=self.scaled)
 
     def rhs(self, dim: int) -> CoeffVec:
-        return problem_coeffs(self.pid, dim, self.scaled, self.normalize)[0]
+        return _coeffs(self.pid, dim, self.scaled, self.normalize, rhs=True)
 
     def exact(self, dim: int) -> CoeffVec:
-        return problem_coeffs(self.pid, dim, self.scaled, self.normalize)[1]
+        return _coeffs(self.pid, dim, self.scaled, self.normalize, rhs=False)
 
     def exact_norm(self, dim: int) -> float:
         return norm(self.exact(dim))

@@ -41,9 +41,6 @@ class HashSource(GalerkinInfoSource):
         super().__init__(r)
         self.salt = salt
 
-    def _value(self, i, j):
-        return float(self._values(np.asarray([i]), np.asarray([j]))[0])
-
     def _values(self, rows, cols):
         mixed = (rows.astype(np.int64) * 2654435761 + cols.astype(np.int64) * 40503
                  + self.salt) % 1000003
@@ -116,9 +113,6 @@ class BandSource(GalerkinInfoSource):
 
     def __init__(self):
         super().__init__(r=2.0)
-
-    def _value(self, i, j):
-        return float(self._values(np.asarray([i]), np.asarray([j]))[0])
 
     def _values(self, rows, cols):
         even = rows % 2 == 0

@@ -281,6 +281,15 @@ def test_level_cap():
     assert err.value.kind == "level"
 
 
+def test_tiny_delta_hits_the_level_cap_instead_of_memory():
+    # starts at level 11 (50M cross pairs); with the zero-retaining pair
+    # table the process was killed for lack of memory before any cap
+    with pytest.raises(CapExceededError) as err:
+        run_discrepancy(get_problem("p1"), nu_method(1.0),
+                        RunParams(delta=2.0 ** -30, tau=5))
+    assert err.value.kind == "level"
+
+
 class BandProblem:
     """Duck-typed problem on the off-diagonal ``BandSource``: smooth data on
     the even (row-support) components, tiny data on the odd ones."""

@@ -1,17 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from semicross.coeffs import CoeffVec, inner, norm
 from semicross.hypercross import (
     DiagonalSource,
+    GalerkinInfoSource,
+    _rectangles,
     assemble,
     discretization_bounds,
     export_gamma,
     gamma_count,
-    gamma_delta,
-    gamma_delta_pairs,
     gamma_pairs,
-    gamma_set,
     refine,
 )
 from semicross.problems import green_operator
@@ -32,33 +33,110 @@ def test_cardinality_formula():
         assert np.unique(encoded).size == pairs.shape[0]
 
 
+def _gamma_set(n):
+    return {(int(i), int(j)) for i, j in gamma_pairs(n)}
+
+
+def _rectangle_set(n, m):
+    """Pairs of the rectangles of the level-n cross minus the level-m one."""
+    return {(i, j) for r_lo, r_hi, c_lo, c_hi in _rectangles(n, m)
+            for i in range(r_lo + 1, r_hi + 1) for j in range(c_lo + 1, c_hi + 1)}
+
+
+class _RecordingSource(HashSource):
+    """HashSource that records every pair its blocks evaluate."""
+
+    def __init__(self, salt=0):
+        super().__init__(salt=salt)
+        self.seen = []
+
+    def _values(self, rows, cols):
+        self.seen += zip(rows.tolist(), cols.tolist())
+        return super()._values(rows, cols)
+
+
 def test_level_two_has_48_elements():
-    assert len(gamma_set(2)) == 48
+    assert len(_gamma_set(2)) == 48
 
 
 def test_level_zero_is_single_pair():
-    assert gamma_set(0) == {(1, 1)}
+    assert _gamma_set(0) == {(1, 1)}
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_nesting(n):
-    assert gamma_set(n - 1) <= gamma_set(n)
+    assert _gamma_set(n - 1) <= _gamma_set(n)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_delta_is_literal_set_difference(n):
-    assert gamma_delta(n) == gamma_set(n) - gamma_set(n - 1)
+    # refine evaluates each pair of the difference set exactly once, and
+    # since HashSource has no zero entry it stores the whole level-n cross
+    src = _RecordingSource(salt=n)
+    op = assemble(src, n - 1)
+    src.seen.clear()
+    op = refine(op, src)
+    assert len(src.seen) == len(set(src.seen)) == gamma_count(n) - gamma_count(n - 1)
+    assert set(src.seen) == _gamma_set(n) - _gamma_set(n - 1)
+    assert src.eval_count == gamma_count(n)
+    fresh = assemble(HashSource(salt=n), n)
+    for got, want in ((op.rows, fresh.rows), (op.cols, fresh.cols), (op.vals, fresh.vals)):
+        assert np.array_equal(got, want)
 
 
 def test_delta_partitions_level_one():
-    assert gamma_delta(1) | gamma_set(0) == gamma_set(1)
-    assert gamma_delta(2) & gamma_set(1) == set()
+    assert _rectangle_set(1, 0) | _gamma_set(0) == _gamma_set(1)
+    assert _rectangle_set(2, 1) & _gamma_set(1) == set()
 
 
 def test_delta_cardinality():
+    # counted without building a pair array: the diagonal source answers
+    # each rectangle from its stretch of the diagonal
+    src = DiagonalSource(lambda kk: 1.0 / kk, r=2.0)
+    op = assemble(src, 0)
     for n in range(1, 6):
-        expected = gamma_count(n) - gamma_count(n - 1)
-        assert gamma_delta_pairs(n).shape[0] == expected
+        before = src.eval_count
+        op = refine(op, src)
+        assert src.eval_count - before == gamma_count(n) - gamma_count(n - 1)
+        assert op.vals.size == 1 << n
+
+
+def _triplets(block):
+    return tuple(np.asarray(a).tolist() for a in block)
+
+
+@pytest.mark.parametrize("n", range(0, 5))
+def test_diagonal_block_query_matches_base_path(n):
+    # zeros on the diagonal too, so the nonzero filter is exercised
+    src = DiagonalSource(lambda kk: np.where(kk % 3 == 0, 0.0, -1.0 / kk), r=2.0)
+    rects = list(_rectangles(n)) + (list(_rectangles(n, n - 1)) if n else [])
+    missed = 0
+    for rect in rects:
+        before = src.eval_count
+        fast = src.entry_block(*rect)
+        mid = src.eval_count
+        slow = GalerkinInfoSource.entry_block(src, *rect)
+        area = (rect[1] - rect[0]) * (rect[3] - rect[2])
+        assert mid - before == src.eval_count - mid == area
+        assert _triplets(fast) == _triplets(slow)
+        if rect[2] >= rect[1] or rect[0] >= rect[3]:  # misses the diagonal
+            assert all(a.size == 0 for a in fast)
+            missed += 1
+    assert missed > 0 or n == 0
+
+
+def test_refine_peak_memory_is_nonzero_only():
+    # the zero-retaining table peaked at 191 MB here (5.2M pairs at n = 9)
+    src = green_operator(dim=1 << 18)
+    tracemalloc.start()
+    try:
+        op = refine(assemble(src, 8), src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert src.eval_count == gamma_count(9)
+    assert op.vals.size == 1 << 9
+    assert peak < 16 * 2 ** 20
 
 
 def test_export_format(tmp_path):
@@ -68,7 +146,7 @@ def test_export_format(tmp_path):
     assert len(lines) == 48
     parsed = [tuple(map(int, ln.split())) for ln in lines]
     assert parsed == sorted(parsed)  # sorted by (column, row)
-    assert {(i, j) for j, i in parsed} == gamma_set(2)
+    assert {(i, j) for j, i in parsed} == _gamma_set(2)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +191,7 @@ def test_assembly_matches_dense_projector_oracle(n):
     src = HashSource(salt=n)
     op = assemble(HashSource(salt=n), n)
     dense = np.zeros((op.dim, op.dim))
-    for (i, j), v in op.entry_map().items():
-        dense[i - 1, j - 1] = v
+    dense[op.rows - 1, op.cols - 1] = op.vals
     oracle = dense_cross_assembly(src, n)
     assert np.allclose(dense, oracle, atol=1e-15)
 
@@ -139,7 +216,8 @@ def test_zero_source_gives_zero_operator():
     op = assemble(src, 2)
     v = CoeffVec(np.ones(op.dim))
     assert norm(op.apply(v)) == 0.0
-    assert op.entry_count == 48  # zero values still count as information
+    assert src.eval_count == 48  # zero values still count as information
+    assert op.vals.size == 0
 
 
 def test_apply_zero_vector():

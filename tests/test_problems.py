@@ -6,6 +6,7 @@ from scipy.special import roots_legendre
 
 from semicross.coeffs import CoeffVec, norm
 from semicross.problems import (
+    PROBLEM_IDS,
     get_problem,
     green_operator,
     perturb,
@@ -158,6 +159,14 @@ def test_problem_accessors():
     assert src.eval_count == 0
     with pytest.raises(ValueError):
         get_problem("p3")
+    # rhs/exact compute one closed form each, bit-identical to the pair
+    for pid in PROBLEM_IDS:
+        for scaled in (True, False):
+            for normalize in (True, False):
+                prob = get_problem(pid, scaled=scaled, normalize=normalize)
+                f, x = problem_coeffs(pid, 999, scaled, normalize)
+                assert np.array_equal(prob.rhs(999).coeffs, f.coeffs)
+                assert np.array_equal(prob.exact(999).coeffs, x.coeffs)
 
 
 # ---------------------------------------------------------------------------
