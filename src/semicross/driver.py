@@ -15,7 +15,8 @@ discrepancy variant, nonempty admissible set for the balancing variant --
 or refines the discretization by one level, computing only the new Galerkin
 entries. The iteration runs on the operator's nonzero rows and columns
 only (``_SupportKernel``); the reported solution is scattered back to full
-length.
+length. The right-hand side and the exact solution at one dimension depend
+only on the problem, so the last problem's pair is kept for the next run.
 
 Safety caps convert non-termination under violated assumptions into
 reported errors: ``n_max`` bounds the level, ``k_abs_max`` the total number
@@ -25,6 +26,7 @@ of iteration steps across levels, and a non-finite residual norm raises
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -36,7 +38,7 @@ from .coeffs import CoeffVec, norm
 from .hypercross import assemble, refine
 from .methods import MethodSpec, NumericalDegeneracyError, _advance
 from .problems import Problem, perturb
-from .stopping import BalancingWindow, balancing_admissible_set, balancing_stop_index
+from .stopping import BalancingWindow, balancing_stop_index
 
 __all__ = [
     "ConfigError",
@@ -290,6 +292,14 @@ class _SupportKernel:
         return CoeffVec._wrap(full)
 
 
+@functools.lru_cache(maxsize=2)
+def _closed_form(problem: Problem, dim: int, rhs: bool):
+    """(right-hand side or exact solution at ``dim``, its norm); the two
+    entries hold one problem's pair, which is what a sweep reuses."""
+    v = problem.rhs(dim) if rhs else problem.exact(dim)
+    return v, norm(v)
+
+
 def _prepare(problem: Problem, p: RunParams):
     if not getattr(problem, "scaled", True):
         warnings.warn(
@@ -297,8 +307,7 @@ def _prepare(problem: Problem, p: RunParams):
             "constants behind the level and budget rules are not sharp",
             stacklevel=3,
         )
-    f = problem.rhs(p.noise_dim)
-    rhs_norm = norm(f)
+    f, rhs_norm = _closed_form(problem, p.noise_dim, True)
     if p.delta >= rhs_norm:
         warnings.warn(
             f"noise level delta={p.delta:g} is not below ||f||={rhs_norm:g}; "
@@ -314,8 +323,7 @@ def _finish(problem: Problem, spec: MethodSpec, p: RunParams, algorithm: int,
             levels, budgets, stop_index, solution, residuals, src, rhs_norm,
             mu):
     dim_ref = max(solution.dim, p.noise_dim)
-    exact = problem.exact(dim_ref)
-    exact_norm = norm(exact)
+    exact, exact_norm = _closed_form(problem, dim_ref, False)
     abs_error = norm(solution - exact)
     rel_error = abs_error / exact_norm if exact_norm > 0.0 else math.nan
     diagnostics = None
@@ -410,7 +418,7 @@ def _balancing_stop(steps, k_n: int, p: RunParams, spec: MethodSpec):
         iterates=tuple(stored), k_n=k_n, k_sec=p.k_sec,
         bound_factor=8.0 * (1.0 + p.gamma) * spec.kappa0 * p.delta,
     )
-    stop = balancing_stop_index(balancing_admissible_set(window))
+    stop = balancing_stop_index(window)
     return None if stop is None else (stop, stored[stop - 1].coeffs)
 
 

@@ -35,7 +35,8 @@ closed form (p1) and per-piece antiderivatives (p2):
          c_k(f)  =  2 sqrt(2) cos(pi k / 2)/a^3,
 
 with cos(pi k / 2) evaluated exactly from k mod 4. Even-k coefficients
-vanish for p1 (symmetry about t = 1/2), odd-k ones for p2 (antisymmetry).
+vanish for p1 (symmetry about t = 1/2), odd-k ones for p2 (antisymmetry);
+the closed forms are evaluated on the nonzero parity only.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoeffVec, norm
+from .coeffs import CoeffVec
 from .hypercross import DiagonalSource
 
 __all__ = [
@@ -90,8 +91,8 @@ def green_operator(dim: int, scaled: bool = True) -> DiagonalSource:
 
 
 def _cos_half_pi(kk: np.ndarray) -> np.ndarray:
-    """cos(pi k / 2) exactly: 1, 0, -1, 0 cycling with k mod 4."""
-    return np.choose(kk % 4, [1.0, 0.0, -1.0, 0.0])
+    """cos(pi k / 2) exactly for even k: 1, -1 cycling with k mod 4."""
+    return np.where(kk % 4 == 0, 1.0, -1.0)
 
 
 def _exact_solution_coeffs(pid: str, kk: np.ndarray) -> np.ndarray:
@@ -100,23 +101,19 @@ def _exact_solution_coeffs(pid: str, kk: np.ndarray) -> np.ndarray:
     # the function and its second derivative vanish at both endpoints);
     # summing the monomial integrals numerically instead loses ~8 digits of
     # relative accuracy at k ~ 4000
-    if pid == "p1":
-        a = np.pi * kk.astype(float)
-        sgn = np.where(kk % 2 == 0, 1.0, -1.0)
-        return -3.0 * _SQRT2 * (1.0 - sgn) * (72.0 * a ** 2 - 720.0) / a ** 5
     a = np.pi * kk.astype(float)
+    if pid == "p1":
+        return -3.0 * _SQRT2 * 2.0 * (72.0 * a ** 2 - 720.0) / a ** 5
     return -2.0 * _SQRT2 * _cos_half_pi(kk) / a
 
 
 def _rhs_coeffs(pid: str, kk: np.ndarray, scaled: bool) -> np.ndarray:
+    a = np.pi * kk.astype(float)
     if pid == "p1":
         # closed form of -3 t^3 (1-t)^3; cross-validated against
         # lambda_k * solution coefficients
-        a = np.pi * kk.astype(float)
-        sgn = np.where(kk % 2 == 0, 1.0, -1.0)
-        raw = -3.0 * _SQRT2 * (1.0 - sgn) * (720.0 - 72.0 * a ** 2) / a ** 7
+        raw = -3.0 * _SQRT2 * 2.0 * (720.0 - 72.0 * a ** 2) / a ** 7
     else:
-        a = np.pi * kk.astype(float)
         raw = 2.0 * _SQRT2 * _cos_half_pi(kk) / a ** 3
     return raw * np.pi ** 2 if scaled else raw
 
@@ -128,11 +125,16 @@ def _coeffs(pid, dim: int, scaled: bool, normalize: bool,
     pid = _canonical_pid(pid)
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    kk = np.arange(1, dim + 1, dtype=np.int64)
+    # the nonzero parity only: odd k for p1 (where 1 - (-1)^k is exactly 2),
+    # even k for p2
+    first = 1 if pid == "p1" else 2
+    kk = np.arange(first, dim + 1, 2, dtype=np.int64)
     v = _rhs_coeffs(pid, kk, scaled) if rhs else _exact_solution_coeffs(pid, kk)
     if normalize:
         v = v * (_UNIT_FACTOR[pid] if scaled else _UNIT_FACTOR[pid] * np.pi ** 2)
-    return CoeffVec(v)
+    out = np.zeros(dim)
+    out[first - 1::2] = v
+    return CoeffVec._wrap(out)
 
 
 def problem_coeffs(pid, dim: int, scaled: bool = True,
@@ -205,9 +207,6 @@ class Problem:
 
     def exact(self, dim: int) -> CoeffVec:
         return _coeffs(self.pid, dim, self.scaled, self.normalize, rhs=False)
-
-    def exact_norm(self, dim: int) -> float:
-        return norm(self.exact(dim))
 
 
 def get_problem(pid, scaled: bool = True, normalize: bool = True) -> Problem:

@@ -51,28 +51,29 @@ class BalancingWindow:
             raise ValueError("bound_factor must be nonnegative")
 
 
-def balancing_admissible_set(w: BalancingWindow) -> set:
-    """All k <= K_n with ||x_k - x_j|| <= bound_factor * j for every j in
-    (k, K_n + K_sec].
-
-    Exhaustive pairwise evaluation, vectorized over the trailing iterates of
-    each candidate; an empty result signals that the discretization level is
-    too coarse.
-    """
+def _admissible(w: BalancingWindow):
+    """The admissible k <= K_n in increasing order, each candidate tested
+    only when it is asked for (vectorized over its trailing iterates)."""
     m = len(w.iterates)
     dim = max(v.dim for v in w.iterates)
     stack = np.stack([v.extended(dim) for v in w.iterates])
-    admissible = set()
     for k in range(1, w.k_n + 1):
         diffs = stack[k:] - stack[k - 1]
         dists = np.sqrt(np.sum(diffs * diffs, axis=1))
         bounds = w.bound_factor * np.arange(k + 1, m + 1, dtype=float)
         if np.all(dists <= bounds):
-            admissible.add(k)
-    return admissible
+            yield k
 
 
-def balancing_stop_index(admissible: set):
+def balancing_admissible_set(w: BalancingWindow) -> set:
+    """All k <= K_n with ||x_k - x_j|| <= bound_factor * j for every j in
+    (k, K_n + K_sec]; an empty result signals that the discretization level
+    is too coarse."""
+    return set(_admissible(w))
+
+
+def balancing_stop_index(w: BalancingWindow):
     """Smallest admissible index, or None when the set is empty (the caller
-    must then refine the discretization)."""
-    return min(admissible) if admissible else None
+    must then refine the discretization); candidates above it are never
+    tested."""
+    return next(_admissible(w), None)

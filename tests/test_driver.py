@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from semicross import driver
+from semicross import driver, problems
 from semicross.coeffs import CoeffVec, norm
 from semicross.driver import (
     CapExceededError,
@@ -20,11 +21,7 @@ from semicross.driver import (
 from semicross.hypercross import DiagonalSource, assemble, gamma_count, refine
 from semicross.methods import NumericalDegeneracyError, init_state, nu_method, step
 from semicross.problems import get_problem, perturb
-from semicross.stopping import (
-    BalancingWindow,
-    balancing_admissible_set,
-    balancing_stop_index,
-)
+from semicross.stopping import BalancingWindow, balancing_stop_index
 
 from helpers import BandSource
 
@@ -269,6 +266,32 @@ def test_seed_changes_noise_but_not_structure():
     assert not np.array_equal(a.solution.coeffs, b.solution.coeffs)
 
 
+def test_closed_forms_are_computed_once_per_problem(monkeypatch):
+    # the rhs and the exact solution at noise_dim are kept between runs of
+    # one problem, and reusing them changes no report
+    real, calls = problems._coeffs, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    runs = [(2.0 ** -5, 1), (2.0 ** -7, 2)]
+    driver._closed_form.cache_clear()
+    monkeypatch.setattr(problems, "_coeffs", counting)
+    reused = [run_discrepancy(get_problem("p1"), NU32, params(d, seed=s))
+              for d, s in runs]
+    assert len(calls) == 2
+    for (d, s), report in zip(runs, reused):
+        driver._closed_form.cache_clear()
+        fresh = run_discrepancy(get_problem("p1"), NU32, params(d, seed=s))
+        for field in dataclasses.fields(fresh):
+            a, b = getattr(report, field.name), getattr(fresh, field.name)
+            if isinstance(a, CoeffVec):
+                a, b = a.coeffs.tobytes(), b.coeffs.tobytes()
+            assert a == b, field.name
+    assert len(calls) == 6
+
+
 def test_iteration_cap():
     with pytest.raises(CapExceededError) as err:
         run_discrepancy(get_problem("p2"), NU32, params(2.0 ** -8, k_abs_max=5))
@@ -331,7 +354,7 @@ def _full_length_run(problem, spec, p, algorithm):
             if algorithm == 2:
                 window = BalancingWindow(tuple(iterates), k_n, p.k_sec,
                                          8.0 * (1.0 + p.gamma) * spec.kappa0 * p.delta)
-                stop = balancing_stop_index(balancing_admissible_set(window))
+                stop = balancing_stop_index(window)
                 if stop is not None:
                     return n, stop, iterates[stop - 1], residuals
         assert n < p.n_max

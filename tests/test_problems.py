@@ -129,11 +129,44 @@ def test_p1_closed_forms_match_monomial_recurrence():
 
 def test_symmetry_kills_alternate_coefficients():
     f1, x1 = problem_coeffs("p1", 1000)
-    assert np.max(np.abs(f1.coeffs[1::2])) <= 1e-12   # even k vanish
-    assert np.max(np.abs(x1.coeffs[1::2])) <= 1e-12
+    assert np.all(f1.coeffs[1::2] == 0.0)   # even k vanish
+    assert np.all(x1.coeffs[1::2] == 0.0)
     f2, x2 = problem_coeffs("p2", 1000)
-    assert np.max(np.abs(f2.coeffs[0::2])) <= 1e-12   # odd k vanish
-    assert np.max(np.abs(x2.coeffs[0::2])) <= 1e-12
+    assert np.all(f2.coeffs[0::2] == 0.0)   # odd k vanish
+    assert np.all(x2.coeffs[0::2] == 0.0)
+
+
+def _full_index_coeffs(pid, dim, scaled, normalize, rhs):
+    """The closed forms evaluated at every k = 1..dim, zeros included."""
+    kk = np.arange(1, dim + 1, dtype=np.int64)
+    a = np.pi * kk.astype(float)
+    sgn = np.where(kk % 2 == 0, 1.0, -1.0)
+    cos = np.choose(kk % 4, [1.0, 0.0, -1.0, 0.0])
+    if pid == "p1" and rhs:
+        v = -3.0 * SQRT2 * (1.0 - sgn) * (720.0 - 72.0 * a ** 2) / a ** 7
+    elif pid == "p1":
+        v = -3.0 * SQRT2 * (1.0 - sgn) * (72.0 * a ** 2 - 720.0) / a ** 5
+    elif rhs:
+        v = 2.0 * SQRT2 * cos / a ** 3
+    else:
+        v = -2.0 * SQRT2 * cos / a
+    if rhs and scaled:
+        v = v * np.pi ** 2
+    if normalize:
+        v = v * (UNIT_FACTOR[pid] if scaled else UNIT_FACTOR[pid] * np.pi ** 2)
+    return v
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 999, 2 ** 16])
+def test_nonzero_parity_evaluation_is_bit_identical(dim):
+    # evaluating only the nonzero parity keeps every coefficient's bits
+    for pid in PROBLEM_IDS:
+        for scaled in (True, False):
+            for normalize in (True, False):
+                f, x = problem_coeffs(pid, dim, scaled, normalize)
+                for got, rhs in ((f, True), (x, False)):
+                    want = _full_index_coeffs(pid, dim, scaled, normalize, rhs)
+                    assert np.array_equal(got.coeffs, want)
 
 
 def test_unit_normalization():

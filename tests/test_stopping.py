@@ -52,9 +52,11 @@ def test_zero_bound_distinct_iterates_empty():
 
 
 def test_stop_index():
-    assert balancing_stop_index({3, 5, 7}) == 3
-    assert balancing_stop_index(set()) is None
-    assert balancing_stop_index({1}) == 1
+    assert balancing_stop_index(_window([0.0, 10.0, 10.5], 2, 1, 1.0)) == 2
+    assert balancing_stop_index(_window([3.0] * 7, 4, 3, 1e-9)) == 1
+    assert balancing_stop_index(_window([1.0, 2.0, 3.0, 4.0], 2, 2, 0.0)) is None
+    # a tie at the bound is admissible: |0 - 2| = 1.0 * 2
+    assert balancing_stop_index(_window([0.0, 2.0, 2.0], 2, 1, 1.0)) == 1
 
 
 def test_window_validation():
@@ -108,3 +110,27 @@ def test_admissible_set_monotone_in_bound(data, factor):
     large = BalancingWindow(iterates=iterates, k_n=k_n, k_sec=m - k_n,
                             bound_factor=bound * factor)
     assert balancing_admissible_set(small) <= balancing_admissible_set(large)
+
+
+# integer iterates and bounds, so that distances often equal the bound exactly
+tied_windows = st.integers(min_value=2, max_value=12).flatmap(
+    lambda m: st.tuples(
+        st.lists(
+            st.lists(st.integers(-12, 12).map(float), min_size=1, max_size=2),
+            min_size=m, max_size=m,
+        ),
+        st.integers(min_value=1, max_value=m - 1),
+        st.integers(min_value=0, max_value=4).map(float),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(windows, tied_windows))
+def test_stop_index_is_smallest_admissible(data):
+    vec_lists, k_n, bound = data
+    w = BalancingWindow(iterates=tuple(CoeffVec(v) for v in vec_lists),
+                        k_n=k_n, k_sec=len(vec_lists) - k_n,
+                        bound_factor=bound)
+    assert balancing_stop_index(w) == min(balancing_admissible_set(w),
+                                          default=None)
