@@ -23,7 +23,7 @@ MU = {"p1": 1.2, "p2": 0.2}
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="results", help="CSV output directory")
-    ap.add_argument("--jobs", type=int, default=2)
+    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

@@ -9,14 +9,16 @@ starting level is the smallest n >= 1 with
 and the per-level budget K_n is the largest integer satisfying the same
 inequality with rho replaced by K_n rho. At each level the two-step
 recursion restarts from scratch (iterates of different levels live in
-different dimensions) against the data truncated to the level window; the
-driver then either stops -- residual norm at or below tau delta for the
-discrepancy variant, nonempty admissible set for the balancing variant --
-or refines the discretization by one level, computing only the new Galerkin
-entries. The iteration runs on the operator's nonzero rows and columns
-only (``_SupportKernel``); the reported solution is scattered back to full
-length. The right-hand side and the exact solution at one dimension depend
-only on the problem, so the last problem's pair is kept for the next run.
+different dimensions) against the data truncated to the level window, the
+only part of f_delta that is built; the driver then either stops --
+residual norm at or below tau delta for the discrepancy variant, nonempty
+admissible set for the balancing variant -- or refines the discretization
+by one level, computing only the new Galerkin entries. The iteration runs
+on the operator's nonzero rows and columns only (``_SupportKernel``); the
+reported solution is scattered back to full length. The right-hand side and
+the exact solution at one dimension depend only on the problem, so the last
+problem's pair is kept for the next run; the noise norm depends only on the
+seed and ``noise_dim`` and is kept per seed (``problems.NoisyData``).
 
 Safety caps convert non-termination under violated assumptions into
 reported errors: ``n_max`` bounds the level, ``k_abs_max`` the total number
@@ -37,7 +39,7 @@ import numpy as np
 from .coeffs import CoeffVec, norm
 from .hypercross import assemble, refine
 from .methods import MethodSpec, NumericalDegeneracyError, _advance
-from .problems import Problem, perturb
+from .problems import NoisyData, Problem
 from .stopping import BalancingWindow, balancing_stop_index
 
 __all__ = [
@@ -239,7 +241,9 @@ def theoretical_constants(spec: MethodSpec, p: RunParams, mu: float,
 
 
 def _window(fdelta: CoeffVec, dim: int) -> CoeffVec:
-    """The data visible at one level: coefficients 1..dim of f_delta."""
+    """Coefficients 1..dim of a full-length f_delta. The level loop reads
+    ``NoisyData.head`` instead; perfbench's layer timings window a full
+    ``perturb`` with this."""
     if dim <= fdelta.dim:
         return CoeffVec._wrap(fdelta.coeffs[:dim].copy())
     return CoeffVec._wrap(fdelta.extended(dim))
@@ -263,10 +267,11 @@ class _SupportKernel:
     entries (not as ||f||^2 - ||f_R||^2, which cancels).
     """
 
-    def __init__(self, op, fdelta: CoeffVec):
+    def __init__(self, op, data: np.ndarray):
+        """``data`` holds the level's window, coefficients 1..op.dim of
+        f_delta."""
         self.dim = op.dim
         rows, self.cols, self.block, self.block_t = op.support_block()
-        data = _window(fdelta, op.dim).coeffs
         self.data = data[rows]
         off = np.delete(data, rows)
         self.off2 = float(off @ off)
@@ -314,9 +319,8 @@ def _prepare(problem: Problem, p: RunParams):
             "the stopping-index and error bounds are not guaranteed",
             stacklevel=3,
         )
-    fdelta = perturb(f, p.delta, p.seed)
     src = problem.fresh_source(dim_hint=p.noise_dim)
-    return fdelta, rhs_norm, src
+    return NoisyData(f, p.delta, p.seed), rhs_norm, src
 
 
 def _finish(problem: Problem, spec: MethodSpec, p: RunParams, algorithm: int,
@@ -324,7 +328,11 @@ def _finish(problem: Problem, spec: MethodSpec, p: RunParams, algorithm: int,
             mu):
     dim_ref = max(solution.dim, p.noise_dim)
     exact, exact_norm = _closed_form(problem, dim_ref, False)
-    abs_error = norm(solution - exact)
+    # ||solution - exact|| with one full-length temporary, bit for bit
+    diff = -exact.coeffs
+    diff[:solution.dim] += solution.coeffs
+    diff *= diff
+    abs_error = float(np.sqrt(np.sum(diff)))
     rel_error = abs_error / exact_norm if exact_norm > 0.0 else math.nan
     diagnostics = None
     if mu is not None:
@@ -431,7 +439,7 @@ def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
     C, residual norm)``; the rule takes as many as it needs and returns
     ``(k, x_k)`` to stop or None to refine.
     """
-    fdelta, rhs_norm, src = _prepare(problem, p)
+    data, rhs_norm, src = _prepare(problem, p)
     n = initial_level(p)
     op = assemble(src, n)
     levels: list = []
@@ -442,7 +450,7 @@ def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
         levels.append(n)
         budgets.append(k_n)
         if k_n >= 1:
-            kernel = _SupportKernel(op, fdelta)
+            kernel = _SupportKernel(op, data.head(op.dim))
             steps = _recorded(kernel.iterates(spec), n, residuals, p.k_abs_max)
             hit = stop_rule(steps, k_n, p, spec)
             if hit is not None:

@@ -42,6 +42,7 @@ the closed forms are evaluated on the nonzero parity only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,7 @@ __all__ = [
     "green_operator",
     "problem_coeffs",
     "perturb",
+    "NoisyData",
     "smoothness_envelope",
     "Problem",
     "get_problem",
@@ -157,23 +159,65 @@ def _canonical_pid(pid) -> str:
     raise ValueError(f"unknown problem id {pid!r}")
 
 
-def perturb(f: CoeffVec, delta: float, seed: int) -> CoeffVec:
-    """Add a pseudo-random perturbation of exact norm delta.
+#: noise norms kept per process, oldest dropped first; floats only, so the
+#: bound is generous: it covers every noise realization of a large sweep
+_NORMS_KEPT = 1024
+_noise_norms: dict = {}
 
-    The direction is standard normal in the span of the first dim(f) basis
-    elements (basis-isotropic), normalized to unit norm, drawn
-    deterministically from ``seed``; delta = 0 returns f unchanged.
+
+class NoisyData:
+    """The perturbed data f_delta = f + (delta / ||g||) g, read one window
+    at a time.
+
+    The direction g is standard normal in the span of the first dim(f) basis
+    elements (basis-isotropic), drawn deterministically from ``seed``. Its
+    norm needs the whole draw but depends only on (seed, dim(f)), so it is
+    kept per process; a seed met for the first time keeps the draw that gave
+    its norm. Otherwise the coefficients a level reads come from the head of
+    the same generator, continued as the level grows (chunked draws
+    concatenate to the single draw).
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+
+    def __init__(self, f: CoeffVec, delta: float, seed: int):
+        if delta < 0:
+            raise ValueError("delta must be nonnegative")
+        seed = operator.index(seed)  # a kept norm needs a reproducible draw
+        self.f = f
+        self._rng = np.random.default_rng(seed)
+        self._g = np.empty(0)
+        key = (seed, f.dim)
+        g_norm = _noise_norms.get(key)
+        if g_norm is None:
+            self._g = self._rng.standard_normal(f.dim)
+            g_norm = np.sqrt(np.sum(self._g * self._g))
+            if g_norm == 0.0:  # pragma: no cover - essentially impossible
+                raise ArithmeticError("degenerate noise draw")
+            if len(_noise_norms) >= _NORMS_KEPT:
+                del _noise_norms[next(iter(_noise_norms))]
+            _noise_norms[key] = g_norm
+        self.scale = delta / g_norm
+
+    def head(self, dim: int) -> np.ndarray:
+        """Coefficients 1..dim of f_delta as a new array; those past dim(f)
+        are zero."""
+        d = min(dim, self.f.dim)
+        if self._g.size < d:
+            more = self._rng.standard_normal(d - self._g.size)
+            self._g = np.concatenate([self._g, more])
+        out = self.scale * self._g[:d]
+        out += self.f.coeffs[:d]
+        if dim > d:
+            out = np.concatenate([out, np.zeros(dim - d)])
+        return out
+
+
+def perturb(f: CoeffVec, delta: float, seed: int) -> CoeffVec:
+    """Add a pseudo-random perturbation of exact norm delta: the full-length
+    f_delta of ``NoisyData(f, delta, seed)``; delta = 0 returns f unchanged.
+    """
     if delta == 0.0:
         return f
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(f.dim)
-    g_norm = np.sqrt(np.sum(g * g))
-    if g_norm == 0.0:  # pragma: no cover - essentially impossible
-        raise ArithmeticError("degenerate noise draw")
-    return CoeffVec._wrap(f.coeffs + (delta / g_norm) * g)
+    return CoeffVec._wrap(NoisyData(f, delta, seed).head(f.dim))
 
 
 def smoothness_envelope(x: CoeffVec, src: DiagonalSource, mu: float) -> float:

@@ -51,17 +51,30 @@ class BalancingWindow:
             raise ValueError("bound_factor must be nonnegative")
 
 
+#: trailing iterates tested in a candidate's first block; each later block
+#: is twice as long
+_FIRST_BLOCK = 4
+
+
 def _admissible(w: BalancingWindow):
     """The admissible k <= K_n in increasing order, each candidate tested
-    only when it is asked for (vectorized over its trailing iterates)."""
+    only when it is asked for. A candidate's trailing iterates are compared
+    in blocks of doubling length, starting next to it, and the first
+    violated bound rejects it (most candidates fail close to k)."""
     m = len(w.iterates)
     dim = max(v.dim for v in w.iterates)
     stack = np.stack([v.extended(dim) for v in w.iterates])
     for k in range(1, w.k_n + 1):
-        diffs = stack[k:] - stack[k - 1]
-        dists = np.sqrt(np.sum(diffs * diffs, axis=1))
-        bounds = w.bound_factor * np.arange(k + 1, m + 1, dtype=float)
-        if np.all(dists <= bounds):
+        lo, size = k, _FIRST_BLOCK
+        while lo < m:
+            hi = min(lo + size, m)
+            diffs = stack[lo:hi] - stack[k - 1]
+            dists = np.sqrt(np.sum(diffs * diffs, axis=1))
+            bounds = w.bound_factor * np.arange(lo + 1, hi + 1, dtype=float)
+            if not np.all(dists <= bounds):
+                break
+            lo, size = hi, 2 * size
+        else:
             yield k
 
 

@@ -266,6 +266,14 @@ def test_seed_changes_noise_but_not_structure():
     assert not np.array_equal(a.solution.coeffs, b.solution.coeffs)
 
 
+def _assert_same_report(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, CoeffVec):
+            x, y = x.coeffs.tobytes(), y.coeffs.tobytes()
+        assert x == y, field.name
+
+
 def test_closed_forms_are_computed_once_per_problem(monkeypatch):
     # the rhs and the exact solution at noise_dim are kept between runs of
     # one problem, and reusing them changes no report
@@ -284,12 +292,49 @@ def test_closed_forms_are_computed_once_per_problem(monkeypatch):
     for (d, s), report in zip(runs, reused):
         driver._closed_form.cache_clear()
         fresh = run_discrepancy(get_problem("p1"), NU32, params(d, seed=s))
-        for field in dataclasses.fields(fresh):
-            a, b = getattr(report, field.name), getattr(fresh, field.name)
-            if isinstance(a, CoeffVec):
-                a, b = a.coeffs.tobytes(), b.coeffs.tobytes()
-            assert a == b, field.name
+        _assert_same_report(report, fresh)
     assert len(calls) == 6
+
+
+def test_each_seed_is_drawn_in_full_once_per_process(monkeypatch):
+    # the four sweeps share their row seeds; only the first run of a seed
+    # draws the full noise vector, later ones read its kept norm and draw
+    # just the level windows, and no report changes
+    real, draws = np.random.default_rng, []
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.seed, self.rng = seed, real(seed)
+
+        def standard_normal(self, size):
+            draws.append((self.seed, size))
+            return self.rng.standard_normal(size)
+
+    runs = [(runner, pid, e) for runner in (run_discrepancy, run_balancing)
+            for pid in ("p1", "p2") for e in (4, 5, 6)]
+
+    def run(runner, pid, e):
+        return runner(get_problem(pid), NU32, params(2.0 ** -e, seed=e - 4))
+
+    problems._noise_norms.clear()
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    reports = [run(*r) for r in runs]
+    assert sorted(seed for seed, size in draws if size == 2 ** 14) == [0, 1, 2]
+    monkeypatch.undo()
+    for r, report in zip(runs, reports):
+        problems._noise_norms.clear()
+        _assert_same_report(report, run(*r))
+
+
+def test_abs_error_is_the_norm_of_the_difference():
+    for runner, pid, e in ((run_discrepancy, "p1", 5),
+                           (run_balancing, "p2", 7),
+                           (run_discrepancy, "p2", 9)):
+        problem = get_problem(pid)
+        r = runner(problem, NU32, params(2.0 ** -e, seed=e))
+        exact = problem.exact(max(r.solution.dim, 2 ** 14))
+        assert r.abs_error == norm(r.solution - exact)
+        assert r.rel_error == r.abs_error / norm(exact)
 
 
 def test_iteration_cap():
@@ -389,7 +434,7 @@ def test_support_kernel_matches_full_length_iteration(n):
     assert not np.array_equal(rows, cols)
     assert rows[0] > 0 and cols[0] > 0
     data = CoeffVec(np.random.default_rng(n).standard_normal(op.dim))
-    kernel = driver._SupportKernel(op, data)
+    kernel = driver._SupportKernel(op, data.coeffs)
     state = init_state(op, data, NU32)
     for x, res in itertools.islice(kernel.iterates(NU32), 60):
         state = step(state, op, data, NU32)
@@ -411,7 +456,7 @@ def test_support_kernel_residual_when_off_support_data_is_tiny():
     off[rows] = False
     f[off] = 1e-6 * norm(CoeffVec(f)) * rng.standard_normal(off.sum()) / np.sqrt(off.sum())
     data = CoeffVec(f)
-    kernel = driver._SupportKernel(op, data)
+    kernel = driver._SupportKernel(op, data.coeffs)
     assert kernel.off2 <= 1e-11 * float(f @ f)
     state = init_state(op, data, NU32)
     last = None

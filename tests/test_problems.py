@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
+from semicross import problems
 from semicross.coeffs import CoeffVec, norm
 from semicross.problems import (
     PROBLEM_IDS,
+    NoisyData,
     get_problem,
     green_operator,
     perturb,
@@ -220,6 +222,29 @@ def test_perturbation_determinism():
     c = perturb(f, 0.1, seed=6)
     assert np.array_equal(a.coeffs, b.coeffs)
     assert not np.array_equal(a.coeffs, c.coeffs)
+    with pytest.raises(TypeError):  # no entropy seeding: norms are kept per seed
+        perturb(f, 0.1, seed=None)
+
+
+def test_chunked_normal_draws_concatenate_to_the_single_draw():
+    # NoisyData grows a level's noise head by continuing one generator
+    full = np.random.default_rng(42).standard_normal(2 ** 18 + 4100)
+    rng = np.random.default_rng(42)
+    chunks = [rng.standard_normal(n) for n in (1, 3, 4096, 2 ** 18)]
+    assert np.concatenate(chunks).tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("cold", [True, False])
+def test_noisy_data_head_is_the_window_of_perturb(cold):
+    f, _ = problem_coeffs("p2", 5000)
+    full = perturb(f, 0.1, seed=3).coeffs  # leaves the seed's norm kept
+    if cold:
+        problems._noise_norms.clear()
+    data = NoisyData(f, 0.1, seed=3)
+    for d in (1, 3, 4, 1024, 4096, 5000, 6000):
+        expect = np.zeros(d)
+        expect[:min(d, f.dim)] = full[:d]
+        assert data.head(d).tobytes() == expect.tobytes(), d
 
 
 def test_zero_delta_returns_data_unchanged():

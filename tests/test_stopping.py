@@ -66,7 +66,21 @@ def test_window_validation():
         _window([1.0, 2.0, 3.0], k_n=2, k_sec=1, bound=-1.0)
 
 
-windows = st.integers(min_value=2, max_value=12).flatmap(
+def test_one_far_iterate_rejects_every_earlier_candidate():
+    # candidates compare their trailing iterates block by block; an outlier
+    # at any position, first or last of a block included, must be seen
+    m, k_n = 40, 30
+    for p in range(1, m + 1):
+        values = [0.0] * m
+        values[p - 1] = 1.0
+        w = _window(values, k_n=k_n, k_sec=m - k_n, bound=1e-3)
+        assert balancing_admissible_set(w) == set(range(p + 1, k_n + 1)), p
+        assert balancing_stop_index(w) == (p + 1 if p < k_n else None), p
+
+
+# up to 40 iterates, so that candidates' trailing iterates span several
+# comparison blocks
+windows = st.integers(min_value=2, max_value=40).flatmap(
     lambda m: st.tuples(
         st.lists(
             st.lists(st.floats(-100, 100), min_size=2, max_size=4),
@@ -113,7 +127,7 @@ def test_admissible_set_monotone_in_bound(data, factor):
 
 
 # integer iterates and bounds, so that distances often equal the bound exactly
-tied_windows = st.integers(min_value=2, max_value=12).flatmap(
+tied_windows = st.integers(min_value=2, max_value=40).flatmap(
     lambda m: st.tuples(
         st.lists(
             st.lists(st.integers(-12, 12).map(float), min_size=1, max_size=2),
