@@ -7,7 +7,7 @@ sparse Galerkin discretization on hyperbolic-cross index sets, stopped by
 the residual discrepancy principle or the balancing principle.
 """
 
-from .coeffs import CoeffVec, inner, norm, project
+from .coeffs import CoeffVec, norm
 from .driver import (
     CapExceededError,
     ConfigError,
@@ -48,14 +48,11 @@ from .problems import (
     get_problem,
     green_operator,
     perturb,
-    problem_coeffs,
-    smoothness_envelope,
 )
 from .stopping import (
     BalancingWindow,
     balancing_admissible_set,
     balancing_stop_index,
-    discrepancy_met,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,6 @@ import argparse
 import concurrent.futures
 import csv
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -311,7 +310,8 @@ def _build_parser(run_defaults: bool = True) -> argparse.ArgumentParser:
     run.add_argument("--n-max", type=int, default=12)
     run.add_argument("--k-abs-max", type=int, default=10 ** 6)
     run.add_argument("--noise-dim", type=int, default=2 ** 20)
-    run.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    run.add_argument("--jobs", type=int, default=1,
+                     help="worker processes for the rows (default 1)")
     run.add_argument("--out", default=None, help="CSV path (default stdout)")
     if not run_defaults:
         for action in run._actions:
@@ -369,9 +369,6 @@ def _cmd_run(args, argv) -> int:
             raise ConfigError(
                 f"tau={tau:g} at or below admissibility threshold {thr:.6f}"
             )
-    if args.no_scaling:
-        print("warning: unscaled operator; smoothness-class constants "
-              "are not sharp", file=sys.stderr)
     grid = ExperimentGrid(
         problem_id=args.problem,
         algorithm=args.algorithm,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CoeffVec", "project", "inner", "norm"]
+__all__ = ["CoeffVec", "norm"]
 
 
 class CoeffVec:
@@ -77,27 +77,6 @@ class CoeffVec:
         head = np.array2string(self.coeffs[:4], precision=6)
         tail = ", ..." if self.dim > 4 else ""
         return f"CoeffVec(dim={self.dim}, {head}{tail})"
-
-
-def project(v: CoeffVec, m: int) -> CoeffVec:
-    """Orthoprojection onto the span of the first ``m`` basis elements.
-
-    Keeps components 1..m and zeroes the rest; the ambient dimension is
-    unchanged. ``m`` at or beyond the ambient dimension is the identity.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m >= v.dim:
-        return v
-    out = np.zeros(v.dim)
-    out[:m] = v.coeffs[:m]
-    return CoeffVec._wrap(out)
-
-
-def inner(u: CoeffVec, v: CoeffVec) -> float:
-    """Euclidean inner product of the zero-extended coefficient sequences."""
-    n = min(u.dim, v.dim)
-    return float(np.sum(u.coeffs[:n] * v.coeffs[:n]))
 
 
 def norm(v: CoeffVec) -> float:

@@ -306,18 +306,21 @@ def _closed_form(problem: Problem, dim: int, rhs: bool):
 
 
 def _prepare(problem: Problem, p: RunParams):
+    """The run's noisy data, ||f|| and a fresh information source. Called
+    from ``_level_loop`` under a driver, so a warning's stacklevel of 4
+    names the driver's caller."""
     if not getattr(problem, "scaled", True):
         warnings.warn(
             "running on the unscaled operator; the smoothness-class "
             "constants behind the level and budget rules are not sharp",
-            stacklevel=3,
+            stacklevel=4,
         )
     f, rhs_norm = _closed_form(problem, p.noise_dim, True)
     if p.delta >= rhs_norm:
         warnings.warn(
             f"noise level delta={p.delta:g} is not below ||f||={rhs_norm:g}; "
             "the stopping-index and error bounds are not guaranteed",
-            stacklevel=3,
+            stacklevel=4,
         )
     src = problem.fresh_source(dim_hint=p.noise_dim)
     return NoisyData(f, p.delta, p.seed), rhs_norm, src

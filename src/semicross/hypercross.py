@@ -7,10 +7,10 @@ The level-n cross is the union of dyadic rectangles with a full first row,
 
 holding 2^{2n}(n+1) index pairs out of the 2^{4n} of the square
 [1, 2^{2n}]^2. The first coordinate of a pair is the output (row) index of
-the assembled operator, the second the input (column) index; an information
-source's ``entry(i, j)`` is read as the matrix element coupling input
-component j to output component i (for the self-adjoint operators shipped
-with this package the orientation is immaterial).
+the assembled operator, the second the input (column) index; the entry an
+information source returns at (i, j) is read as the matrix element coupling
+input component j to output component i (for the self-adjoint operators
+shipped with this package the orientation is immaterial).
 
 The cross of level n minus the cross of any lower level m is again a list
 of rectangles, one per row band, so both assembly and refinement put
@@ -100,21 +100,16 @@ def export_gamma(n: int, path) -> None:
 class GalerkinInfoSource:
     """Provider of the discrete information about an operator equation.
 
-    ``entry(i, j)`` returns the Galerkin coefficient at output index i and
-    input index j, deterministically, and increments the evaluation counter
-    by one; ``entry_block`` answers a whole rectangle, counting one per pair
-    of it. ``r`` declares the smoothness-class exponent of the operator
-    (projection tails decay like m^{-r}).
+    ``entry_block`` answers a rectangle of index pairs with the Galerkin
+    coefficients at output index i and input index j, deterministically,
+    and increments the evaluation counter by one per pair of it.
 
     Subclasses implement ``_values``, the entries at aligned 1-based index
     arrays; a subclass that knows where its nonzeros lie may also override
     ``entry_block``.
     """
 
-    def __init__(self, r: float):
-        if r <= 0:
-            raise ValueError("smoothness exponent r must be positive")
-        self.r = float(r)
+    def __init__(self):
         self._count = 0
 
     # -- information accounting ------------------------------------------
@@ -126,13 +121,6 @@ class GalerkinInfoSource:
     # -- entries -----------------------------------------------------------
     def _values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def entry(self, i: int, j: int) -> float:
-        if i < 1 or j < 1:
-            raise ValueError("indices are 1-based")
-        self._count += 1
-        return float(self._values(np.array([i], dtype=np.int64),
-                                  np.array([j], dtype=np.int64))[0])
 
     def entry_block(self, rows_lo: int, rows_hi: int, cols_lo: int,
                     cols_hi: int):
@@ -154,8 +142,8 @@ class DiagonalSource(GalerkinInfoSource):
     its stretch of the diagonal alone (its whole area still counts).
     """
 
-    def __init__(self, diag, r: float, dim_hint: int | None = None):
-        super().__init__(r)
+    def __init__(self, diag, dim_hint: int | None = None):
+        super().__init__()
         self._diag = diag
         self.dim_hint = dim_hint
 
@@ -174,11 +162,6 @@ class DiagonalSource(GalerkinInfoSource):
         vals = np.asarray(self._diag(idx), dtype=float)
         nz = vals != 0.0
         return idx[nz], idx[nz], vals[nz]
-
-    def diagonal(self, indices: np.ndarray) -> np.ndarray:
-        """Diagnostic access to diagonal values; does not count as
-        Galerkin information."""
-        return np.asarray(self._diag(np.asarray(indices, dtype=np.int64)), dtype=float)
 
 
 class GalerkinOperator:

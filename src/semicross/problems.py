@@ -52,10 +52,8 @@ from .hypercross import DiagonalSource
 
 __all__ = [
     "green_operator",
-    "problem_coeffs",
     "perturb",
     "NoisyData",
-    "smoothness_envelope",
     "Problem",
     "get_problem",
     "PROBLEM_IDS",
@@ -88,7 +86,7 @@ def green_operator(dim: int, scaled: bool = True) -> DiagonalSource:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     return DiagonalSource(
-        lambda kk, s=scaled: _eigenvalues(kk, s), r=2.0, dim_hint=int(dim)
+        lambda kk, s=scaled: _eigenvalues(kk, s), dim_hint=int(dim)
     )
 
 
@@ -118,45 +116,6 @@ def _rhs_coeffs(pid: str, kk: np.ndarray, scaled: bool) -> np.ndarray:
     else:
         raw = 2.0 * _SQRT2 * _cos_half_pi(kk) / a ** 3
     return raw * np.pi ** 2 if scaled else raw
-
-
-def _coeffs(pid, dim: int, scaled: bool, normalize: bool,
-            rhs: bool) -> CoeffVec:
-    """Basis coefficients 1..dim of the right-hand side (``rhs``) or of the
-    exact solution, in the scale conventions of ``problem_coeffs``."""
-    pid = _canonical_pid(pid)
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    # the nonzero parity only: odd k for p1 (where 1 - (-1)^k is exactly 2),
-    # even k for p2
-    first = 1 if pid == "p1" else 2
-    kk = np.arange(first, dim + 1, 2, dtype=np.int64)
-    v = _rhs_coeffs(pid, kk, scaled) if rhs else _exact_solution_coeffs(pid, kk)
-    if normalize:
-        v = v * (_UNIT_FACTOR[pid] if scaled else _UNIT_FACTOR[pid] * np.pi ** 2)
-    out = np.zeros(dim)
-    out[first - 1::2] = v
-    return CoeffVec._wrap(out)
-
-
-def problem_coeffs(pid, dim: int, scaled: bool = True,
-                   normalize: bool = True):
-    """Basis coefficients 1..dim of (right-hand side, exact solution).
-
-    ``pid`` is "p1"/"p2" (plain 1/2 accepted). The rhs carries the operator
-    scaling; with ``normalize`` both vectors are additionally divided by the
-    exact norm of the scaled rhs.
-    """
-    return (_coeffs(pid, dim, scaled, normalize, rhs=True),
-            _coeffs(pid, dim, scaled, normalize, rhs=False))
-
-
-def _canonical_pid(pid) -> str:
-    if pid in PROBLEM_IDS:
-        return pid
-    if pid in (1, 2, "1", "2"):
-        return f"p{pid}"
-    raise ValueError(f"unknown problem id {pid!r}")
 
 
 #: noise norms kept per process, oldest dropped first; floats only, so the
@@ -220,26 +179,22 @@ def perturb(f: CoeffVec, delta: float, seed: int) -> CoeffVec:
     return CoeffVec._wrap(NoisyData(f, delta, seed).head(f.dim))
 
 
-def smoothness_envelope(x: CoeffVec, src: DiagonalSource, mu: float) -> float:
-    """Minimal source-set radius of x at its truncation: the norm of v with
-    v_k = x_k / |lambda_k|^mu. Diagnostic only; grows without bound in the
-    truncation dimension once mu exceeds the solution's smoothness."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    lam = src.diagonal(np.arange(1, x.dim + 1))
-    v = x.coeffs / np.abs(lam) ** mu
-    return float(np.sqrt(np.sum(v * v)))
-
-
 @dataclass(frozen=True)
 class Problem:
-    """One shipped instance of the operator equation (see the module
-    docstring for the scale conventions ``scaled``/``normalize``)."""
+    """One shipped instance of the operator equation, ``pid`` "p1" or "p2".
+
+    The right-hand side carries the operator scaling when ``scaled``; with
+    ``normalize`` both it and the exact solution are additionally scaled so
+    that the right-hand side has unit norm (see the module docstring).
+    """
 
     pid: str
     scaled: bool = True
     normalize: bool = True
-    r: float = 2.0
+
+    def __post_init__(self):
+        if self.pid not in PROBLEM_IDS:
+            raise ValueError(f"unknown problem id {self.pid!r}")
 
     def fresh_source(self, dim_hint: int = 1) -> DiagonalSource:
         """A new information source with a zeroed evaluation counter (one
@@ -247,11 +202,29 @@ class Problem:
         return green_operator(max(int(dim_hint), 1), scaled=self.scaled)
 
     def rhs(self, dim: int) -> CoeffVec:
-        return _coeffs(self.pid, dim, self.scaled, self.normalize, rhs=True)
+        """Basis coefficients 1..dim of the right-hand side."""
+        return self._coeffs(dim, rhs=True)
 
     def exact(self, dim: int) -> CoeffVec:
-        return _coeffs(self.pid, dim, self.scaled, self.normalize, rhs=False)
+        """Basis coefficients 1..dim of the exact solution."""
+        return self._coeffs(dim, rhs=False)
+
+    def _coeffs(self, dim: int, rhs: bool) -> CoeffVec:
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
+        pid, scaled = self.pid, self.scaled
+        # the nonzero parity only: odd k for p1 (where 1 - (-1)^k is exactly
+        # 2), even k for p2
+        first = 1 if pid == "p1" else 2
+        kk = np.arange(first, dim + 1, 2, dtype=np.int64)
+        v = _rhs_coeffs(pid, kk, scaled) if rhs else _exact_solution_coeffs(pid, kk)
+        if self.normalize:
+            v = v * (_UNIT_FACTOR[pid] if scaled else _UNIT_FACTOR[pid] * np.pi ** 2)
+        out = np.zeros(dim)
+        out[first - 1::2] = v
+        return CoeffVec._wrap(out)
 
 
-def get_problem(pid, scaled: bool = True, normalize: bool = True) -> Problem:
-    return Problem(pid=_canonical_pid(pid), scaled=scaled, normalize=normalize)
+def get_problem(pid: str, scaled: bool = True,
+                normalize: bool = True) -> Problem:
+    return Problem(pid, scaled, normalize)

@@ -1,6 +1,8 @@
-"""Stopping rules: residual discrepancy test and look-ahead balancing set.
+"""The balancing principle: look-ahead window and admissible set.
 
-Both inequalities are inclusive, so ties stop the iteration.
+The bound is inclusive, so a tie is admissible. The other stopping rule,
+the residual discrepancy test, is one comparison that the discrepancy
+driver makes inline (``driver._discrepancy_stop``); it is inclusive too.
 """
 
 from __future__ import annotations
@@ -10,20 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "discrepancy_met",
     "BalancingWindow",
     "balancing_admissible_set",
     "balancing_stop_index",
 ]
-
-
-def discrepancy_met(residual_norm: float, tau: float, delta: float) -> bool:
-    """True once the residual norm has dropped to tau * delta or below."""
-    if tau <= 0 or delta <= 0:
-        raise ValueError("tau and delta must be positive")
-    if residual_norm < 0:
-        raise ValueError("residual_norm must be nonnegative")
-    return residual_norm <= tau * delta
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 
 from semicross.coeffs import CoeffVec
 from semicross.hypercross import GalerkinInfoSource
+from semicross.problems import green_operator
 
 
 class DiagonalOperator:
@@ -37,8 +38,8 @@ class HashSource(GalerkinInfoSource):
     (i, j) is a fixed function of the indices. Used to exercise assembly
     against the dense projector-composition oracle."""
 
-    def __init__(self, r=2.0, salt=0):
-        super().__init__(r)
+    def __init__(self, salt=0):
+        super().__init__()
         self.salt = salt
 
     def _values(self, rows, cols):
@@ -81,6 +82,23 @@ def monomial_sine_coeffs(powers: dict, kk) -> np.ndarray:
     return np.sqrt(2.0) * total
 
 
+def green_spectrum(dim: int, scaled: bool = True) -> np.ndarray:
+    """Eigenvalues 1..dim of the shipped Green operator: the diagonal of
+    one ``entry_block`` query over [1, dim]^2 (none of them is zero)."""
+    _, _, vals = green_operator(dim, scaled=scaled).entry_block(0, dim, 0, dim)
+    assert vals.size == dim
+    return vals
+
+
+def smoothness_envelope(x: CoeffVec, lam: np.ndarray, mu: float) -> float:
+    """Oracle: minimal source-set radius of x at its truncation, the norm
+    of v with v_k = x_k / |lambda_k|^mu for the eigenvalues ``lam``. Grows
+    without bound in the truncation dimension once mu exceeds the
+    solution's smoothness."""
+    v = x.coeffs / np.abs(lam[:x.dim]) ** mu
+    return float(np.sqrt(np.sum(v * v)))
+
+
 def dense_cross_assembly(src, n: int) -> np.ndarray:
     """Reference dense assembly: literally compose the projector sum
 
@@ -112,7 +130,7 @@ class BandSource(GalerkinInfoSource):
     leading block; the singular values lie in [0.4, 0.8]."""
 
     def __init__(self):
-        super().__init__(r=2.0)
+        super().__init__()
 
     def _values(self, rows, cols):
         even = rows % 2 == 0

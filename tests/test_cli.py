@@ -10,6 +10,7 @@ from semicross.cli import (
     rate_fit,
     read_csv,
     run_grid,
+    _build_parser,
     _delta_grid,
 )
 from semicross.driver import ConfigError, RunParams
@@ -186,6 +187,21 @@ def test_main_run_stdout_when_no_out(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 2
+
+
+def test_run_defaults_to_one_job():
+    assert _build_parser().parse_args(["run"]).jobs == 1
+
+
+def test_main_no_scaling_warns_once(capsys):
+    # the driver's warning is the only one; the CLI prints none of its own
+    with pytest.warns(UserWarning, match="unscaled operator") as record:
+        code = main(["run", "--problem", "p1", "--delta-max", "0.03125",
+                     "--delta-min", "0.03125", "--noise-dim", "4096",
+                     "--no-scaling"])
+    assert code == 0
+    assert len(record) == 1
+    assert "unscaled" not in capsys.readouterr().err
 
 
 def test_main_no_normalize_changes_scale(tmp_path):

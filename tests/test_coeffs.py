@@ -2,36 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from semicross.coeffs import CoeffVec, inner, norm, project
+from semicross.coeffs import CoeffVec, norm
 
 finite_vecs = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     min_size=1, max_size=40,
 )
-
-
-def test_project_truncates():
-    v = CoeffVec([1, 2, 3, 4])
-    assert np.array_equal(project(v, 2).coeffs, [1, 2, 0, 0])
-    assert project(v, 2).dim == v.dim
-
-
-def test_project_identity_at_full_dim():
-    v = CoeffVec([1, 2, 3, 4])
-    assert project(v, 4) is v
-    assert project(v, 9) is v
-
-
-def test_project_rejects_nonpositive_m():
-    with pytest.raises(ValueError):
-        project(CoeffVec([1.0]), 0)
-
-
-def test_inner_examples():
-    assert inner(CoeffVec([1, 0]), CoeffVec([0, 1])) == 0.0
-    assert inner(CoeffVec([1, 2]), CoeffVec([3, 4, 5])) == 11.0
-    v = CoeffVec([1.5, -2.0, 0.25])
-    assert inner(v, v) == pytest.approx(norm(v) ** 2, rel=1e-15)
 
 
 def test_norm_examples():
@@ -45,29 +21,15 @@ def test_norm_homogeneous(coeffs, scale):
     assert norm(scale * v) == pytest.approx(abs(scale) * norm(v), rel=1e-12, abs=1e-12)
 
 
-@given(finite_vecs, st.integers(min_value=1, max_value=50))
-def test_projection_contracts(coeffs, m):
-    v = CoeffVec(coeffs)
-    assert norm(project(v, m)) <= norm(v) + 1e-12
-
-
 @given(finite_vecs, st.data())
 def test_pythagoras(coeffs, data):
     v = CoeffVec(coeffs)
     m = data.draw(st.integers(min_value=1, max_value=v.dim))
-    head = project(v, m)
+    head = CoeffVec(coeffs[:m])  # zero-extended by the subtraction
     tail = v - head
     lhs = norm(v) ** 2
     rhs = norm(head) ** 2 + norm(tail) ** 2
     assert rhs == pytest.approx(lhs, rel=1e-12, abs=1e-12)
-
-
-@given(finite_vecs, st.integers(1, 60), st.integers(1, 60))
-def test_project_composition(coeffs, m1, m2):
-    v = CoeffVec(coeffs)
-    twice = project(project(v, m1), m2)
-    once = project(v, min(m1, m2))
-    assert np.array_equal(twice.coeffs, once.coeffs)
 
 
 def test_mixed_dim_arithmetic_zero_extends():

@@ -166,14 +166,17 @@ def test_immediate_stop_at_large_delta():
 
 
 def test_warns_when_delta_not_below_data_norm():
-    with pytest.warns(UserWarning, match="noise level"):
-        run_discrepancy(get_problem("p1"), NU32, params(1.5))
+    for runner in (run_discrepancy, run_balancing):
+        with pytest.warns(UserWarning, match="noise level") as record:
+            runner(get_problem("p1"), NU32, params(1.5))
+        assert record[0].filename == __file__  # the driver's caller
 
 
 def test_warns_on_unscaled_operator():
-    with pytest.warns(UserWarning, match="unscaled operator"):
-        run_discrepancy(get_problem("p1", scaled=False), NU32,
-                        params(2.0 ** -5))
+    for runner in (run_discrepancy, run_balancing):
+        with pytest.warns(UserWarning, match="unscaled operator") as record:
+            runner(get_problem("p1", scaled=False), NU32, params(2.0 ** -5))
+        assert record[0].filename == __file__
 
 
 def test_discrepancy_run_report_consistency():
@@ -226,8 +229,6 @@ def test_alternative_method_runs_through_both_drivers():
 
 def test_zero_operator_balancing_stops_immediately():
     class ZeroProblem:
-        r = 2.0
-
         def rhs(self, dim):
             return CoeffVec(np.ones(dim))
 
@@ -235,7 +236,7 @@ def test_zero_operator_balancing_stops_immediately():
             return CoeffVec.zeros(dim)
 
         def fresh_source(self, dim_hint=1):
-            return DiagonalSource(lambda kk: np.zeros(kk.size), r=2.0)
+            return DiagonalSource(lambda kk: np.zeros(kk.size))
 
     report = run_balancing(ZeroProblem(), NU32, params(0.25, noise_dim=64))
     # all iterates are zero, so every index is admissible and K = min = 1
@@ -277,7 +278,7 @@ def _assert_same_report(a, b):
 def test_closed_forms_are_computed_once_per_problem(monkeypatch):
     # the rhs and the exact solution at noise_dim are kept between runs of
     # one problem, and reusing them changes no report
-    real, calls = problems._coeffs, []
+    real, calls = problems.Problem._coeffs, []
 
     def counting(*args, **kwargs):
         calls.append(args)
@@ -285,7 +286,7 @@ def test_closed_forms_are_computed_once_per_problem(monkeypatch):
 
     runs = [(2.0 ** -5, 1), (2.0 ** -7, 2)]
     driver._closed_form.cache_clear()
-    monkeypatch.setattr(problems, "_coeffs", counting)
+    monkeypatch.setattr(problems.Problem, "_coeffs", counting)
     reused = [run_discrepancy(get_problem("p1"), NU32, params(d, seed=s))
               for d, s in runs]
     assert len(calls) == 2
@@ -483,8 +484,7 @@ def test_shared_loop_matches_full_length_reference_off_diagonal(algorithm):
 
 def test_nonfinite_residual_raises():
     class BlowUpProblem:
-        # diagonal 10 puts A*A outside [0, 1]: the iteration diverges
-        r = 2.0
+        """Diagonal 10 puts A*A outside [0, 1]: the iteration diverges."""
 
         def rhs(self, dim):
             return CoeffVec(np.full(dim, 1.0 / np.sqrt(dim)))
@@ -493,7 +493,7 @@ def test_nonfinite_residual_raises():
             return CoeffVec(np.ones(dim))
 
         def fresh_source(self, dim_hint=1):
-            return DiagonalSource(lambda kk: np.full(kk.size, 10.0), r=2.0)
+            return DiagonalSource(lambda kk: np.full(kk.size, 10.0))
 
     with np.errstate(over="ignore", invalid="ignore"):
         for runner in (run_discrepancy, run_balancing):

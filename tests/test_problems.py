@@ -12,11 +12,9 @@ from semicross.problems import (
     get_problem,
     green_operator,
     perturb,
-    problem_coeffs,
-    smoothness_envelope,
 )
 
-from helpers import monomial_sine_coeffs
+from helpers import green_spectrum, monomial_sine_coeffs, smoothness_envelope
 
 SQRT2 = math.sqrt(2.0)
 #: operator scaling pi^2 and the unit-norm factors 1/||f|| of the shipped pairs
@@ -25,26 +23,38 @@ UNIT_FACTOR = {"p1": math.sqrt(12012.0) / (3.0 * math.pi ** 2),
                "p2": math.sqrt(7560.0) / math.pi ** 2}
 
 
+def _pair(pid, dim, scaled=True, normalize=True):
+    """Coefficients 1..dim of (right-hand side, exact solution)."""
+    prob = get_problem(pid, scaled, normalize)
+    return prob.rhs(dim), prob.exact(dim)
+
+
 # ---------------------------------------------------------------------------
 # operator
 # ---------------------------------------------------------------------------
 
+def _entry(src, i, j):
+    """The entry at (i, j), from a one-pair block query."""
+    _, _, vals = src.entry_block(i - 1, i, j - 1, j)
+    return float(vals[0]) if vals.size else 0.0
+
+
 def test_scaled_entries():
     src = green_operator(dim=16, scaled=True)
-    assert src.entry(1, 1) == -1.0
-    assert src.entry(2, 3) == 0.0
-    assert src.entry(4, 4) == pytest.approx(-1.0 / 16.0, rel=1e-15)
+    assert _entry(src, 1, 1) == -1.0
+    assert _entry(src, 2, 3) == 0.0
+    assert _entry(src, 4, 4) == pytest.approx(-1.0 / 16.0, rel=1e-15)
+    assert src.eval_count == 3
 
 
 def test_unscaled_entries():
     src = green_operator(dim=16, scaled=False)
-    assert src.entry(1, 1) == pytest.approx(-1.0 / math.pi ** 2, rel=1e-15)
+    assert _entry(src, 1, 1) == pytest.approx(-1.0 / math.pi ** 2, rel=1e-15)
 
 
 def test_projection_tail_bound():
-    src = green_operator(dim=1, scaled=True)
     kk = np.arange(1, 2 ** 12 + 2)
-    lam = np.abs(src.diagonal(kk))
+    lam = np.abs(green_spectrum(kk.size))
     for m in (1, 2, 7, 64, 1000, 2 ** 12):
         tail = np.max(lam[m:]) if m < kk.size else lam[-1]
         assert tail == 1.0 / (m + 1) ** 2
@@ -91,7 +101,7 @@ def _printed_solution_2(t):
 ])
 def test_closed_forms_match_quadrature(pid, rhs_fn, sol_fn):
     dim = 4096
-    f, x = problem_coeffs(pid, dim)
+    f, x = _pair(pid, dim)
     # the shipped pair carries the operator scaling and the unit-norm factor
     scale = SCALING * UNIT_FACTOR[pid]
     for k in (1, 2, 3, 4, 5, 8, 33, 100, 512, 4096):
@@ -105,9 +115,8 @@ def test_closed_forms_match_quadrature(pid, rhs_fn, sol_fn):
 @pytest.mark.parametrize("scaled", [True, False])
 def test_pair_is_spectrally_consistent(pid, scaled):
     dim = 4096
-    f, x = problem_coeffs(pid, dim, scaled=scaled)
-    src = green_operator(dim, scaled=scaled)
-    lam = src.diagonal(np.arange(1, dim + 1))
+    f, x = _pair(pid, dim, scaled=scaled)
+    lam = green_spectrum(dim, scaled)
     lhs = f.coeffs
     rhs = lam * x.coeffs
     both = (np.abs(lhs) > 1e-300) & (np.abs(rhs) > 1e-300)
@@ -120,7 +129,7 @@ def test_pair_is_spectrally_consistent(pid, scaled):
 def test_p1_closed_forms_match_monomial_recurrence():
     # the recurrence oracle is reliable up to a few hundred k
     kk = np.arange(1, 300)
-    f, x = problem_coeffs("p1", 299)
+    f, x = _pair("p1", 299)
     sol = UNIT_FACTOR["p1"] * monomial_sine_coeffs(
         {1: -18.0, 2: 108.0, 3: -180.0, 4: 90.0}, kk)
     rhs = SCALING * UNIT_FACTOR["p1"] * monomial_sine_coeffs(
@@ -130,10 +139,10 @@ def test_p1_closed_forms_match_monomial_recurrence():
 
 
 def test_symmetry_kills_alternate_coefficients():
-    f1, x1 = problem_coeffs("p1", 1000)
+    f1, x1 = _pair("p1", 1000)
     assert np.all(f1.coeffs[1::2] == 0.0)   # even k vanish
     assert np.all(x1.coeffs[1::2] == 0.0)
-    f2, x2 = problem_coeffs("p2", 1000)
+    f2, x2 = _pair("p2", 1000)
     assert np.all(f2.coeffs[0::2] == 0.0)   # odd k vanish
     assert np.all(x2.coeffs[0::2] == 0.0)
 
@@ -165,7 +174,7 @@ def test_nonzero_parity_evaluation_is_bit_identical(dim):
     for pid in PROBLEM_IDS:
         for scaled in (True, False):
             for normalize in (True, False):
-                f, x = problem_coeffs(pid, dim, scaled, normalize)
+                f, x = _pair(pid, dim, scaled, normalize)
                 for got, rhs in ((f, True), (x, False)):
                     want = _full_index_coeffs(pid, dim, scaled, normalize, rhs)
                     assert np.array_equal(got.coeffs, want)
@@ -173,35 +182,30 @@ def test_nonzero_parity_evaluation_is_bit_identical(dim):
 
 def test_unit_normalization():
     for pid in ("p1", "p2"):
-        f, _ = problem_coeffs(pid, 2 ** 18)
+        f, _ = _pair(pid, 2 ** 18)
         assert norm(f) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_raw_scale_norms():
     # closed forms: ||f1|| = 3 pi^2 / sqrt(12012), ||x2|| = 1/sqrt(3)
-    f1, _ = problem_coeffs("p1", 2 ** 16, normalize=False)
+    f1, _ = _pair("p1", 2 ** 16, normalize=False)
     assert norm(f1) == pytest.approx(3.0 * math.pi ** 2 / math.sqrt(12012.0), rel=1e-9)
-    f2, x2 = problem_coeffs("p2", 2 ** 20, normalize=False)
+    f2, x2 = _pair("p2", 2 ** 20, normalize=False)
     assert norm(f2) == pytest.approx(math.pi ** 2 / math.sqrt(7560.0), rel=1e-9)
     assert norm(x2) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-5)
 
 
 def test_problem_accessors():
-    prob = get_problem(1)
+    prob = get_problem("p1")
     assert prob.pid == "p1"
-    assert prob.r == 2.0
     src = prob.fresh_source()
     assert src.eval_count == 0
-    with pytest.raises(ValueError):
-        get_problem("p3")
-    # rhs/exact compute one closed form each, bit-identical to the pair
-    for pid in PROBLEM_IDS:
-        for scaled in (True, False):
-            for normalize in (True, False):
-                prob = get_problem(pid, scaled=scaled, normalize=normalize)
-                f, x = problem_coeffs(pid, 999, scaled, normalize)
-                assert np.array_equal(prob.rhs(999).coeffs, f.coeffs)
-                assert np.array_equal(prob.exact(999).coeffs, x.coeffs)
+    # "p1"/"p2" only: the former aliases 1 and "2" are unknown ids too
+    for pid in ("p3", 1, "2"):
+        with pytest.raises(ValueError, match="unknown problem id"):
+            get_problem(pid)
+        with pytest.raises(ValueError, match="unknown problem id"):
+            problems.Problem(pid)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +213,14 @@ def test_problem_accessors():
 # ---------------------------------------------------------------------------
 
 def test_perturbation_norm_is_exact():
-    f, _ = problem_coeffs("p1", 4096)
+    f, _ = _pair("p1", 4096)
     for delta in (1e-3, 0.25, 7.0):
         fd = perturb(f, delta, seed=11)
         assert norm(fd - f) == pytest.approx(delta, rel=1e-15)
 
 
 def test_perturbation_determinism():
-    f, _ = problem_coeffs("p2", 512)
+    f, _ = _pair("p2", 512)
     a = perturb(f, 0.1, seed=5)
     b = perturb(f, 0.1, seed=5)
     c = perturb(f, 0.1, seed=6)
@@ -236,7 +240,7 @@ def test_chunked_normal_draws_concatenate_to_the_single_draw():
 
 @pytest.mark.parametrize("cold", [True, False])
 def test_noisy_data_head_is_the_window_of_perturb(cold):
-    f, _ = problem_coeffs("p2", 5000)
+    f, _ = _pair("p2", 5000)
     full = perturb(f, 0.1, seed=3).coeffs  # leaves the seed's norm kept
     if cold:
         problems._noise_norms.clear()
@@ -248,7 +252,7 @@ def test_noisy_data_head_is_the_window_of_perturb(cold):
 
 
 def test_zero_delta_returns_data_unchanged():
-    f, _ = problem_coeffs("p1", 64)
+    f, _ = _pair("p1", 64)
     assert perturb(f, 0.0, seed=1) is f
     with pytest.raises(ValueError):
         perturb(f, -0.5, seed=1)
@@ -259,25 +263,24 @@ def test_zero_delta_returns_data_unchanged():
 # ---------------------------------------------------------------------------
 
 def test_envelope_round_trip():
-    src = green_operator(64, scaled=True)
     mu = 0.7
-    lam = np.abs(src.diagonal(np.arange(1, 65)))
+    lam = np.abs(green_spectrum(64))
     v = np.zeros(64)
     v[20] = 1.0
     x = CoeffVec(lam ** mu * v)
-    assert smoothness_envelope(x, src, mu) == pytest.approx(1.0, rel=1e-12)
+    assert smoothness_envelope(x, lam, mu) == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("pid,mu_ok,mu_bad", [("p1", 1.2, 1.3), ("p2", 0.2, 0.3)])
 def test_envelope_growth_trend(pid, mu_ok, mu_bad):
     dims = [2 ** 8, 2 ** 12, 2 ** 16]
-    src = green_operator(dims[-1], scaled=True)
+    lam = green_spectrum(dims[-1])
     env_ok = []
     env_bad = []
     for d in dims:
-        _, x = problem_coeffs(pid, d)
-        env_ok.append(smoothness_envelope(x, src, mu_ok))
-        env_bad.append(smoothness_envelope(x, src, mu_bad))
+        _, x = _pair(pid, d)
+        env_ok.append(smoothness_envelope(x, lam, mu_ok))
+        env_bad.append(smoothness_envelope(x, lam, mu_bad))
     # inside the smoothness range the envelope saturates...
     assert env_ok[2] / env_ok[1] < 1.15
     # ...beyond it, it keeps growing by sizable factors

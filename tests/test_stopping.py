@@ -1,32 +1,55 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semicross.coeffs import CoeffVec, norm
+from semicross.driver import ConfigError, RunParams, _discrepancy_stop, run_discrepancy
+from semicross.methods import nu_method
+from semicross.problems import get_problem
 from semicross.stopping import (
     BalancingWindow,
     balancing_admissible_set,
     balancing_stop_index,
-    discrepancy_met,
 )
 
 
+def _discrepancy(residuals, tau, delta, k_n=None):
+    """Stop index of the discrepancy rule on one level whose iterates carry
+    the given residual norms (budget K_n = all of them by default), or None
+    to refine."""
+    steps = ((k, np.array([float(k)]), res) for k, res in enumerate(residuals, 1))
+    p = RunParams(delta=delta, tau=tau)
+    hit = _discrepancy_stop(steps, k_n or len(residuals), p, None)
+    if hit is None:
+        return None
+    assert hit[1][0] == hit[0]  # the stopping iterate comes with its index
+    return hit[0]
+
+
 def test_discrepancy_examples():
-    assert discrepancy_met(0.5, 2.0, 1.0) is True
-    assert discrepancy_met(2.1, 2.0, 1.0) is False
+    assert _discrepancy([2.1, 0.5, 0.1], 2.0, 1.0) == 2
+    assert _discrepancy([2.1], 2.0, 1.0) is None
+    # iterates past the level budget are not tested
+    assert _discrepancy([2.1, 0.5], 2.0, 1.0, k_n=1) is None
 
 
 def test_discrepancy_boundary_is_inclusive():
     tau, delta = 1.7, 0.3
-    assert discrepancy_met(tau * delta, tau, delta) is True
+    bound = tau * delta
+    assert _discrepancy([bound], tau, delta) == 1
+    assert _discrepancy([np.nextafter(bound, np.inf)], tau, delta) is None
 
 
 def test_discrepancy_validates_inputs():
-    with pytest.raises(ValueError):
-        discrepancy_met(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        discrepancy_met(1.0, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        discrepancy_met(-1.0, 1.0, 1.0)
+    # the rule itself compares only; its inputs are checked where a run is
+    # configured
+    with pytest.raises(ConfigError):
+        RunParams(delta=0.0)
+    with pytest.raises(ConfigError):
+        RunParams(delta=-1.0)
+    with pytest.raises(ConfigError):
+        run_discrepancy(get_problem("p1"), nu_method(1.5),
+                        RunParams(delta=0.1, tau=0.0))
 
 
 def _window(values, k_n, k_sec, bound):
