@@ -6,9 +6,10 @@ so parsing recovers them bit-exactly):
 
     algorithm,nu,delta,n,K_n,K,rel_error,expected_rate,info_count,seed
 
-Exit codes: 0 success, 1 configuration error, 2 runtime cap exceeded (in
-any row), 3 I/O failure, 4 a row failed for another reason (``run`` still
-writes every row; failed rows carry NaN errors and are reported on stderr).
+Exit codes: 0 success, 1 configuration or usage error, 2 runtime cap
+exceeded (in any row), 3 I/O failure, 4 a row failed for another reason
+(``run`` still writes every row; failed rows carry NaN errors and are
+reported on stderr).
 """
 
 from __future__ import annotations
@@ -242,9 +243,11 @@ def _default_tau(nu: float, gamma: float) -> float:
     return admissibility_threshold(nu_method(nu), gamma) + 0.01
 
 
-def _load_config(path) -> dict:
-    """Flat key-value file: one `key = value` (or `key: value`) per line,
-    '#' comments; keys match the long flag names."""
+def _config_tokens(path, args: argparse.Namespace) -> list:
+    """A flat key-value file -- one `key = value` (or `key: value`) per
+    line, '#' comments, keys named like the long flags of ``run`` in
+    ``args`` -- as ``--key=value`` tokens; a boolean flag becomes ``--key``
+    when true and is dropped when false."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -257,27 +260,22 @@ def _load_config(path) -> dict:
                     break
             else:
                 raise ConfigError(f"{path}:{lineno}: expected `key = value`")
-            values[key.strip()] = raw.strip()
-    return values
+            values[key.strip().replace("_", "-")] = raw.strip()
+    tokens = []
+    for key, raw in values.items():
+        attr = key.replace("-", "_")
+        if not hasattr(args, attr):
+            raise ConfigError(f"unknown config key {key!r}")
+        if not isinstance(getattr(args, attr), bool):
+            tokens.append(f"--{key}={raw}")
+        elif raw.lower() in ("true", "yes", "on"):
+            tokens.append(f"--{key}")
+        elif raw.lower() not in ("false", "no", "off"):
+            raise ConfigError(f"config key {key!r} takes true or false, got {raw!r}")
+    return tokens
 
 
-def _coerce(raw: str):
-    low = raw.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw
-
-
-def _build_parser(run_defaults: bool = True) -> argparse.ArgumentParser:
-    """The command-line parser; ``run_defaults=False`` leaves every ``run``
-    flag not given on the command line unset."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semicross",
         description="Adaptive semiiterative regularization experiments",
@@ -313,9 +311,6 @@ def _build_parser(run_defaults: bool = True) -> argparse.ArgumentParser:
     run.add_argument("--jobs", type=int, default=1,
                      help="worker processes for the rows (default 1)")
     run.add_argument("--out", default=None, help="CSV path (default stdout)")
-    if not run_defaults:
-        for action in run._actions:
-            action.default = argparse.SUPPRESS
 
     rates = sub.add_parser("rates", help="fit log-log slopes from a CSV")
     rates.add_argument("--csv", required=True)
@@ -338,24 +333,7 @@ def _build_parser(run_defaults: bool = True) -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv) -> argparse.Namespace:
-    if args.config is None:
-        return args
-    file_values = _load_config(args.config)
-    # the command line wins over the file, even where a flag repeats its
-    # default: a parse without defaults tells which flags were given
-    given = vars(_build_parser(run_defaults=False).parse_args(argv))
-    for key, raw in file_values.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ConfigError(f"unknown config key {key!r}")
-        if attr not in given:
-            setattr(args, attr, _coerce(raw))
-    return args
-
-
-def _cmd_run(args, argv) -> int:
-    args = _apply_config(args, argv)
+def _cmd_run(args) -> int:
     mu = args.mu_diagnostic if args.mu_diagnostic is not None else DEFAULT_MU[args.problem]
     tau = args.tau if args.tau is not None else _default_tau(args.nu, args.gamma)
     params = RunParams(
@@ -435,16 +413,27 @@ def _cmd_constants(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
-        "run": lambda a: _cmd_run(a, argv),
+        "run": _cmd_run,
         "rates": _cmd_rates,
         "gamma-dump": _cmd_gamma_dump,
         "constants": _cmd_constants,
     }
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            # the file's values go ahead of the command line; argparse keeps
+            # the last occurrence, so a flag given there wins
+            at = argv.index(args.command) + 1
+            tokens = _config_tokens(args.config, args)
+            args = parser.parse_args(argv[:at] + tokens + argv[at:])
         return handlers[args.command](args)
+    except SystemExit as exc:  # argparse: a usage error, or --help
+        if exc.code:
+            return EXIT_CONFIG
+        raise
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoeffVec, norm
-from .hypercross import assemble, refine
+from .hypercross import _product, assemble, refine
 from .methods import MethodSpec, NumericalDegeneracyError, _advance
 from .problems import NoisyData, Problem
 from .stopping import BalancingWindow, balancing_stop_index
@@ -262,16 +262,19 @@ class _SupportKernel:
     Only the nonzero rows R and nonzero columns C of the level-n matrix take
     part: every iterate vanishes off C, and off R the residual is the data
     itself. The iteration therefore runs on length-|C| arrays with the block
-    A[R][:, C], and the residual norm is sqrt(||A_RC x - f_R||^2 + off2),
-    where off2 = sum over i not in R of f_i^2 is summed once from the off-R
-    entries (not as ||f||^2 - ||f_R||^2, which cancels).
+    A[R][:, C] (the entries at their ``op.support()`` positions, whose
+    products equal the full ones bit for bit), and the residual norm is
+    sqrt(||A_RC x - f_R||^2 + off2), where off2 = sum over i not in R of
+    f_i^2 is summed once from the off-R entries (not as ||f||^2 - ||f_R||^2,
+    which cancels).
     """
 
     def __init__(self, op, data: np.ndarray):
         """``data`` holds the level's window, coefficients 1..op.dim of
         f_delta."""
         self.dim = op.dim
-        rows, self.cols, self.block, self.block_t = op.support_block()
+        rows, self.cols, self.ri, self.ci = op.support()
+        self.vals = op.vals
         self.data = data[rows]
         off = np.delete(data, rows)
         self.off2 = float(off @ off)
@@ -279,15 +282,17 @@ class _SupportKernel:
     def iterates(self, spec: MethodSpec):
         """Yield (x_k restricted to C, ||A x_k - f||) for k = 1, 2, ...;
         each step is computed only when it is asked for."""
-        a, a_t, f = self.block, self.block_t, self.data
-        zero = np.zeros(self.cols.size)
-        x, omega = _advance(spec, 0, 0.0, zero, zero, a_t @ f)
+        ri, ci, vals, f = self.ri, self.ci, self.vals, self.data
+        m, q = f.size, self.cols.size
+        zero = np.zeros(q)
+        x, omega = _advance(spec, 0, 0.0, zero, zero, _product(ci, ri, vals, f, q))
         x_prev = zero
-        r = f - a @ x
+        r = f - _product(ri, ci, vals, x, m)
         for k in itertools.count(1):
-            x_new, omega = _advance(spec, k, omega, x, x_prev, a_t @ r)
+            x_new, omega = _advance(spec, k, omega, x, x_prev,
+                                    _product(ci, ri, vals, r, q))
             x_prev, x = x, x_new
-            r = f - a @ x
+            r = f - _product(ri, ci, vals, x, m)
             yield x, math.sqrt(float(r @ r) + self.off2)
 
     def scatter(self, x: np.ndarray) -> CoeffVec:

@@ -20,13 +20,13 @@ entries. Assembly thus spends exactly one evaluation per pair of the cross,
 and refinement only those of the difference set of two consecutive levels,
 so the total number of evaluations after reaching level n is 2^{2n}(n+1) no
 matter how many refinement steps were taken; the operator stores the
-nonzero entries alone.
+nonzero entries alone, sorted row-major, and every product with it reads
+them through ``_product``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse
 
 from .coeffs import CoeffVec
 
@@ -164,6 +164,13 @@ class DiagonalSource(GalerkinInfoSource):
         return idx[nz], idx[nz], vals[nz]
 
 
+def _product(out_idx: np.ndarray, in_idx: np.ndarray, vals: np.ndarray,
+             x: np.ndarray, size: int) -> np.ndarray:
+    """The length-``size`` vector y with y[out_idx[e]] += vals[e] x[in_idx[e]]
+    over the entries e; each component sums its terms in entry order."""
+    return np.bincount(out_idx, vals * x[in_idx], minlength=size)
+
+
 class GalerkinOperator:
     """The discretized operator of one cross level: a sparse matrix over the
     nonzero entries of the cross, acting on coefficient vectors of dimension
@@ -172,10 +179,10 @@ class GalerkinOperator:
     ``rows``/``cols``/``vals`` hold the nonzero entries alone (1-based
     indices), sorted row-major, which makes construction reproducible; the
     zero entries of the cross were counted as information when queried but
-    are not stored.
+    are not stored. The triplets are the only storage.
     """
 
-    __slots__ = ("level", "dim", "rows", "cols", "vals", "_mat", "_mat_t")
+    __slots__ = ("level", "dim", "rows", "cols", "vals")
 
     def __init__(self, level: int, rows: np.ndarray, cols: np.ndarray,
                  vals: np.ndarray):
@@ -186,39 +193,35 @@ class GalerkinOperator:
         self.rows = rows
         self.cols = cols
         self.vals = vals
-        mat = scipy.sparse.csr_matrix(
-            (vals, (rows - 1, cols - 1)), shape=(self.dim, self.dim)
-        )
-        self._mat = mat
-        self._mat_t = mat.T.tocsr()
 
     def column_support(self) -> np.ndarray:
         """Sorted 1-based column indices carrying a nonzero entry. Every
         iterate of the two-step recursion lives in their span."""
-        return np.flatnonzero(np.diff(self._mat_t.indptr)) + 1
+        return np.unique(self.cols)
 
-    def support_block(self):
-        """The operator restricted to its nonzero rows R and nonzero columns
-        C: ``(rows, cols, block, block_t)`` with the sorted 0-based index
-        arrays of R and C, the CSR matrix A[R][:, C] and its transpose.
+    def support(self):
+        """``(R, C, ri, ci)``: the sorted 0-based nonzero rows R and nonzero
+        columns C, and each entry's position in R and in C.
 
-        Every nonzero entry lies in the block, and each row of either matrix
-        keeps the entry order of the full CSR, so block products equal the
-        full products on R (resp. C) bit for bit.
+        ``_product`` sums each output in entry order, so over the positions
+        (the block A[R][:, C]) it adds the same terms in the same order as
+        over the full dimension: the two agree bit for bit on R (resp. C).
         """
-        rows = np.flatnonzero(np.diff(self._mat.indptr))
-        cols = np.flatnonzero(np.diff(self._mat_t.indptr))
-        return rows, cols, self._mat[rows][:, cols], self._mat_t[cols][:, rows]
+        rows, ri = np.unique(self.rows - 1, return_inverse=True)
+        cols, ci = np.unique(self.cols - 1, return_inverse=True)
+        return rows, cols, ri, ci
 
     def apply(self, v: CoeffVec) -> CoeffVec:
         if v.dim > self.dim:
             raise ValueError(f"vector dimension {v.dim} exceeds operator dimension {self.dim}")
-        return CoeffVec._wrap(self._mat.dot(v.extended(self.dim)))
+        return CoeffVec._wrap(_product(self.rows - 1, self.cols - 1, self.vals,
+                                       v.extended(self.dim), self.dim))
 
     def apply_adjoint(self, w: CoeffVec) -> CoeffVec:
         if w.dim > self.dim:
             raise ValueError(f"vector dimension {w.dim} exceeds operator dimension {self.dim}")
-        return CoeffVec._wrap(self._mat_t.dot(w.extended(self.dim)))
+        return CoeffVec._wrap(_product(self.cols - 1, self.rows - 1, self.vals,
+                                       w.extended(self.dim), self.dim))
 
 
 def _grow(src: GalerkinInfoSource, n: int,

@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import semicross
 from semicross.cli import (
     CSV_COLUMNS,
     ExperimentGrid,
@@ -222,6 +226,18 @@ def test_main_rejects_inadmissible_tau(capsys):
     assert "admissibility" in capsys.readouterr().err
 
 
+def test_main_usage_error_exit_code(capsys):
+    assert main(["run", "--problem", "p9"]) == 1
+    assert "invalid choice: 'p9'" in capsys.readouterr().err
+
+
+def test_main_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
 def test_main_cap_exit_code(tmp_path):
     out = tmp_path / "cap.csv"
     code = main([
@@ -348,3 +364,42 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("garbage-knob = 1\n")
     assert main(["run", "--config", str(cfg)]) == 1
     assert "garbage-knob" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("problem = p9", "argument --problem: invalid choice: 'p9'"),
+    ("nu = abc", "argument --nu: invalid float value: 'abc'"),
+])
+def test_config_file_values_pass_the_flag_checks(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_config_file_boolean_flags(tmp_path, capsys):
+    common = ["run", "--delta-max", "0.03125", "--delta-min", "0.03125",
+              "--noise-dim", "4096"]
+    paths = {tag: tmp_path / f"{tag}.csv" for tag in ("on", "off", "flag", "none")}
+    for tag, value in (("on", "yes"), ("off", "false")):
+        cfg = tmp_path / f"{tag}.cfg"
+        cfg.write_text(f"no-normalize = {value}\n")
+        assert main(common + ["--config", str(cfg), "--out", str(paths[tag])]) == 0
+    assert main(common + ["--no-normalize", "--out", str(paths["flag"])]) == 0
+    assert main(common + ["--out", str(paths["none"])]) == 0
+    assert paths["on"].read_text() == paths["flag"].read_text()
+    assert paths["off"].read_text() == paths["none"].read_text()
+    assert paths["on"].read_text() != paths["none"].read_text()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("no-normalize = maybe\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "no-normalize" in capsys.readouterr().err
+
+
+def test_runtime_imports_no_scipy():
+    src = os.path.dirname(os.path.dirname(semicross.__file__))
+    code = "import sys, semicross, semicross.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
