@@ -8,6 +8,9 @@ the acceptance-test parameters; the run at delta = 2^-e uses noise seed
 Each line holds the algorithm, problem, exponent, levels, budgets, stop
 index and info_count, and a sha256 over the hex of every residual norm, of
 rel_error, abs_error, exact_norm and rhs_norm, and the solution's bytes.
+``--noise-dim`` sets the dimension the noise and the error live in (default
+2^20); a length that is not a power of two, such as 1000003, exercises the
+error's pairwise split points away from the level windows.
 
 Compare a change with its parent checkout (about 10 s per side):
 
@@ -38,6 +41,7 @@ def digest(report) -> str:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--noise-dim", type=int, default=2 ** 20)
     args = ap.parse_args()
     spec = nu_method(1.5)
     for algorithm, runner in ((1, run_discrepancy), (2, run_balancing)):
@@ -45,7 +49,8 @@ def main() -> int:
             problem = get_problem(pid)
             for e in range(4, 14):
                 p = RunParams(delta=2.0 ** -e, rho=1.0, gamma=0.5, tau=TAU,
-                              r=2.0, k_sec=20, seed=args.seed + e - 4)
+                              r=2.0, k_sec=20, seed=args.seed + e - 4,
+                              noise_dim=args.noise_dim)
                 r = runner(problem, spec, p, mu=MU[pid])
                 print(f"a{algorithm} {pid} e{e} levels={list(r.levels)} "
                       f"budgets={list(r.budgets)} stop={r.stop_index} "

@@ -18,7 +18,10 @@ on the operator's nonzero rows and columns only (``_SupportKernel``); the
 reported solution is scattered back to full length. The right-hand side and
 the exact solution at one dimension depend only on the problem, so the last
 problem's pair is kept for the next run; the noise norm depends only on the
-seed and ``noise_dim`` and is kept per seed (``problems.NoisyData``).
+seed and ``noise_dim`` and is kept per seed (``problems.NoisyData``). The
+exact solution is kept with the sums of its squares between numpy's pairwise
+split points, so the run's error is summed on its window alone and still
+equals the full-length sum bit for bit.
 
 Safety caps convert non-termination under violated assumptions into
 reported errors: ``n_max`` bounds the level, ``k_abs_max`` the total number
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoeffVec, norm
+from .coeffs import CoeffVec
 from .hypercross import _product, assemble, refine
 from .methods import MethodSpec, NumericalDegeneracyError, _advance
 from .problems import NoisyData, Problem
@@ -302,12 +305,30 @@ class _SupportKernel:
         return CoeffVec._wrap(full)
 
 
+def _tail_sums(sq: np.ndarray) -> tuple:
+    """The chain ((m_1, s_1), (m_2, s_2), ...) of numpy's pairwise splits of
+    ``sq``, outermost first, with s_i the sum of sq[m_i:m_{i-1}] (m_0 =
+    sq.size). Above 128 entries numpy sums a contiguous float64 array as
+    ``sum(a[:m]) + sum(a[m:n])`` with m = n//2 rounded down to a multiple of
+    8, so np.sum(sq) is np.sum(sq[:m_j]) + s_j + ... + s_1, added in that
+    order, bit for bit."""
+    chain, end = [], sq.size
+    while end > 128:
+        m = end // 2 - (end // 2) % 8
+        chain.append((m, float(np.sum(sq[m:end]))))
+        end = m
+    return tuple(chain)
+
+
 @functools.lru_cache(maxsize=2)
 def _closed_form(problem: Problem, dim: int, rhs: bool):
-    """(right-hand side or exact solution at ``dim``, its norm); the two
-    entries hold one problem's pair, which is what a sweep reuses."""
+    """(right-hand side or exact solution at ``dim``, its norm, and for the
+    exact solution the ``_tail_sums`` of its squares, which ``_finish`` adds
+    to the error summed on the window); the two entries hold one problem's
+    pair, which is what a sweep reuses."""
     v = problem.rhs(dim) if rhs else problem.exact(dim)
-    return v, norm(v)
+    sq = v.coeffs * v.coeffs
+    return v, float(np.sqrt(np.sum(sq))), () if rhs else _tail_sums(sq)
 
 
 def _prepare(problem: Problem, p: RunParams):
@@ -320,7 +341,7 @@ def _prepare(problem: Problem, p: RunParams):
             "constants behind the level and budget rules are not sharp",
             stacklevel=4,
         )
-    f, rhs_norm = _closed_form(problem, p.noise_dim, True)
+    f, rhs_norm, _ = _closed_form(problem, p.noise_dim, True)
     if p.delta >= rhs_norm:
         warnings.warn(
             f"noise level delta={p.delta:g} is not below ||f||={rhs_norm:g}; "
@@ -331,16 +352,33 @@ def _prepare(problem: Problem, p: RunParams):
     return NoisyData(f, p.delta, p.seed), rhs_norm, src
 
 
+def _squared_distance(x: np.ndarray, exact: np.ndarray, tails: tuple):
+    """sum((x - exact)^2) over exact's length, x zero-extended, bit for bit
+    the np.sum of the full-length squares. Past x the difference is -exact,
+    so the squares are summed on the smallest split of ``tails`` (the
+    ``_tail_sums`` of exact^2) that holds x, and the tail sums beyond it are
+    added innermost first; only that head is allocated."""
+    kept = [(m, s) for m, s in tails if m >= x.size]
+    diff = -exact[:kept[-1][0] if kept else exact.size]
+    diff[:x.size] += x
+    diff *= diff
+    total = np.sum(diff)
+    for _, s in reversed(kept):
+        total += s
+    return total
+
+
 def _finish(problem: Problem, spec: MethodSpec, p: RunParams, algorithm: int,
             levels, budgets, stop_index, solution, residuals, src, rhs_norm,
             mu):
+    """The run's report. The error is measured against the exact solution
+    at max(window, noise_dim), summed on the window's pairwise head plus the
+    exact solution's kept tail sums (``_squared_distance``), so no per-run
+    array of noise_dim length is built."""
     dim_ref = max(solution.dim, p.noise_dim)
-    exact, exact_norm = _closed_form(problem, dim_ref, False)
-    # ||solution - exact|| with one full-length temporary, bit for bit
-    diff = -exact.coeffs
-    diff[:solution.dim] += solution.coeffs
-    diff *= diff
-    abs_error = float(np.sqrt(np.sum(diff)))
+    exact, exact_norm, tails = _closed_form(problem, dim_ref, False)
+    abs_error = float(np.sqrt(_squared_distance(solution.coeffs, exact.coeffs,
+                                                tails)))
     rel_error = abs_error / exact_norm if exact_norm > 0.0 else math.nan
     diagnostics = None
     if mu is not None:

@@ -136,3 +136,17 @@ class BandSource(GalerkinInfoSource):
         even = rows % 2 == 0
         return (np.where(even & (cols == rows + 1), 0.6, 0.0)
                 + np.where(even & (cols == rows + 3), 0.2, 0.0))
+
+
+class BlockSource(GalerkinInfoSource):
+    """Information source with one dense block: the entries (i, j) with i
+    even in [2, 16] and j odd in [3, 15] are nonzero, every other entry is
+    zero. From level 4 on the cross holds the whole block, so every nonzero
+    row has 7 entries and every nonzero column 8; the nonzero rows and
+    columns differ and neither is a leading block, and the norm is below
+    0.75."""
+
+    def _values(self, rows, cols):
+        inside = ((rows % 2 == 0) & (rows <= 16)
+                  & (cols % 2 == 1) & (cols >= 3) & (cols <= 15))
+        return np.where(inside, 0.02 + 0.08 * ((7 * rows + 13 * cols) % 17) / 17.0, 0.0)

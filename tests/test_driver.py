@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from semicross.methods import NumericalDegeneracyError, init_state, nu_method, s
 from semicross.problems import get_problem, perturb
 from semicross.stopping import BalancingWindow, balancing_stop_index
 
-from helpers import BandSource
+from helpers import BandSource, BlockSource
 
 TAU_REF = 1.01 + math.sqrt(13.0 / 8.0)
 NU32 = nu_method(1.5)
@@ -328,14 +329,56 @@ def test_each_seed_is_drawn_in_full_once_per_process(monkeypatch):
 
 
 def test_abs_error_is_the_norm_of_the_difference():
-    for runner, pid, e in ((run_discrepancy, "p1", 5),
-                           (run_balancing, "p2", 7),
-                           (run_discrepancy, "p2", 9)):
-        problem = get_problem(pid)
-        r = runner(problem, NU32, params(2.0 ** -e, seed=e))
-        exact = problem.exact(max(r.solution.dim, 2 ** 14))
-        assert r.abs_error == norm(r.solution - exact)
-        assert r.rel_error == r.abs_error / norm(exact)
+    # 10_003 is no power of two, so the error's pairwise head is not the
+    # window; at 3000 the level-7 window outgrows noise_dim and the error is
+    # summed over the window alone
+    for noise_dim in (2 ** 14, 10_003, 3000):
+        dims = []
+        for runner, pid, e in ((run_discrepancy, "p1", 5),
+                               (run_balancing, "p2", 7),
+                               (run_discrepancy, "p2", 9)):
+            problem = get_problem(pid)
+            r = runner(problem, NU32, params(2.0 ** -e, seed=e, noise_dim=noise_dim))
+            exact = problem.exact(max(r.solution.dim, noise_dim))
+            assert r.abs_error == norm(r.solution - exact)
+            assert r.rel_error == r.abs_error / norm(exact)
+            dims.append(r.solution.dim)
+        assert min(dims) < noise_dim
+    assert max(dims) > 3000
+
+
+@pytest.mark.parametrize("n", [2 ** 20, 2 ** 18 + 3, 999_999, 1000, 129, 7])
+def test_window_sum_with_tail_sums_is_numpys_full_sum(n):
+    # pins numpy's pairwise split rule: summing the squared difference on
+    # the smallest split that holds the window and adding the kept tail sums
+    # must give np.sum over the full length, bit for bit
+    rng = np.random.default_rng(n)
+    exact = rng.standard_normal(n) * rng.uniform(0.0, 1e3, n)
+    tails = driver._tail_sums(exact * exact)
+    for w in (1, 7, 256, 4096, 2 ** 16, n):
+        if w > n:
+            continue
+        x = rng.standard_normal(w)
+        diff = -exact
+        diff[:w] += x
+        full = np.sum(diff * diff)
+        assert driver._squared_distance(x, exact, tails).hex() == full.hex(), w
+
+
+def test_warm_run_allocates_nothing_of_noise_dim_length():
+    # once the closed forms and the seed's noise norm are kept, a run at
+    # noise_dim = 2^20 (8 MiB per full-length array) touches only its window
+    p = params(2.0 ** -4, noise_dim=2 ** 20)
+    problem = get_problem("p1")
+    cold = run_discrepancy(problem, NU32, p)
+    tracemalloc.start()
+    try:
+        warm = run_discrepancy(problem, NU32, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_report(cold, warm)
+    assert peak < 2 ** 20, peak
 
 
 def test_iteration_cap():
@@ -427,14 +470,8 @@ def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / scale) if scale > 0 else float(np.linalg.norm(a))
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_support_kernel_matches_full_length_iteration(n):
-    op = assemble(BandSource(), n)
-    rows, cols, _, _ = op.support()
-    # R != C, and neither is a leading block
-    assert not np.array_equal(rows, cols)
-    assert rows[0] > 0 and cols[0] > 0
-    data = CoeffVec(np.random.default_rng(n).standard_normal(op.dim))
+def _assert_kernel_matches_full_length_iteration(op, seed):
+    data = CoeffVec(np.random.default_rng(seed).standard_normal(op.dim))
     kernel = driver._SupportKernel(op, data.coeffs)
     state = init_state(op, data, NU32)
     for x, res in itertools.islice(kernel.iterates(NU32), 60):
@@ -442,6 +479,26 @@ def test_support_kernel_matches_full_length_iteration(n):
         ref = driver._residual_norm(op.apply(state.x_curr), data)
         assert np.array_equal(kernel.scatter(x).coeffs, state.x_curr.coeffs)
         assert res == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_support_kernel_matches_full_length_iteration(n):
+    op = assemble(BandSource(), n)
+    rows, cols, _, _ = op.support()
+    # R != C, and neither is a leading block
+    assert not np.array_equal(rows, cols)
+    assert rows[0] > 0 and cols[0] > 0
+    _assert_kernel_matches_full_length_iteration(op, n)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_support_kernel_sums_in_entry_order(n):
+    # three or more terms per output, so a kernel that summed them in any
+    # other order than the full-length products would differ in the bits
+    op = assemble(BlockSource(), n)
+    _, _, ri, ci = op.support()
+    assert min(np.bincount(ri)) >= 3 and min(np.bincount(ci)) >= 3
+    _assert_kernel_matches_full_length_iteration(op, n)
 
 
 def test_support_kernel_residual_when_off_support_data_is_tiny():
