@@ -27,6 +27,7 @@ from .driver import (
     CapExceededError,
     ConfigError,
     RunParams,
+    _check_discrepancy,
     admissibility_threshold,
     run_balancing,
     run_discrepancy,
@@ -60,7 +61,10 @@ class ExperimentGrid:
     "fixed" reuses the same seed on every row. ``repeats`` > 1 averages the
     relative error of each row over that many noise realizations (seeds
     spaced deterministically from the row seed); the structural columns
-    (n, K_n, K, info_count) report the first realization."""
+    (n, K_n, K, info_count) report the first realization. For the
+    discrepancy driver the method's qualification and tau are checked when
+    the grid is made, so such a configuration error stops the run before
+    any row runs."""
 
     problem_id: str
     algorithm: int
@@ -83,6 +87,8 @@ class ExperimentGrid:
         d = np.asarray(self.deltas, dtype=float)
         if d.size == 0 or np.any(d <= 0) or np.any(np.diff(d) >= 0):
             raise ConfigError("deltas must be positive and strictly decreasing")
+        if self.algorithm == 1:
+            _check_discrepancy(nu_method(self.nu), self.params)
 
 
 #: seed spacing between the extra realizations of one row
@@ -238,6 +244,17 @@ def _delta_grid(d_max: float, d_min: float) -> tuple:
     return tuple(out)
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of ``--nu``: nu_method takes positive values only."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _default_tau(nu: float, gamma: float) -> float:
     # smallest admissible value plus the customary 0.01 head room
     return admissibility_threshold(nu_method(nu), gamma) + 0.01
@@ -286,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="key-value config file (flags override)")
     run.add_argument("--problem", default="p1", choices=("p1", "p2"))
     run.add_argument("--algorithm", type=int, default=1, choices=(1, 2))
-    run.add_argument("--nu", type=float, default=1.5)
+    run.add_argument("--nu", type=_positive_float, default=1.5)
     run.add_argument("--delta-max", type=float, default=2.0 ** -4)
     run.add_argument("--delta-min", type=float, default=2.0 ** -13)
     run.add_argument("--gamma", type=float, default=0.5)
@@ -322,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="also print the square-domain entry count")
 
     cons = sub.add_parser("constants", help="print a-priori constants")
-    cons.add_argument("--nu", type=float, default=1.5)
+    cons.add_argument("--nu", type=_positive_float, default=1.5)
     cons.add_argument("--gamma", type=float, default=0.5)
     cons.add_argument("--tau", type=float, default=None)
     cons.add_argument("--delta", type=float, default=2.0 ** -4)
@@ -341,12 +358,6 @@ def _cmd_run(args) -> int:
         r=args.r, k_sec=args.ksec, seed=args.seed, n_max=args.n_max,
         k_abs_max=args.k_abs_max, noise_dim=args.noise_dim,
     )
-    if args.algorithm == 1:
-        thr = admissibility_threshold(nu_method(args.nu), args.gamma)
-        if tau <= thr:
-            raise ConfigError(
-                f"tau={tau:g} at or below admissibility threshold {thr:.6f}"
-            )
     grid = ExperimentGrid(
         problem_id=args.problem,
         algorithm=args.algorithm,

@@ -15,13 +15,17 @@ residual norm at or below tau delta for the discrepancy variant, nonempty
 admissible set for the balancing variant -- or refines the discretization
 by one level, computing only the new Galerkin entries. The iteration runs
 on the operator's nonzero rows and columns only (``_SupportKernel``); the
-reported solution is scattered back to full length. The right-hand side and
-the exact solution at one dimension depend only on the problem, so the last
-problem's pair is kept for the next run; the noise norm depends only on the
-seed and ``noise_dim`` and is kept per seed (``problems.NoisyData``). The
-exact solution is kept with the sums of its squares between numpy's pairwise
-split points, so the run's error is summed on its window alone and still
-equals the full-length sum bit for bit.
+reported solution is scattered back to full length.
+
+No array of ``noise_dim`` length is built. The right-hand side and the exact
+solution depend only on the problem, so each is kept per process
+(``_closed_form``) as a head of coefficients that grows with the windows
+the runs read, plus floats per dimension: its norm and the sums of its
+squares between numpy's pairwise split points, streamed once in numpy's
+summation order (``problems._pairwise_sumsq``). The run's error is summed
+on its window and added to those tail sums, which equals the full-length
+sum bit for bit. The noise norm depends only on the seed and ``noise_dim``;
+it is streamed the same way and kept per seed (``problems.NoisyData``).
 
 Safety caps convert non-termination under violated assumptions into
 reported errors: ``n_max`` bounds the level, ``k_abs_max`` the total number
@@ -42,7 +46,7 @@ import numpy as np
 from .coeffs import CoeffVec
 from .hypercross import _product, assemble, refine
 from .methods import MethodSpec, NumericalDegeneracyError, _advance
-from .problems import NoisyData, Problem
+from .problems import NoisyData, Problem, _pairwise_sumsq
 from .stopping import BalancingWindow, balancing_stop_index
 
 __all__ = [
@@ -305,30 +309,40 @@ class _SupportKernel:
         return CoeffVec._wrap(full)
 
 
-def _tail_sums(sq: np.ndarray) -> tuple:
-    """The chain ((m_1, s_1), (m_2, s_2), ...) of numpy's pairwise splits of
-    ``sq``, outermost first, with s_i the sum of sq[m_i:m_{i-1}] (m_0 =
-    sq.size). Above 128 entries numpy sums a contiguous float64 array as
-    ``sum(a[:m]) + sum(a[m:n])`` with m = n//2 rounded down to a multiple of
-    8, so np.sum(sq) is np.sum(sq[:m_j]) + s_j + ... + s_1, added in that
-    order, bit for bit."""
-    chain, end = [], sq.size
-    while end > 128:
-        m = end // 2 - (end // 2) % 8
-        chain.append((m, float(np.sum(sq[m:end]))))
-        end = m
-    return tuple(chain)
+class _ClosedForm:
+    """One problem's right-hand side or exact solution as the process keeps
+    it: a head of coefficients grown on demand, each growth evaluating only
+    the new index range, and per dimension the norm with the
+    ``_pairwise_sumsq`` chain of the squares, streamed once and kept as
+    floats. Nothing of the dimension's length is held."""
+
+    def __init__(self, problem: Problem, rhs: bool):
+        self._range = functools.partial(problem.coeff_range, rhs=rhs)
+        self._head = np.empty(0)
+        self._norms: dict = {}
+
+    def head(self, d: int) -> np.ndarray:
+        """Coefficients 1..d, read-only."""
+        if self._head.size < d:
+            head = np.concatenate([self._head, self._range(self._head.size, d)])
+            head.flags.writeable = False
+            self._head = head
+        return self._head[:d]
+
+    def norm(self, dim: int):
+        """(the norm of coefficients 1..dim, the chain of their squares)."""
+        if dim not in self._norms:
+            total, chain = _pairwise_sumsq(dim, self._range)
+            self._norms[dim] = (float(np.sqrt(total)), chain)
+        return self._norms[dim]
 
 
-@functools.lru_cache(maxsize=2)
-def _closed_form(problem: Problem, dim: int, rhs: bool):
-    """(right-hand side or exact solution at ``dim``, its norm, and for the
-    exact solution the ``_tail_sums`` of its squares, which ``_finish`` adds
-    to the error summed on the window); the two entries hold one problem's
-    pair, which is what a sweep reuses."""
-    v = problem.rhs(dim) if rhs else problem.exact(dim)
-    sq = v.coeffs * v.coeffs
-    return v, float(np.sqrt(np.sum(sq))), () if rhs else _tail_sums(sq)
+@functools.lru_cache(maxsize=16)
+def _closed_form(problem: Problem, rhs: bool) -> _ClosedForm:
+    """The kept right-hand side (``rhs``) or exact solution of ``problem``;
+    the bound holds both of every shipped problem variant, so sweeps that
+    alternate problems evict nothing."""
+    return _ClosedForm(problem, rhs)
 
 
 def _prepare(problem: Problem, p: RunParams):
@@ -341,7 +355,8 @@ def _prepare(problem: Problem, p: RunParams):
             "constants behind the level and budget rules are not sharp",
             stacklevel=4,
         )
-    f, rhs_norm, _ = _closed_form(problem, p.noise_dim, True)
+    rhs = _closed_form(problem, True)
+    rhs_norm = rhs.norm(p.noise_dim)[0]
     if p.delta >= rhs_norm:
         warnings.warn(
             f"noise level delta={p.delta:g} is not below ||f||={rhs_norm:g}; "
@@ -349,17 +364,19 @@ def _prepare(problem: Problem, p: RunParams):
             stacklevel=4,
         )
     src = problem.fresh_source(dim_hint=p.noise_dim)
-    return NoisyData(f, p.delta, p.seed), rhs_norm, src
+    return NoisyData(rhs.head, p.noise_dim, p.delta, p.seed), rhs_norm, src
 
 
-def _squared_distance(x: np.ndarray, exact: np.ndarray, tails: tuple):
-    """sum((x - exact)^2) over exact's length, x zero-extended, bit for bit
-    the np.sum of the full-length squares. Past x the difference is -exact,
-    so the squares are summed on the smallest split of ``tails`` (the
-    ``_tail_sums`` of exact^2) that holds x, and the tail sums beyond it are
-    added innermost first; only that head is allocated."""
+def _squared_distance(x: np.ndarray, exact, dim: int, tails: tuple):
+    """sum((x - exact)^2) over coefficients 1..dim, x zero-extended, bit for
+    bit the np.sum of the full-length squares; ``exact(d)`` returns the
+    first d coefficients and ``tails`` is the ``_pairwise_sumsq`` chain of
+    their squares at ``dim``. Past x the difference is -exact, so the
+    squares are summed on the smallest split of the chain that holds x, and
+    the tail sums beyond it are added innermost first; only that head is
+    allocated."""
     kept = [(m, s) for m, s in tails if m >= x.size]
-    diff = -exact[:kept[-1][0] if kept else exact.size]
+    diff = -exact(kept[-1][0] if kept else dim)
     diff[:x.size] += x
     diff *= diff
     total = np.sum(diff)
@@ -376,9 +393,10 @@ def _finish(problem: Problem, spec: MethodSpec, p: RunParams, algorithm: int,
     exact solution's kept tail sums (``_squared_distance``), so no per-run
     array of noise_dim length is built."""
     dim_ref = max(solution.dim, p.noise_dim)
-    exact, exact_norm, tails = _closed_form(problem, dim_ref, False)
-    abs_error = float(np.sqrt(_squared_distance(solution.coeffs, exact.coeffs,
-                                                tails)))
+    exact = _closed_form(problem, False)
+    exact_norm, tails = exact.norm(dim_ref)
+    abs_error = float(np.sqrt(_squared_distance(solution.coeffs, exact.head,
+                                                dim_ref, tails)))
     rel_error = abs_error / exact_norm if exact_norm > 0.0 else math.nan
     diagnostics = None
     if mu is not None:
@@ -512,6 +530,20 @@ def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
         n += 1
 
 
+def _check_discrepancy(spec: MethodSpec, p: RunParams) -> None:
+    """Raise ConfigError unless the discrepancy driver admits the method
+    (qualification >= 2) and tau (above the admissibility threshold)."""
+    if spec.qualification < 2.0:
+        raise ConfigError(
+            f"discrepancy driver needs qualification >= 2, got {spec.qualification}"
+        )
+    thr = admissibility_threshold(spec, p.gamma)
+    if p.tau <= thr:
+        raise ConfigError(
+            f"tau={p.tau} must exceed the admissibility threshold {thr:.6f}"
+        )
+
+
 def run_discrepancy(problem: Problem, spec: MethodSpec, p: RunParams,
                     mu: float | None = None) -> RunReport:
     """Adaptive run stopped by the residual discrepancy test.
@@ -522,15 +554,7 @@ def run_discrepancy(problem: Problem, spec: MethodSpec, p: RunParams,
     below tau delta stops the run. ``mu`` attaches a-priori bound
     diagnostics to the report.
     """
-    if spec.qualification < 2.0:
-        raise ConfigError(
-            f"discrepancy driver needs qualification >= 2, got {spec.qualification}"
-        )
-    thr = admissibility_threshold(spec, p.gamma)
-    if p.tau <= thr:
-        raise ConfigError(
-            f"tau={p.tau} must exceed the admissibility threshold {thr:.6f}"
-        )
+    _check_discrepancy(spec, p)
     return _level_loop(problem, spec, p, mu, 1, _discrepancy_stop)
 
 

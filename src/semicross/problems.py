@@ -36,7 +36,8 @@ closed form (p1) and per-piece antiderivatives (p2):
 
 with cos(pi k / 2) evaluated exactly from k mod 4. Even-k coefficients
 vanish for p1 (symmetry about t = 1/2), odd-k ones for p2 (antisymmetry);
-the closed forms are evaluated on the nonzero parity only.
+the closed forms are evaluated on the nonzero parity only, over any index
+range (``Problem.coeff_range``).
 """
 
 from __future__ import annotations
@@ -91,8 +92,9 @@ def green_operator(dim: int, scaled: bool = True) -> DiagonalSource:
 
 
 def _cos_half_pi(kk: np.ndarray) -> np.ndarray:
-    """cos(pi k / 2) exactly for even k: 1, -1 cycling with k mod 4."""
-    return np.where(kk % 4 == 0, 1.0, -1.0)
+    """cos(pi k / 2) exactly for even k: 1, -1 cycling with k mod 4 (bit 1
+    of k, which is cheaper to read than k mod 4)."""
+    return np.where((kk & 2) == 0, 1.0, -1.0)
 
 
 def _exact_solution_coeffs(pid: str, kk: np.ndarray) -> np.ndarray:
@@ -118,6 +120,41 @@ def _rhs_coeffs(pid: str, kk: np.ndarray, scaled: bool) -> np.ndarray:
     return raw * np.pi ** 2 if scaled else raw
 
 
+#: leaves of at most 2^13 float64 entries (64 KiB) stay below glibc's
+#: default mmap threshold of 128 KiB, so a streamed sum faults no fresh pages
+_LEAF = 2 ** 13
+
+
+def _pairwise_sumsq(n: int, leaf):
+    """np.sum(v * v) of a float64 array v of length ``n`` that is never
+    held: ``leaf(lo, hi)`` returns v[lo:hi] and is called on consecutive
+    segments of at most ``_LEAF`` entries in ascending order.
+
+    Above 128 entries numpy sums a contiguous float64 array as
+    ``sum(a[:m]) + sum(a[m:n])`` with m = n//2 rounded down to a multiple of
+    8 (pairwise summation). The segments follow that tree, so the total is
+    the same float. Returns ``(total, chain)`` where the chain ((m_1, s_1),
+    (m_2, s_2), ...) walks the leftmost path of the tree, outermost first,
+    down to 128 entries: s_i is the sum over [m_i, m_{i-1}) (m_0 = n), and
+    np.sum(v * v) is np.sum(v[:m_j] ** 2) + s_j + ... + s_1, added in that
+    order.
+    """
+    chain = []
+
+    def part(lo: int, hi: int):
+        if hi - lo > _LEAF or (lo == 0 and hi > 128):
+            mid = lo + (hi - lo) // 2 - (hi - lo) // 2 % 8
+            head, tail = part(lo, mid), part(mid, hi)
+            if lo == 0:
+                chain.append((mid, tail))
+            return head + tail
+        v = leaf(lo, hi)
+        return np.sum(v * v)
+
+    total = part(0, n)
+    return total, tuple(reversed(chain))
+
+
 #: noise norms kept per process, oldest dropped first; floats only, so the
 #: bound is generous: it covers every noise realization of a large sweep
 _NORMS_KEPT = 1024
@@ -126,29 +163,31 @@ _noise_norms: dict = {}
 
 class NoisyData:
     """The perturbed data f_delta = f + (delta / ||g||) g, read one window
-    at a time.
+    at a time; no array of length ``dim`` is held.
 
-    The direction g is standard normal in the span of the first dim(f) basis
-    elements (basis-isotropic), drawn deterministically from ``seed``. Its
-    norm needs the whole draw but depends only on (seed, dim(f)), so it is
-    kept per process; a seed met for the first time keeps the draw that gave
-    its norm. Otherwise the coefficients a level reads come from the head of
-    the same generator, continued as the level grows (chunked draws
-    concatenate to the single draw).
+    The direction g is standard normal in the span of the first ``dim``
+    basis elements (basis-isotropic), drawn deterministically from
+    ``seed``; ``rhs(d)`` returns coefficients 1..d of f for d <= dim. The
+    norm of g depends only on (seed, dim), so it is kept per process; a seed
+    met for the first time streams it from a generator of its own with
+    ``_pairwise_sumsq``, which gives the float of the sum over the whole
+    draw. The coefficients a level reads come from the head of a second
+    generator, continued as the level grows (chunked draws concatenate to
+    the single draw).
     """
 
-    def __init__(self, f: CoeffVec, delta: float, seed: int):
+    def __init__(self, rhs, dim: int, delta: float, seed: int):
         if delta < 0:
             raise ValueError("delta must be nonnegative")
         seed = operator.index(seed)  # a kept norm needs a reproducible draw
-        self.f = f
+        self.rhs, self.dim = rhs, dim
         self._rng = np.random.default_rng(seed)
         self._g = np.empty(0)
-        key = (seed, f.dim)
+        key = (seed, dim)
         g_norm = _noise_norms.get(key)
         if g_norm is None:
-            self._g = self._rng.standard_normal(f.dim)
-            g_norm = np.sqrt(np.sum(self._g * self._g))
+            draw = np.random.default_rng(seed).standard_normal
+            g_norm = np.sqrt(_pairwise_sumsq(dim, lambda lo, hi: draw(hi - lo))[0])
             if g_norm == 0.0:  # pragma: no cover - essentially impossible
                 raise ArithmeticError("degenerate noise draw")
             if len(_noise_norms) >= _NORMS_KEPT:
@@ -157,14 +196,14 @@ class NoisyData:
         self.scale = delta / g_norm
 
     def head(self, dim: int) -> np.ndarray:
-        """Coefficients 1..dim of f_delta as a new array; those past dim(f)
-        are zero."""
-        d = min(dim, self.f.dim)
+        """Coefficients 1..dim of f_delta as a new array; those past
+        ``self.dim`` are zero."""
+        d = min(dim, self.dim)
         if self._g.size < d:
             more = self._rng.standard_normal(d - self._g.size)
             self._g = np.concatenate([self._g, more])
         out = self.scale * self._g[:d]
-        out += self.f.coeffs[:d]
+        out += self.rhs(d)
         if dim > d:
             out = np.concatenate([out, np.zeros(dim - d)])
         return out
@@ -172,11 +211,12 @@ class NoisyData:
 
 def perturb(f: CoeffVec, delta: float, seed: int) -> CoeffVec:
     """Add a pseudo-random perturbation of exact norm delta: the full-length
-    f_delta of ``NoisyData(f, delta, seed)``; delta = 0 returns f unchanged.
+    f_delta of ``NoisyData``; delta = 0 returns f unchanged.
     """
     if delta == 0.0:
         return f
-    return CoeffVec._wrap(NoisyData(f, delta, seed).head(f.dim))
+    data = NoisyData(lambda d: f.coeffs[:d], f.dim, delta, seed)
+    return CoeffVec._wrap(data.head(f.dim))
 
 
 @dataclass(frozen=True)
@@ -203,26 +243,30 @@ class Problem:
 
     def rhs(self, dim: int) -> CoeffVec:
         """Basis coefficients 1..dim of the right-hand side."""
-        return self._coeffs(dim, rhs=True)
+        return CoeffVec._wrap(self.coeff_range(0, dim, rhs=True))
 
     def exact(self, dim: int) -> CoeffVec:
         """Basis coefficients 1..dim of the exact solution."""
-        return self._coeffs(dim, rhs=False)
+        return CoeffVec._wrap(self.coeff_range(0, dim, rhs=False))
 
-    def _coeffs(self, dim: int, rhs: bool) -> CoeffVec:
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+    def coeff_range(self, start: int, stop: int, rhs: bool) -> np.ndarray:
+        """Basis coefficients start+1..stop of the right-hand side (``rhs``)
+        or of the exact solution, as a new array. Each coefficient is a
+        function of its index alone, so ranges concatenate to the longer
+        range bit for bit."""
+        if not 0 <= start < stop:
+            raise ValueError("need 0 <= start < stop")
         pid, scaled = self.pid, self.scaled
         # the nonzero parity only: odd k for p1 (where 1 - (-1)^k is exactly
         # 2), even k for p2
-        first = 1 if pid == "p1" else 2
-        kk = np.arange(first, dim + 1, 2, dtype=np.int64)
+        first = start + 1 + (start + (pid == "p2")) % 2
+        kk = np.arange(first, stop + 1, 2, dtype=np.int64)
         v = _rhs_coeffs(pid, kk, scaled) if rhs else _exact_solution_coeffs(pid, kk)
         if self.normalize:
             v = v * (_UNIT_FACTOR[pid] if scaled else _UNIT_FACTOR[pid] * np.pi ** 2)
-        out = np.zeros(dim)
-        out[first - 1::2] = v
-        return CoeffVec._wrap(out)
+        out = np.zeros(stop - start)
+        out[first - start - 1::2] = v
+        return out
 
 
 def get_problem(pid: str, scaled: bool = True,

@@ -226,6 +226,42 @@ def test_main_rejects_inadmissible_tau(capsys):
     assert "admissibility" in capsys.readouterr().err
 
 
+def test_main_rejects_low_qualification_before_any_row(capsys):
+    # nu = 0.5 has qualification 1 < 2: a configuration error of the whole
+    # grid, so no row runs and no CSV is written
+    code = main(["run", "--algorithm", "1", "--nu", "0.5",
+                 "--delta-min", "0.03125"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert "qualification" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--nu", "0"],
+    ["run", "--nu", "-1", "--tau", "3"],
+    ["constants", "--nu", "0"],
+])
+def test_main_rejects_nonpositive_nu(argv, capsys):
+    assert main(argv) == 1
+    assert "must be positive" in capsys.readouterr().err
+
+
+def test_grid_rejects_what_the_discrepancy_driver_does_not_admit():
+    def grid(algorithm, nu, tau):
+        return ExperimentGrid(problem_id="p1", algorithm=algorithm, nu=nu,
+                              deltas=(0.1,), params=RunParams(delta=0.1, tau=tau),
+                              mu=0.2)
+
+    with pytest.raises(ConfigError, match="qualification"):
+        grid(1, 0.5, 9.0)
+    with pytest.raises(ConfigError, match="admissibility"):
+        grid(1, 1.5, 2.0)
+    # the balancing driver takes both
+    grid(2, 0.5, 9.0)
+    grid(2, 1.5, 2.0)
+
+
 def test_main_usage_error_exit_code(capsys):
     assert main(["run", "--problem", "p9"]) == 1
     assert "invalid choice: 'p9'" in capsys.readouterr().err

@@ -230,11 +230,8 @@ def test_alternative_method_runs_through_both_drivers():
 
 def test_zero_operator_balancing_stops_immediately():
     class ZeroProblem:
-        def rhs(self, dim):
-            return CoeffVec(np.ones(dim))
-
-        def exact(self, dim):
-            return CoeffVec.zeros(dim)
+        def coeff_range(self, start, stop, rhs):
+            return np.ones(stop - start) if rhs else np.zeros(stop - start)
 
         def fresh_source(self, dim_hint=1):
             return DiagonalSource(lambda kk: np.zeros(kk.size))
@@ -276,40 +273,80 @@ def _assert_same_report(a, b):
         assert x == y, field.name
 
 
-def test_closed_forms_are_computed_once_per_problem(monkeypatch):
-    # the rhs and the exact solution at noise_dim are kept between runs of
-    # one problem, and reusing them changes no report
-    real, calls = problems.Problem._coeffs, []
+def _counted_ranges(monkeypatch) -> list:
+    """Record (pid, rhs, start, stop) of every closed-form range the
+    problems evaluate from now on; the kept closed forms are dropped first
+    and must be dropped again by the caller, since they hold the counting
+    method."""
+    real, calls = problems.Problem.coeff_range, []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(self, start, stop, rhs):
+        calls.append((self.pid, rhs, start, stop))
+        return real(self, start, stop, rhs)
 
-    runs = [(2.0 ** -5, 1), (2.0 ** -7, 2)]
     driver._closed_form.cache_clear()
-    monkeypatch.setattr(problems.Problem, "_coeffs", counting)
+    monkeypatch.setattr(problems.Problem, "coeff_range", counting)
+    return calls
+
+
+def _assert_evaluated_once(calls, problem, noise_dim):
+    """Each coefficient of ``problem``'s closed forms was evaluated once for
+    the norm at noise_dim and once for the kept head, and no more."""
+    for rhs in (True, False):
+        head = driver._closed_form(problem, rhs)._head.size
+        want = np.zeros(max(noise_dim, head), dtype=int)
+        want[:noise_dim] += 1
+        want[:head] += 1
+        got = np.zeros_like(want)
+        for pid, r, start, stop in calls:
+            if (pid, r) == (problem.pid, rhs):
+                got[start:stop] += 1
+        assert np.array_equal(got, want), (problem.pid, rhs)
+
+
+def test_closed_forms_are_computed_once_per_problem(monkeypatch):
+    # the norms and the heads of the rhs and the exact solution are kept
+    # between runs of one problem: a later run evaluates only the range its
+    # window adds, and reusing them changes no report
+    runs = [(2.0 ** -5, 1), (2.0 ** -7, 2)]
+    calls = _counted_ranges(monkeypatch)
     reused = [run_discrepancy(get_problem("p1"), NU32, params(d, seed=s))
               for d, s in runs]
-    assert len(calls) == 2
+    _assert_evaluated_once(calls, get_problem("p1"), 2 ** 14)
     for (d, s), report in zip(runs, reused):
         driver._closed_form.cache_clear()
         fresh = run_discrepancy(get_problem("p1"), NU32, params(d, seed=s))
         _assert_same_report(report, fresh)
-    assert len(calls) == 6
+    driver._closed_form.cache_clear()
+
+
+def test_sweeps_evaluate_each_closed_form_coefficient_once(monkeypatch):
+    # sweeps alternate problems (p1, p2, p1); no closed form is evicted, so
+    # each norm and each head coefficient is evaluated once per process
+    calls = _counted_ranges(monkeypatch)
+    for runner, pid in ((run_discrepancy, "p1"), (run_discrepancy, "p2"),
+                        (run_balancing, "p1")):
+        for e in (4, 6, 8):
+            runner(get_problem(pid), NU32, params(2.0 ** -e, seed=e))
+    for pid in ("p1", "p2"):
+        _assert_evaluated_once(calls, get_problem(pid), 2 ** 14)
+    driver._closed_form.cache_clear()
 
 
 def test_each_seed_is_drawn_in_full_once_per_process(monkeypatch):
     # the four sweeps share their row seeds; only the first run of a seed
-    # draws the full noise vector, later ones read its kept norm and draw
-    # just the level windows, and no report changes
-    real, draws = np.random.default_rng, []
+    # streams the full noise vector (to its norm, in chunks of at most 2^13
+    # entries), later ones read its kept norm and draw just the level
+    # windows, and no report changes
+    real, rngs = np.random.default_rng, []
 
     class CountingRng:
         def __init__(self, seed):
-            self.seed, self.rng = seed, real(seed)
+            self.seed, self.rng, self.sizes = seed, real(seed), []
+            rngs.append(self)
 
         def standard_normal(self, size):
-            draws.append((self.seed, size))
+            self.sizes.append(size)
             return self.rng.standard_normal(size)
 
     runs = [(runner, pid, e) for runner in (run_discrepancy, run_balancing)
@@ -321,7 +358,8 @@ def test_each_seed_is_drawn_in_full_once_per_process(monkeypatch):
     problems._noise_norms.clear()
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
     reports = [run(*r) for r in runs]
-    assert sorted(seed for seed, size in draws if size == 2 ** 14) == [0, 1, 2]
+    assert sorted(r.seed for r in rngs if sum(r.sizes) == 2 ** 14) == [0, 1, 2]
+    assert max(max(r.sizes) for r in rngs) <= 2 ** 13
     monkeypatch.undo()
     for r, report in zip(runs, reports):
         problems._noise_norms.clear()
@@ -349,12 +387,24 @@ def test_abs_error_is_the_norm_of_the_difference():
 
 @pytest.mark.parametrize("n", [2 ** 20, 2 ** 18 + 3, 999_999, 1000, 129, 7])
 def test_window_sum_with_tail_sums_is_numpys_full_sum(n):
-    # pins numpy's pairwise split rule: summing the squared difference on
-    # the smallest split that holds the window and adding the kept tail sums
-    # must give np.sum over the full length, bit for bit
+    # pins numpy's pairwise split rule: the streamed sum of squares is np.sum
+    # of the full squares, and summing the squared difference on the
+    # smallest split that holds the window and adding the chain's tail sums
+    # gives np.sum over the full length, bit for bit
     rng = np.random.default_rng(n)
     exact = rng.standard_normal(n) * rng.uniform(0.0, 1e3, n)
-    tails = driver._tail_sums(exact * exact)
+    segments = []
+
+    def leaf(lo, hi):
+        segments.append((lo, hi))
+        return exact[lo:hi]
+
+    total, tails = problems._pairwise_sumsq(n, leaf)
+    assert total.hex() == np.sum(exact * exact).hex()
+    # consecutive segments of at most 2^13 entries, in ascending order
+    assert [lo for lo, _ in segments] == [0] + [hi for _, hi in segments[:-1]]
+    assert segments[-1][1] == n
+    assert max(hi - lo for lo, hi in segments) <= 2 ** 13
     for w in (1, 7, 256, 4096, 2 ** 16, n):
         if w > n:
             continue
@@ -362,7 +412,8 @@ def test_window_sum_with_tail_sums_is_numpys_full_sum(n):
         diff = -exact
         diff[:w] += x
         full = np.sum(diff * diff)
-        assert driver._squared_distance(x, exact, tails).hex() == full.hex(), w
+        got = driver._squared_distance(x, lambda d: exact[:d], n, tails)
+        assert got.hex() == full.hex(), w
 
 
 def test_warm_run_allocates_nothing_of_noise_dim_length():
@@ -379,6 +430,24 @@ def test_warm_run_allocates_nothing_of_noise_dim_length():
         tracemalloc.stop()
     _assert_same_report(cold, warm)
     assert peak < 2 ** 20, peak
+
+
+def test_cold_run_allocates_nothing_of_noise_dim_length():
+    # a problem and a seed the process has not met: the closed-form norms
+    # and the noise norm are streamed in chunks of 2^13 entries, so the run
+    # stays far below one array of noise_dim = 2^20 entries (8 MiB)
+    p = params(2.0 ** -4, noise_dim=2 ** 20, seed=4242)
+    problem = get_problem("p1")
+    driver._closed_form.cache_clear()
+    problems._noise_norms.clear()
+    tracemalloc.start()
+    try:
+        cold = run_discrepancy(problem, NU32, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_report(cold, run_discrepancy(problem, NU32, p))
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_iteration_cap():
@@ -408,12 +477,9 @@ class BandProblem:
 
     r = 2.0
 
-    def rhs(self, dim):
-        k = np.arange(1, dim + 1, dtype=float)
-        return CoeffVec(np.where(k % 2 == 0, 1.0, 1e-6) / k ** 2)
-
-    def exact(self, dim):
-        return CoeffVec(1.0 / np.arange(1, dim + 1, dtype=float) ** 2)
+    def coeff_range(self, start, stop, rhs):
+        k = np.arange(start + 1, stop + 1, dtype=float)
+        return (np.where(k % 2 == 0, 1.0, 1e-6) if rhs else 1.0) / k ** 2
 
     def fresh_source(self, dim_hint=1):
         return BandSource()
@@ -423,7 +489,8 @@ def _full_length_run(problem, spec, p, algorithm):
     """Reference level loop on full-length vectors through the public
     ``init_state``/``step``: returns (level, stop index, solution,
     residual norms)."""
-    fdelta = perturb(problem.rhs(p.noise_dim), p.delta, p.seed)
+    fdelta = perturb(CoeffVec(problem.coeff_range(0, p.noise_dim, rhs=True)),
+                     p.delta, p.seed)
     src = problem.fresh_source()
     n = initial_level(p)
     op = assemble(src, n)
@@ -543,11 +610,9 @@ def test_nonfinite_residual_raises():
     class BlowUpProblem:
         """Diagonal 10 puts A*A outside [0, 1]: the iteration diverges."""
 
-        def rhs(self, dim):
-            return CoeffVec(np.full(dim, 1.0 / np.sqrt(dim)))
-
-        def exact(self, dim):
-            return CoeffVec(np.ones(dim))
+        def coeff_range(self, start, stop, rhs):
+            # unit norm at the noise_dim = 2^10 the runs below use
+            return np.full(stop - start, 1.0 / 32.0 if rhs else 1.0)
 
         def fresh_source(self, dim_hint=1):
             return DiagonalSource(lambda kk: np.full(kk.size, 10.0))

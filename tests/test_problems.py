@@ -180,6 +180,23 @@ def test_nonzero_parity_evaluation_is_bit_identical(dim):
                     assert np.array_equal(got.coeffs, want)
 
 
+def test_coefficient_ranges_concatenate_to_the_full_range():
+    # the driver grows its kept heads by evaluating only the new range
+    cuts = [0, 1, 2, 7, 64, 999, 4096, 5001, 2 ** 16]
+    for pid in PROBLEM_IDS:
+        for scaled in (True, False):
+            for normalize in (True, False):
+                prob = get_problem(pid, scaled, normalize)
+                for rhs in (True, False):
+                    pieces = [prob.coeff_range(a, b, rhs)
+                              for a, b in zip(cuts, cuts[1:])]
+                    full = (prob.rhs if rhs else prob.exact)(cuts[-1]).coeffs
+                    assert np.concatenate(pieces).tobytes() == full.tobytes()
+    for start, stop in ((0, 0), (5, 5), (6, 5), (-1, 3)):
+        with pytest.raises(ValueError):
+            prob.coeff_range(start, stop, True)
+
+
 def test_unit_normalization():
     for pid in ("p1", "p2"):
         f, _ = _pair(pid, 2 ** 18)
@@ -241,14 +258,26 @@ def test_chunked_normal_draws_concatenate_to_the_single_draw():
 @pytest.mark.parametrize("cold", [True, False])
 def test_noisy_data_head_is_the_window_of_perturb(cold):
     f, _ = _pair("p2", 5000)
+    problems._noise_norms.clear()
     full = perturb(f, 0.1, seed=3).coeffs  # leaves the seed's norm kept
     if cold:
         problems._noise_norms.clear()
-    data = NoisyData(f, 0.1, seed=3)
+    data = NoisyData(lambda d: f.coeffs[:d], f.dim, 0.1, seed=3)
     for d in (1, 3, 4, 1024, 4096, 5000, 6000):
         expect = np.zeros(d)
         expect[:min(d, f.dim)] = full[:d]
         assert data.head(d).tobytes() == expect.tobytes(), d
+
+
+@pytest.mark.parametrize("dim", [2 ** 20, 1_000_003, 3000])
+@pytest.mark.parametrize("seed", [0, 9001])
+def test_streamed_noise_norm_is_the_norm_of_the_full_draw(seed, dim):
+    problems._noise_norms.clear()
+    data = NoisyData(np.zeros, dim, 1.0, seed)
+    g = np.random.default_rng(seed).standard_normal(dim)
+    g_norm = np.sqrt(np.sum(g * g))
+    assert problems._noise_norms[(seed, dim)].hex() == g_norm.hex()
+    assert data.scale.hex() == (1.0 / g_norm).hex()
 
 
 def test_zero_delta_returns_data_unchanged():
