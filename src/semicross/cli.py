@@ -17,9 +17,9 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,17 +54,16 @@ EXIT_IO = 3
 EXIT_ROW = 4
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentGrid:
     """One delta sweep: a problem, an algorithm, a method and shared run
-    parameters. ``seed_policy`` "per-row" derives row seeds as seed + index,
-    "fixed" reuses the same seed on every row. ``repeats`` > 1 averages the
-    relative error of each row over that many noise realizations (seeds
-    spaced deterministically from the row seed); the structural columns
-    (n, K_n, K, info_count) report the first realization. For the
-    discrepancy driver the method's qualification and tau are checked when
-    the grid is made, so such a configuration error stops the run before
-    any row runs."""
+    parameters; row i runs with noise seed seed + i. ``repeats`` > 1
+    averages the relative error of each row over that many noise
+    realizations (seeds spaced deterministically from the row seed); the
+    structural columns (n, K_n, K, info_count) report the first realization.
+    The deltas, nu and mu, and for the discrepancy driver the method's
+    qualification and tau, are checked when the grid is made, so such a
+    configuration error stops the run before any row runs."""
 
     problem_id: str
     algorithm: int
@@ -72,7 +71,6 @@ class ExperimentGrid:
     deltas: tuple
     params: RunParams
     mu: float
-    seed_policy: str = "per-row"
     scaled: bool = True
     normalize: bool = True
     repeats: int = 1
@@ -80,15 +78,16 @@ class ExperimentGrid:
     def __post_init__(self):
         if self.algorithm not in (1, 2):
             raise ConfigError("algorithm must be 1 or 2")
-        if self.seed_policy not in ("per-row", "fixed"):
-            raise ConfigError("seed_policy must be 'per-row' or 'fixed'")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         d = np.asarray(self.deltas, dtype=float)
-        if d.size == 0 or np.any(d <= 0) or np.any(np.diff(d) >= 0):
-            raise ConfigError("deltas must be positive and strictly decreasing")
+        if d.size == 0 or not np.all((d > 0) & np.isfinite(d)) or np.any(np.diff(d) >= 0):
+            raise ConfigError("deltas must be positive, finite and strictly decreasing")
+        if not (self.mu > 0 and math.isfinite(self.mu)):
+            raise ConfigError(f"mu must be positive and finite, got {self.mu}")
+        spec = _method(self.nu)
         if self.algorithm == 1:
-            _check_discrepancy(nu_method(self.nu), self.params)
+            _check_discrepancy(spec, self.params)
 
 
 #: seed spacing between the extra realizations of one row
@@ -96,7 +95,6 @@ _REPEAT_STRIDE = 10_007
 
 
 def _row_payload(grid: ExperimentGrid, index: int) -> dict:
-    seed = grid.params.seed + index if grid.seed_policy == "per-row" else grid.params.seed
     return {
         "problem_id": grid.problem_id,
         "algorithm": grid.algorithm,
@@ -105,18 +103,9 @@ def _row_payload(grid: ExperimentGrid, index: int) -> dict:
         "scaled": grid.scaled,
         "normalize": grid.normalize,
         "delta": grid.deltas[index],
-        "seed": seed,
+        "seed": grid.params.seed + index,
         "repeats": grid.repeats,
-        "params": {
-            "rho": grid.params.rho,
-            "gamma": grid.params.gamma,
-            "tau": grid.params.tau,
-            "r": grid.params.r,
-            "k_sec": grid.params.k_sec,
-            "n_max": grid.params.n_max,
-            "k_abs_max": grid.params.k_abs_max,
-            "noise_dim": grid.params.noise_dim,
-        },
+        "params": grid.params,
     }
 
 
@@ -146,9 +135,9 @@ def _run_row(payload: dict) -> dict:
         errors = []
         first = None
         for j in range(payload.get("repeats", 1)):
-            params = RunParams(delta=delta,
-                               seed=payload["seed"] + j * _REPEAT_STRIDE,
-                               **payload["params"])
+            params = dataclasses.replace(
+                payload["params"], delta=delta,
+                seed=payload["seed"] + j * _REPEAT_STRIDE)
             report = runner(problem, spec, params, mu=mu)
             errors.append(report.rel_error)
             first = first or report
@@ -210,22 +199,10 @@ def emit_csv(rows, path=None) -> None:
 
 def read_csv(path) -> list:
     """Parse an emitted CSV back into typed row dicts."""
-    out = []
+    ints = ("algorithm", "n", "K_n", "K", "info_count", "seed")
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            out.append({
-                "algorithm": int(rec["algorithm"]),
-                "nu": float(rec["nu"]),
-                "delta": float(rec["delta"]),
-                "n": int(rec["n"]),
-                "K_n": int(rec["K_n"]),
-                "K": int(rec["K"]),
-                "rel_error": float(rec["rel_error"]),
-                "expected_rate": float(rec["expected_rate"]),
-                "info_count": int(rec["info_count"]),
-                "seed": int(rec["seed"]),
-            })
-    return out
+        return [{c: (int if c in ints else float)(rec[c]) for c in CSV_COLUMNS}
+                for rec in csv.DictReader(fh)]
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +211,8 @@ def read_csv(path) -> list:
 
 
 def _delta_grid(d_max: float, d_min: float) -> tuple:
-    if d_max <= 0 or d_min <= 0 or d_max < d_min:
-        raise ConfigError("need 0 < delta-min <= delta-max")
+    if not (0 < d_min <= d_max < math.inf):
+        raise ConfigError("need 0 < delta-min <= delta-max < inf")
     out = []
     d = d_max
     while d >= d_min * (1.0 - 1e-12):
@@ -245,19 +222,28 @@ def _delta_grid(d_max: float, d_min: float) -> tuple:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type of ``--nu``: nu_method takes positive values only."""
+    """argparse type of ``--nu``, ``--mu`` and ``--mu-diagnostic``: a
+    positive finite real."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
+
+
+def _method(nu: float):
+    """``nu_method(nu)``, with a nu it rejects as a configuration error."""
+    try:
+        return nu_method(nu)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _default_tau(nu: float, gamma: float) -> float:
     # smallest admissible value plus the customary 0.01 head room
-    return admissibility_threshold(nu_method(nu), gamma) + 0.01
+    return admissibility_threshold(_method(nu), gamma) + 0.01
 
 
 def _config_tokens(path, args: argparse.Namespace) -> list:
@@ -292,8 +278,16 @@ def _config_tokens(path, args: argparse.Namespace) -> list:
     return tokens
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semicross",
         description="Adaptive semiiterative regularization experiments",
     )
@@ -313,10 +307,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--r", type=float, default=2.0)
     run.add_argument("--ksec", type=int, default=20)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--seed-policy", default="per-row", choices=("per-row", "fixed"))
     run.add_argument("--repeats", type=int, default=1,
                      help="noise realizations averaged per row (rel_error)")
-    run.add_argument("--mu-diagnostic", type=float, default=None,
+    run.add_argument("--mu-diagnostic", type=_positive_float, default=None,
                      help="default: 1.2 for p1, 0.2 for p2")
     run.add_argument("--no-scaling", action="store_true",
                      help="disable the operator/rhs rescaling to norm 1")
@@ -345,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cons.add_argument("--delta", type=float, default=2.0 ** -4)
     cons.add_argument("--rho", type=float, default=1.0)
     cons.add_argument("--r", type=float, default=2.0)
-    cons.add_argument("--mu", type=float, default=1.2)
+    cons.add_argument("--mu", type=_positive_float, default=1.2)
     cons.add_argument("--level", type=int, default=6)
     return parser
 
@@ -365,7 +358,6 @@ def _cmd_run(args) -> int:
         deltas=_delta_grid(args.delta_max, args.delta_min),
         params=params,
         mu=mu,
-        seed_policy=args.seed_policy,
         scaled=not args.no_scaling,
         normalize=not args.no_normalize,
         repeats=args.repeats,
@@ -396,6 +388,8 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_gamma_dump(args) -> int:
+    if args.level < 0:
+        raise ConfigError("level must be >= 0")
     export_gamma(args.level, args.out)
     count = gamma_count(args.level)
     print(f"level {args.level}: {count} pairs -> {args.out}")
@@ -407,11 +401,14 @@ def _cmd_gamma_dump(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    spec = nu_method(args.nu)
+    spec = _method(args.nu)
     tau = args.tau if args.tau is not None else _default_tau(args.nu, args.gamma)
     params = RunParams(delta=args.delta, rho=args.rho, gamma=args.gamma,
                        tau=tau, r=args.r)
-    cons = theoretical_constants(spec, params, args.mu, args.level)
+    try:
+        cons = theoretical_constants(spec, params, args.mu, args.level)
+    except ArithmeticError as exc:
+        raise ConfigError(f"the constants leave the float range: {exc}") from None
     print(f"method {spec.name} qualification {spec.qualification:g} "
           f"kappa0 {spec.kappa0:g} kappa2 {spec.kappa2:g}")
     print(f"tau {tau:.17g}")
@@ -441,10 +438,6 @@ def main(argv=None) -> int:
             tokens = _config_tokens(args.config, args)
             args = parser.parse_args(argv[:at] + tokens + argv[at:])
         return handlers[args.command](args)
-    except SystemExit as exc:  # argparse: a usage error, or --help
-        if exc.code:
-            return EXIT_CONFIG
-        raise
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

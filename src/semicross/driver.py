@@ -17,16 +17,6 @@ by one level, computing only the new Galerkin entries. The iteration runs
 on the operator's nonzero rows and columns only (``_SupportKernel``); the
 reported solution is scattered back to full length.
 
-No array of ``noise_dim`` length is built. The right-hand side and the exact
-solution depend only on the problem, so each is kept per process
-(``_closed_form``) as a head of coefficients that grows with the windows
-the runs read, plus floats per dimension: its norm and the sums of its
-squares between numpy's pairwise split points, streamed once in numpy's
-summation order (``problems._pairwise_sumsq``). The run's error is summed
-on its window and added to those tail sums, which equals the full-length
-sum bit for bit. The noise norm depends only on the seed and ``noise_dim``;
-it is streamed the same way and kept per seed (``problems.NoisyData``).
-
 Safety caps convert non-termination under violated assumptions into
 reported errors: ``n_max`` bounds the level, ``k_abs_max`` the total number
 of iteration steps across levels, and a non-finite residual norm raises
@@ -35,7 +25,6 @@ of iteration steps across levels, and a non-finite residual norm raises
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -46,7 +35,7 @@ import numpy as np
 from .coeffs import CoeffVec
 from .hypercross import _product, assemble, refine
 from .methods import MethodSpec, NumericalDegeneracyError, _advance
-from .problems import NoisyData, Problem, _pairwise_sumsq
+from .problems import Problem, _error_norms, _noisy_data
 from .stopping import BalancingWindow, balancing_stop_index
 
 __all__ = [
@@ -107,14 +96,17 @@ class RunParams:
     noise_dim: int = 2 ** 20
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
-        if self.rho <= 0 or self.gamma <= 0 or self.r <= 0:
-            raise ConfigError("rho, gamma and r must be positive")
-        if self.k_sec < 1:
-            raise ConfigError("k_sec must be >= 1")
-        if self.n_max < 1 or self.k_abs_max < 1 or self.noise_dim < 1:
-            raise ConfigError("safety caps must be positive")
+        if not all(map(math.isfinite, (self.delta, self.rho, self.gamma,
+                                       self.tau, self.r))):
+            raise ConfigError("delta, rho, gamma, tau and r must be finite")
+        if min(self.delta, self.rho, self.gamma, self.r) <= 0:
+            raise ConfigError("delta, rho, gamma and r must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if min(self.k_sec, self.n_max, self.k_abs_max, self.noise_dim) < 1:
+            raise ConfigError("k_sec, n_max, k_abs_max and noise_dim must be >= 1")
+        if self.r * self.n_max >= 512:  # 2^(2 r n) must be a float
+            raise ConfigError("r * n_max must be below 512")
 
 
 @dataclass(frozen=True)
@@ -193,15 +185,16 @@ def theoretical_constants(spec: MethodSpec, p: RunParams, mu: float,
     (balancing-driver error constant), k_opt, and the cost-bound constants
     c3, c4, c5. The constants tied to the discrepancy analysis (c2, c_alg1,
     c3, c4) additionally require mu <= qualification - 1 with qualification
-    >= 2 and tau above the admissibility threshold; tau at or below the
-    threshold raises ConfigError.
+    >= 2 and tau above the admissibility threshold. A mu outside
+    (0, qualification], n < 1, or such a tau at or below the threshold
+    raises ConfigError.
     """
-    if mu <= 0 or mu > spec.qualification:
-        raise ValueError(
+    if not 0 < mu <= spec.qualification:
+        raise ConfigError(
             f"mu must lie in (0, {spec.qualification}], got {mu}"
         )
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError("n must be >= 1")
     k0 = spec.kappa0
     k2 = spec.kappa2
     kmu = spec.kappa_mu(mu)
@@ -227,7 +220,7 @@ def theoretical_constants(spec: MethodSpec, p: RunParams, mu: float,
     if spec.qualification >= 2.0 and mu <= spec.qualification - 1.0:
         if p.tau <= thr:
             raise ConfigError(
-                f"tau={p.tau} at or below admissibility threshold {thr:.6f}"
+                f"tau={p.tau} at or below admissibility threshold {thr:.6g}"
             )
         c2 = max((kmu / (p.tau - thr)) ** (1.0 / (mu + 1.0)), 1.0)
         c_alg1 = k0 ** (1.0 / (mu + 1.0)) * (p.tau + c1) ** (mu / (mu + 1.0)) \
@@ -309,42 +302,6 @@ class _SupportKernel:
         return CoeffVec._wrap(full)
 
 
-class _ClosedForm:
-    """One problem's right-hand side or exact solution as the process keeps
-    it: a head of coefficients grown on demand, each growth evaluating only
-    the new index range, and per dimension the norm with the
-    ``_pairwise_sumsq`` chain of the squares, streamed once and kept as
-    floats. Nothing of the dimension's length is held."""
-
-    def __init__(self, problem: Problem, rhs: bool):
-        self._range = functools.partial(problem.coeff_range, rhs=rhs)
-        self._head = np.empty(0)
-        self._norms: dict = {}
-
-    def head(self, d: int) -> np.ndarray:
-        """Coefficients 1..d, read-only."""
-        if self._head.size < d:
-            head = np.concatenate([self._head, self._range(self._head.size, d)])
-            head.flags.writeable = False
-            self._head = head
-        return self._head[:d]
-
-    def norm(self, dim: int):
-        """(the norm of coefficients 1..dim, the chain of their squares)."""
-        if dim not in self._norms:
-            total, chain = _pairwise_sumsq(dim, self._range)
-            self._norms[dim] = (float(np.sqrt(total)), chain)
-        return self._norms[dim]
-
-
-@functools.lru_cache(maxsize=16)
-def _closed_form(problem: Problem, rhs: bool) -> _ClosedForm:
-    """The kept right-hand side (``rhs``) or exact solution of ``problem``;
-    the bound holds both of every shipped problem variant, so sweeps that
-    alternate problems evict nothing."""
-    return _ClosedForm(problem, rhs)
-
-
 def _prepare(problem: Problem, p: RunParams):
     """The run's noisy data, ||f|| and a fresh information source. Called
     from ``_level_loop`` under a driver, so a warning's stacklevel of 4
@@ -355,54 +312,30 @@ def _prepare(problem: Problem, p: RunParams):
             "constants behind the level and budget rules are not sharp",
             stacklevel=4,
         )
-    rhs = _closed_form(problem, True)
-    rhs_norm = rhs.norm(p.noise_dim)[0]
+    data, rhs_norm = _noisy_data(problem, p.noise_dim, p.delta, p.seed)
     if p.delta >= rhs_norm:
         warnings.warn(
             f"noise level delta={p.delta:g} is not below ||f||={rhs_norm:g}; "
             "the stopping-index and error bounds are not guaranteed",
             stacklevel=4,
         )
-    src = problem.fresh_source(dim_hint=p.noise_dim)
-    return NoisyData(rhs.head, p.noise_dim, p.delta, p.seed), rhs_norm, src
-
-
-def _squared_distance(x: np.ndarray, exact, dim: int, tails: tuple):
-    """sum((x - exact)^2) over coefficients 1..dim, x zero-extended, bit for
-    bit the np.sum of the full-length squares; ``exact(d)`` returns the
-    first d coefficients and ``tails`` is the ``_pairwise_sumsq`` chain of
-    their squares at ``dim``. Past x the difference is -exact, so the
-    squares are summed on the smallest split of the chain that holds x, and
-    the tail sums beyond it are added innermost first; only that head is
-    allocated."""
-    kept = [(m, s) for m, s in tails if m >= x.size]
-    diff = -exact(kept[-1][0] if kept else dim)
-    diff[:x.size] += x
-    diff *= diff
-    total = np.sum(diff)
-    for _, s in reversed(kept):
-        total += s
-    return total
+    return data, rhs_norm, problem.fresh_source(dim_hint=p.noise_dim)
 
 
 def _finish(problem: Problem, spec: MethodSpec, p: RunParams, algorithm: int,
             levels, budgets, stop_index, solution, residuals, src, rhs_norm,
             mu):
     """The run's report. The error is measured against the exact solution
-    at max(window, noise_dim), summed on the window's pairwise head plus the
-    exact solution's kept tail sums (``_squared_distance``), so no per-run
-    array of noise_dim length is built."""
+    at max(window, noise_dim), and no per-run array of noise_dim length is
+    built (``problems._error_norms``)."""
     dim_ref = max(solution.dim, p.noise_dim)
-    exact = _closed_form(problem, False)
-    exact_norm, tails = exact.norm(dim_ref)
-    abs_error = float(np.sqrt(_squared_distance(solution.coeffs, exact.head,
-                                                dim_ref, tails)))
+    abs_error, exact_norm = _error_norms(problem, solution.coeffs, dim_ref)
     rel_error = abs_error / exact_norm if exact_norm > 0.0 else math.nan
     diagnostics = None
     if mu is not None:
         try:
             diagnostics = _diagnostics(spec, p, mu, levels)
-        except ValueError as exc:  # e.g. mu beyond the qualification
+        except (ValueError, ArithmeticError) as exc:  # e.g. mu > qualification
             diagnostics = {"mu": mu, "unavailable": str(exc)}
     return RunReport(
         algorithm=algorithm,
@@ -516,7 +449,9 @@ def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
         if k_n >= 1:
             kernel = _SupportKernel(op, data.head(op.dim))
             steps = _recorded(kernel.iterates(spec), n, residuals, p.k_abs_max)
-            hit = stop_rule(steps, k_n, p, spec)
+            # a budget past the iteration cap reaches the cap all the same,
+            # and islice takes no stop above sys.maxsize
+            hit = stop_rule(steps, min(k_n, p.k_abs_max + 1), p, spec)
             if hit is not None:
                 stop, x = hit
                 return _finish(problem, spec, p, algorithm, levels, budgets,
@@ -540,7 +475,7 @@ def _check_discrepancy(spec: MethodSpec, p: RunParams) -> None:
     thr = admissibility_threshold(spec, p.gamma)
     if p.tau <= thr:
         raise ConfigError(
-            f"tau={p.tau} must exceed the admissibility threshold {thr:.6f}"
+            f"tau={p.tau} must exceed the admissibility threshold {thr:.6g}"
         )
 
 

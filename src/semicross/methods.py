@@ -121,10 +121,12 @@ def nu_method(nu: float) -> MethodSpec:
     factorial read as Gamma(2 nu + 1) for non-integer 2 nu; qualification
     2 nu.
     """
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
     a = 2.0 * nu - 0.5
     b = -0.5
+    # a > b: nu > 0, and not so small that a rounds to b (beta(1) would
+    # divide by zero); nu <= 85: Gamma(2 nu + 1) stays a float
+    if not (a > b and nu <= 85.0):
+        raise ValueError(f"nu must lie in (0, 85] with 2 nu - 1/2 > -1/2, got {nu}")
 
     def alpha(k: int) -> float:
         if k == 0:

@@ -38,10 +38,17 @@ with cos(pi k / 2) evaluated exactly from k mod 4. Even-k coefficients
 vanish for p1 (symmetry about t = 1/2), odd-k ones for p2 (antisymmetry);
 the closed forms are evaluated on the nonzero parity only, over any index
 range (``Problem.coeff_range``).
+
+Kept values. What a process keeps between runs lives here, each value
+behind a bounded ``functools.lru_cache`` function reset by ``cache_clear()``:
+the noise norm per (seed, dim), each closed form's head per (problem, rhs)
+and its ``_pairwise_sumsq`` per (problem, rhs, dim). No array of a run's
+``noise_dim`` length is held.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -155,10 +162,33 @@ def _pairwise_sumsq(n: int, leaf):
     return total, tuple(reversed(chain))
 
 
-#: noise norms kept per process, oldest dropped first; floats only, so the
-#: bound is generous: it covers every noise realization of a large sweep
-_NORMS_KEPT = 1024
-_noise_norms: dict = {}
+class _Head:
+    """The first entries of a sequence, grown on demand: ``fill(lo, hi)``
+    returns entries lo..hi-1 as a new array, and a growth asks it for the
+    new range only. Calling the head with d returns entries 0..d-1,
+    read-only."""
+
+    def __init__(self, fill):
+        self.fill = fill
+        self.v = np.empty(0)
+
+    def __call__(self, d: int) -> np.ndarray:
+        if self.v.size < d:
+            self.v = np.concatenate([self.v, self.fill(self.v.size, d)])
+            self.v.flags.writeable = False
+        return self.v[:d]
+
+
+@functools.lru_cache(maxsize=1024)
+def _noise_norm(seed: int, dim: int) -> np.float64:
+    """||g|| of the noise draw of ``seed`` at ``dim``, streamed from a
+    generator of its own; floats only, so the bound is generous: it covers
+    every noise realization of a large sweep."""
+    draw = np.random.default_rng(seed).standard_normal
+    g_norm = np.sqrt(_pairwise_sumsq(dim, lambda lo, hi: draw(hi - lo))[0])
+    if g_norm == 0.0:  # pragma: no cover - essentially impossible
+        raise ArithmeticError("degenerate noise draw")
+    return g_norm
 
 
 class NoisyData:
@@ -168,12 +198,10 @@ class NoisyData:
     The direction g is standard normal in the span of the first ``dim``
     basis elements (basis-isotropic), drawn deterministically from
     ``seed``; ``rhs(d)`` returns coefficients 1..d of f for d <= dim. The
-    norm of g depends only on (seed, dim), so it is kept per process; a seed
-    met for the first time streams it from a generator of its own with
-    ``_pairwise_sumsq``, which gives the float of the sum over the whole
-    draw. The coefficients a level reads come from the head of a second
-    generator, continued as the level grows (chunked draws concatenate to
-    the single draw).
+    norm of g depends only on (seed, dim), so it is kept per process
+    (``_noise_norm``). The coefficients a level reads come from the head of
+    a second generator, continued as the level grows (chunked draws
+    concatenate to the single draw).
     """
 
     def __init__(self, rhs, dim: int, delta: float, seed: int):
@@ -181,28 +209,15 @@ class NoisyData:
             raise ValueError("delta must be nonnegative")
         seed = operator.index(seed)  # a kept norm needs a reproducible draw
         self.rhs, self.dim = rhs, dim
-        self._rng = np.random.default_rng(seed)
-        self._g = np.empty(0)
-        key = (seed, dim)
-        g_norm = _noise_norms.get(key)
-        if g_norm is None:
-            draw = np.random.default_rng(seed).standard_normal
-            g_norm = np.sqrt(_pairwise_sumsq(dim, lambda lo, hi: draw(hi - lo))[0])
-            if g_norm == 0.0:  # pragma: no cover - essentially impossible
-                raise ArithmeticError("degenerate noise draw")
-            if len(_noise_norms) >= _NORMS_KEPT:
-                del _noise_norms[next(iter(_noise_norms))]
-            _noise_norms[key] = g_norm
-        self.scale = delta / g_norm
+        rng = np.random.default_rng(seed)
+        self._g = _Head(lambda lo, hi: rng.standard_normal(hi - lo))
+        self.scale = delta / _noise_norm(seed, dim)
 
     def head(self, dim: int) -> np.ndarray:
         """Coefficients 1..dim of f_delta as a new array; those past
         ``self.dim`` are zero."""
         d = min(dim, self.dim)
-        if self._g.size < d:
-            more = self._rng.standard_normal(d - self._g.size)
-            self._g = np.concatenate([self._g, more])
-        out = self.scale * self._g[:d]
+        out = self.scale * self._g(d)
         out += self.rhs(d)
         if dim > d:
             out = np.concatenate([out, np.zeros(dim - d)])
@@ -272,3 +287,53 @@ class Problem:
 def get_problem(pid: str, scaled: bool = True,
                 normalize: bool = True) -> Problem:
     return Problem(pid, scaled, normalize)
+
+
+@functools.lru_cache(maxsize=16)
+def _closed_form(problem: Problem, rhs: bool) -> _Head:
+    """The kept head of ``problem``'s right-hand side (``rhs``) or exact
+    solution, grown with the windows the runs read; the bound holds both of
+    every shipped problem variant, so sweeps that alternate problems evict
+    nothing."""
+    return _Head(functools.partial(problem.coeff_range, rhs=rhs))
+
+
+@functools.lru_cache(maxsize=64)
+def _sumsq(problem: Problem, rhs: bool, dim: int):
+    """``_pairwise_sumsq`` of coefficients 1..dim of the right-hand side or
+    exact solution: their sum of squares and its chain, kept as floats."""
+    return _pairwise_sumsq(dim, functools.partial(problem.coeff_range, rhs=rhs))
+
+
+def _squared_distance(x: np.ndarray, exact, dim: int, tails: tuple):
+    """sum((x - exact)^2) over coefficients 1..dim, x zero-extended, bit for
+    bit the np.sum of the full-length squares; ``exact(d)`` returns the
+    first d coefficients and ``tails`` is the ``_pairwise_sumsq`` chain of
+    their squares at ``dim``. Past x the difference is -exact, so the
+    squares are summed on the smallest split of the chain that holds x, and
+    the tail sums beyond it are added innermost first; only that head is
+    allocated."""
+    kept = [(m, s) for m, s in tails if m >= x.size]
+    diff = -exact(kept[-1][0] if kept else dim)
+    diff[:x.size] += x
+    diff *= diff
+    total = np.sum(diff)
+    for _, s in reversed(kept):
+        total += s
+    return total
+
+
+def _noisy_data(problem: Problem, dim: int, delta: float, seed: int):
+    """A run's ``NoisyData`` at ``dim`` and ||f||, both read from the kept
+    right-hand side."""
+    f_norm = float(np.sqrt(_sumsq(problem, True, dim)[0]))
+    return NoisyData(_closed_form(problem, True), dim, delta, seed), f_norm
+
+
+def _error_norms(problem: Problem, x: np.ndarray, dim: int):
+    """(||x - x†||, ||x†||) over coefficients 1..dim of the exact solution
+    x†, x zero-extended: the floats of the np.sum norms of the full-length
+    arrays, from the kept head and tail sums of x†."""
+    total, tails = _sumsq(problem, False, dim)
+    sq = _squared_distance(x, _closed_form(problem, False), dim, tails)
+    return float(np.sqrt(sq)), float(np.sqrt(total))

@@ -1,9 +1,16 @@
+import contextlib
+import csv
+import dataclasses
+import io
 import math
 import os
+import signal
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import semicross
 from semicross.cli import (
@@ -20,6 +27,22 @@ from semicross.cli import (
 from semicross.driver import ConfigError, RunParams
 
 TAU_REF = 1.01 + math.sqrt(13.0 / 8.0)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed, so a
+    loop that never ends fails its test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def small_grid(problem="p1", algorithm=1, deltas=(2.0 ** -5, 2.0 ** -6, 2.0 ** -7)):
@@ -97,6 +120,15 @@ def test_delta_grid_defaults():
     assert all(b == a / 2 for a, b in zip(grid, grid[1:]))
 
 
+@pytest.mark.parametrize("d_max, d_min", [
+    (math.inf, 0.01), (math.inf, math.inf), (math.nan, 0.01), (0.1, math.nan),
+])
+def test_delta_grid_rejects_non_finite_bounds(d_max, d_min):
+    # halving inf never reaches delta-min: the list would grow without bound
+    with _deadline(0.2), pytest.raises(ConfigError):
+        _delta_grid(d_max, d_min)
+
+
 def test_grid_validation():
     with pytest.raises(ConfigError):
         ExperimentGrid(problem_id="p1", algorithm=3, nu=1.5,
@@ -112,7 +144,7 @@ def test_grid_rows_and_determinism():
     rows_b = run_grid(grid, jobs=1)
     assert rows_a == rows_b
     assert len(rows_a) == 3
-    assert [r["seed"] for r in rows_a] == [0, 1, 2]  # per-row policy
+    assert [r["seed"] for r in rows_a] == [0, 1, 2]  # row i: seed + i
     assert all(r["error"] is None for r in rows_a)
 
 
@@ -121,20 +153,8 @@ def test_grid_parallel_matches_serial():
     assert run_grid(grid, jobs=2) == run_grid(grid, jobs=1)
 
 
-def test_fixed_seed_policy():
-    grid = ExperimentGrid(
-        problem_id="p1", algorithm=1, nu=1.5,
-        deltas=(2.0 ** -5, 2.0 ** -6),
-        params=RunParams(delta=2.0 ** -5, tau=TAU_REF, seed=9, noise_dim=2 ** 12),
-        mu=1.2, seed_policy="fixed",
-    )
-    rows = run_grid(grid)
-    assert [r["seed"] for r in rows] == [9, 9]
-
-
 def test_repeats_average_relative_error():
     base = small_grid(deltas=(2.0 ** -5, 2.0 ** -6))
-    import dataclasses
     multi = dataclasses.replace(base, repeats=3)
     rows_one = run_grid(base)
     rows_three = run_grid(multi)
@@ -148,7 +168,6 @@ def test_repeats_average_relative_error():
 
 
 def test_repeats_validation():
-    import dataclasses
     with pytest.raises(ConfigError):
         dataclasses.replace(small_grid(), repeats=0)
 
@@ -245,6 +264,131 @@ def test_main_rejects_low_qualification_before_any_row(capsys):
 def test_main_rejects_nonpositive_nu(argv, capsys):
     assert main(argv) == 1
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.inf, math.nan])
+def test_grid_rejects_mu_that_is_not_positive_and_finite(mu):
+    with pytest.raises(ConfigError, match="mu"):
+        dataclasses.replace(small_grid(), mu=mu)
+
+
+#: flags that keep a run small: two deltas, levels <= 6, <= 200 steps
+_SMALL_RUN = ["--delta-max", "0.0625", "--delta-min", "0.03125",
+              "--noise-dim", "4096", "--n-max", "6", "--k-abs-max", "200"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--delta-max", "inf"],
+    ["run", "--tau", "nan"],
+    ["run", "--gamma", "nan"],
+    ["run", "--rho", "nan"],
+    ["run", "--r", "nan"],
+    ["run", "--rho", "inf"],
+    ["run", "--r", "inf"],
+    ["run", "--r", "1e300"],
+    ["run", "--seed", "-1"],
+    ["run", "--algorithm", "2", "--nu", "1e-300"],
+    ["run", "--nu", "100"],
+    *(["run", "--mu-diagnostic", v] for v in ("-1", "0", "-0.5", "inf", "nan")),
+    *(["constants", "--mu", v] for v in ("-1", "nan", "5")),
+    ["constants", "--level", "0"],
+    ["constants", "--nu", "100"],
+    ["constants", "--delta", "1e-300", "--rho", "1e300"],
+    ["gamma-dump", "--level", "-1", "--out", "gamma.txt"],
+])
+def test_bad_values_are_configuration_errors(argv, capsys, tmp_path, monkeypatch):
+    # each exits 1 before any row runs, with no CSV and no traceback
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "run":  # the flags under test come last, so they win
+        argv = argv[:1] + _SMALL_RUN + argv[1:]
+    with _deadline(1):
+        assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "configuration error:" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("algorithm", ["1", "2"])
+def test_budget_past_sys_maxsize_reaches_the_iteration_cap(algorithm, capsys):
+    # rho = 1e-300 makes K_n an integer of about 300 digits
+    assert main(["run", "--algorithm", algorithm, "--rho", "1e-300", *_SMALL_RUN]) == 2
+    assert "failed: cap:iterations" in capsys.readouterr().err
+
+
+def _reals(*good):
+    """Values of a real flag: typical ones or any positive floats."""
+    return st.one_of(st.sampled_from(good), st.floats(1e-3, 10.0))
+
+
+#: values at the edges of, or outside, what a real flag takes
+_EDGES = st.sampled_from(["0", "-0.5", "nan", "inf", "-inf", "1e-300", "1e300"])
+
+#: flag: (values it takes, values at its edges or None); rows stay <= 10
+_RUN_FLAGS = {
+    "--problem": (st.sampled_from(["p1", "p2"]), None),
+    "--algorithm": (st.sampled_from([1, 2]), None),
+    "--nu": (_reals(0.5, 1.5, 2.5), _EDGES),
+    "--delta-max": (st.floats(2.0 ** -6, 4.0), _EDGES),
+    "--delta-min": (st.floats(2.0 ** -8, 2.0 ** -6), _EDGES),
+    "--gamma": (_reals(0.5), _EDGES),
+    "--tau": (_reals(2.5), _EDGES),
+    "--rho": (_reals(1.0), _EDGES),
+    "--r": (_reals(2.0), _EDGES),
+    "--mu-diagnostic": (_reals(0.2, 1.2), _EDGES),
+    "--ksec": (st.integers(1, 30), st.integers(-1, 0)),
+    "--seed": (st.integers(0, 5), st.just(-1)),
+    "--repeats": (st.integers(1, 2), st.just(0)),
+    "--n-max": (st.integers(1, 6), st.just(0)),
+    "--k-abs-max": (st.integers(1, 300), st.just(0)),
+    "--noise-dim": (st.sampled_from([1, 64, 4096]), st.just(0)),
+}
+
+
+@st.composite
+def _run_argvs(draw):
+    """A small run with any of the flags set, at most one at an edge."""
+    edged = draw(st.none() | st.sampled_from(
+        [f for f, (_, edges) in _RUN_FLAGS.items() if edges is not None]))
+    argv = ["run", *_SMALL_RUN, "--jobs=1"]
+    for flag, (values, edges) in _RUN_FLAGS.items():
+        if flag == edged:
+            argv.append(f"{flag}={draw(edges)}")
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    for flag in ("--no-scaling", "--no-normalize"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_run_argvs())
+def test_run_flag_space_ends_in_a_documented_outcome(argv):
+    # exit 0 with finite rows, 1 with no CSV, 2 with cap rows, or 4 with a
+    # typed runtime error in a row; a traceback fails the example
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(), _deadline(2):
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    failed = [line.split(" failed: ", 1)[1]
+              for line in err.getvalue().splitlines() if " failed: " in line]
+    if code == 1:
+        assert out.getvalue() == ""
+        assert "configuration error:" in err.getvalue()
+        return
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    assert rows
+    if code == 0:
+        assert failed == []
+        assert all(math.isfinite(float(row[c])) for row in rows for c in CSV_COLUMNS)
+    elif code == 2:
+        assert any(f.startswith("cap:") for f in failed)
+    else:
+        assert code == 4 and failed
+        assert all(f.startswith("NumericalDegeneracyError:") for f in failed)
 
 
 def test_grid_rejects_what_the_discrepancy_driver_does_not_admit():

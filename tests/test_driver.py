@@ -41,6 +41,22 @@ def params(delta, **kw):
 # level and budget rules
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("field", ["delta", "rho", "gamma", "tau", "r"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_run_params_require_finite_reals(field, value):
+    with pytest.raises(ConfigError, match="finite"):
+        RunParams(**{"delta": 0.1, field: value})
+
+
+def test_run_params_reject_a_negative_seed_and_a_level_rule_past_the_floats():
+    with pytest.raises(ConfigError, match="seed"):
+        params(0.1, seed=-1)
+    # 2^(2 r n) at n = n_max = 12 overflows a float for r = 43
+    with pytest.raises(ConfigError, match="n_max"):
+        params(0.1, r=43.0)
+    assert max_iter_count(12, params(0.1, r=42.0)) > 0
+
+
 def test_initial_level_example():
     assert initial_level(params(0.0625)) == 4
 
@@ -273,6 +289,11 @@ def _assert_same_report(a, b):
         assert x == y, field.name
 
 
+def _drop_closed_forms():
+    problems._closed_form.cache_clear()
+    problems._sumsq.cache_clear()
+
+
 def _counted_ranges(monkeypatch) -> list:
     """Record (pid, rhs, start, stop) of every closed-form range the
     problems evaluate from now on; the kept closed forms are dropped first
@@ -284,7 +305,7 @@ def _counted_ranges(monkeypatch) -> list:
         calls.append((self.pid, rhs, start, stop))
         return real(self, start, stop, rhs)
 
-    driver._closed_form.cache_clear()
+    _drop_closed_forms()
     monkeypatch.setattr(problems.Problem, "coeff_range", counting)
     return calls
 
@@ -293,7 +314,7 @@ def _assert_evaluated_once(calls, problem, noise_dim):
     """Each coefficient of ``problem``'s closed forms was evaluated once for
     the norm at noise_dim and once for the kept head, and no more."""
     for rhs in (True, False):
-        head = driver._closed_form(problem, rhs)._head.size
+        head = problems._closed_form(problem, rhs).v.size
         want = np.zeros(max(noise_dim, head), dtype=int)
         want[:noise_dim] += 1
         want[:head] += 1
@@ -314,10 +335,10 @@ def test_closed_forms_are_computed_once_per_problem(monkeypatch):
               for d, s in runs]
     _assert_evaluated_once(calls, get_problem("p1"), 2 ** 14)
     for (d, s), report in zip(runs, reused):
-        driver._closed_form.cache_clear()
+        _drop_closed_forms()
         fresh = run_discrepancy(get_problem("p1"), NU32, params(d, seed=s))
         _assert_same_report(report, fresh)
-    driver._closed_form.cache_clear()
+    _drop_closed_forms()
 
 
 def test_sweeps_evaluate_each_closed_form_coefficient_once(monkeypatch):
@@ -330,7 +351,7 @@ def test_sweeps_evaluate_each_closed_form_coefficient_once(monkeypatch):
             runner(get_problem(pid), NU32, params(2.0 ** -e, seed=e))
     for pid in ("p1", "p2"):
         _assert_evaluated_once(calls, get_problem(pid), 2 ** 14)
-    driver._closed_form.cache_clear()
+    _drop_closed_forms()
 
 
 def test_each_seed_is_drawn_in_full_once_per_process(monkeypatch):
@@ -355,14 +376,14 @@ def test_each_seed_is_drawn_in_full_once_per_process(monkeypatch):
     def run(runner, pid, e):
         return runner(get_problem(pid), NU32, params(2.0 ** -e, seed=e - 4))
 
-    problems._noise_norms.clear()
+    problems._noise_norm.cache_clear()
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
     reports = [run(*r) for r in runs]
     assert sorted(r.seed for r in rngs if sum(r.sizes) == 2 ** 14) == [0, 1, 2]
     assert max(max(r.sizes) for r in rngs) <= 2 ** 13
     monkeypatch.undo()
     for r, report in zip(runs, reports):
-        problems._noise_norms.clear()
+        problems._noise_norm.cache_clear()
         _assert_same_report(report, run(*r))
 
 
@@ -412,7 +433,7 @@ def test_window_sum_with_tail_sums_is_numpys_full_sum(n):
         diff = -exact
         diff[:w] += x
         full = np.sum(diff * diff)
-        got = driver._squared_distance(x, lambda d: exact[:d], n, tails)
+        got = problems._squared_distance(x, lambda d: exact[:d], n, tails)
         assert got.hex() == full.hex(), w
 
 
@@ -438,8 +459,8 @@ def test_cold_run_allocates_nothing_of_noise_dim_length():
     # stays far below one array of noise_dim = 2^20 entries (8 MiB)
     p = params(2.0 ** -4, noise_dim=2 ** 20, seed=4242)
     problem = get_problem("p1")
-    driver._closed_form.cache_clear()
-    problems._noise_norms.clear()
+    _drop_closed_forms()
+    problems._noise_norm.cache_clear()
     tracemalloc.start()
     try:
         cold = run_discrepancy(problem, NU32, p)

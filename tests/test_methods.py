@@ -36,6 +36,14 @@ def test_rejects_nonpositive_nu():
         nu_method(-1.5)
 
 
+@pytest.mark.parametrize("nu", [math.nan, math.inf, 100.0, 1e-300])
+def test_rejects_nu_whose_recursion_leaves_the_floats(nu):
+    # (2 nu)! overflows for nu = 100; at nu = 1e-300, 2 nu - 1/2 rounds to
+    # -1/2 and beta(1) would divide by zero
+    with pytest.raises(ValueError, match="nu"):
+        nu_method(nu)
+
+
 def test_chebyshev_recursion_coefficients():
     # monic fourth-kind Chebyshev closed form
     assert NU_HALF.alpha(0) == pytest.approx(-0.5, abs=1e-15)

@@ -258,10 +258,10 @@ def test_chunked_normal_draws_concatenate_to_the_single_draw():
 @pytest.mark.parametrize("cold", [True, False])
 def test_noisy_data_head_is_the_window_of_perturb(cold):
     f, _ = _pair("p2", 5000)
-    problems._noise_norms.clear()
+    problems._noise_norm.cache_clear()
     full = perturb(f, 0.1, seed=3).coeffs  # leaves the seed's norm kept
     if cold:
-        problems._noise_norms.clear()
+        problems._noise_norm.cache_clear()
     data = NoisyData(lambda d: f.coeffs[:d], f.dim, 0.1, seed=3)
     for d in (1, 3, 4, 1024, 4096, 5000, 6000):
         expect = np.zeros(d)
@@ -272,11 +272,11 @@ def test_noisy_data_head_is_the_window_of_perturb(cold):
 @pytest.mark.parametrize("dim", [2 ** 20, 1_000_003, 3000])
 @pytest.mark.parametrize("seed", [0, 9001])
 def test_streamed_noise_norm_is_the_norm_of_the_full_draw(seed, dim):
-    problems._noise_norms.clear()
+    problems._noise_norm.cache_clear()
     data = NoisyData(np.zeros, dim, 1.0, seed)
     g = np.random.default_rng(seed).standard_normal(dim)
     g_norm = np.sqrt(np.sum(g * g))
-    assert problems._noise_norms[(seed, dim)].hex() == g_norm.hex()
+    assert problems._noise_norm(seed, dim).hex() == g_norm.hex()
     assert data.scale.hex() == (1.0 / g_norm).hex()
 
 
