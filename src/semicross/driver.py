@@ -34,7 +34,7 @@ import numpy as np
 
 from .coeffs import CoeffVec
 from .hypercross import _product, assemble, refine
-from .methods import MethodSpec, NumericalDegeneracyError, _advance
+from .methods import MethodSpec, NumericalDegeneracyError, _coefficients
 from .problems import Problem, _error_norms, _noisy_data
 from .stopping import BalancingWindow, balancing_stop_index
 
@@ -267,6 +267,10 @@ class _SupportKernel:
     sqrt(||A_RC x - f_R||^2 + off2), where off2 = sum over i not in R of
     f_i^2 is summed once from the off-R entries (not as ||f||^2 - ||f_R||^2,
     which cancels).
+
+    A step reads its coefficients from the method's table
+    (``methods._coefficients``) and makes only numpy calls and one
+    ``math.sqrt``: the update is ``methods._advance`` written out inline.
     """
 
     def __init__(self, op, data: np.ndarray):
@@ -281,19 +285,28 @@ class _SupportKernel:
 
     def iterates(self, spec: MethodSpec):
         """Yield (x_k restricted to C, ||A x_k - f||) for k = 1, 2, ...;
-        each step is computed only when it is asked for."""
-        ri, ci, vals, f = self.ri, self.ci, self.vals, self.data
+        each step is computed only when it is asked for, and a yielded
+        iterate is never written to again."""
+        ri, ci, vals, f, off2 = self.ri, self.ci, self.vals, self.data, self.off2
         m, q = f.size, self.cols.size
-        zero = np.zeros(q)
-        x, omega = _advance(spec, 0, 0.0, zero, zero, _product(ci, ri, vals, f, q))
-        x_prev = zero
-        r = f - _product(ri, ci, vals, x, m)
-        for k in itertools.count(1):
-            x_new, omega = _advance(spec, k, omega, x, x_prev,
-                                    _product(ci, ri, vals, r, q))
+        table = _coefficients(spec)
+        mu = two_omega = ()
+        x = x_prev = np.zeros(q)
+        r = f
+        for k in itertools.count():
+            if k == len(mu):
+                mu, two_omega = table.upto(k)
+            update = _product(ci, ri, vals, r, q)
+            x_new = x - x_prev
+            x_new *= mu[k]
+            x_new += x
+            update *= two_omega[k]
+            x_new += update
             x_prev, x = x, x_new
-            r = f - _product(ri, ci, vals, x, m)
-            yield x, math.sqrt(float(r @ r) + self.off2)
+            r = _product(ri, ci, vals, x, m)
+            np.subtract(f, r, out=r)
+            if k:
+                yield x, math.sqrt(float(r @ r) + off2)
 
     def scatter(self, x: np.ndarray) -> CoeffVec:
         """A support iterate as a full-length coefficient vector."""
@@ -417,14 +430,19 @@ def _discrepancy_stop(steps, k_n: int, p: RunParams, spec: MethodSpec):
 
 def _balancing_stop(steps, k_n: int, p: RunParams, spec: MethodSpec):
     """Smallest admissible index of the K_n + k_sec iterates with bound
-    8 (1 + gamma) kappa0 j delta."""
-    stored = [CoeffVec._wrap(x) for _, x, _ in itertools.islice(steps, k_n + p.k_sec)]
-    window = BalancingWindow(
-        iterates=tuple(stored), k_n=k_n, k_sec=p.k_sec,
+    8 (1 + gamma) kappa0 j delta. The iterates are written into one
+    (K_n + k_sec) x |C| array as they come, which the scan reads in place."""
+    m = k_n + p.k_sec
+    window = None
+    for i, (_, x, _) in enumerate(itertools.islice(steps, m)):
+        if window is None:
+            window = np.empty((m, x.size))
+        window[i] = x
+    stop = balancing_stop_index(BalancingWindow(
+        iterates=window, k_n=k_n, k_sec=p.k_sec,
         bound_factor=8.0 * (1.0 + p.gamma) * spec.kappa0 * p.delta,
-    )
-    stop = balancing_stop_index(window)
-    return None if stop is None else (stop, stored[stop - 1].coeffs)
+    ))
+    return None if stop is None else (stop, window[stop - 1].copy())
 
 
 def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,

@@ -167,8 +167,14 @@ class DiagonalSource(GalerkinInfoSource):
 def _product(out_idx: np.ndarray, in_idx: np.ndarray, vals: np.ndarray,
              x: np.ndarray, size: int) -> np.ndarray:
     """The length-``size`` vector y with y[out_idx[e]] += vals[e] x[in_idx[e]]
-    over the entries e; each component sums its terms in entry order."""
-    return np.bincount(out_idx, vals * x[in_idx], minlength=size)
+    over the entries e; each component sums its terms in entry order. The
+    gathered inputs are scaled in place, so the one temporary is the
+    length-nnz term array."""
+    if not vals.size:  # bincount counts in int64 when given no entries
+        return np.zeros(size)
+    terms = x[in_idx]
+    terms *= vals
+    return np.bincount(out_idx, terms, minlength=size)
 
 
 class GalerkinOperator:

@@ -34,6 +34,7 @@ The nu-methods use the monic Jacobi family with parameters
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -60,6 +61,10 @@ _DEGENERACY_EPS = 1e-14
 
 #: filter evaluation point substituted for lam == 0 (one-sided limit)
 _FILTER_EPS = 1e-12
+
+#: entries of a coefficient table's first growth; each later one at least
+#: doubles it
+_TABLE_START = 64
 
 
 class NumericalDegeneracyError(ArithmeticError):
@@ -99,9 +104,9 @@ class IterState:
     k: int
     x_curr: CoeffVec
     x_prev: CoeffVec
-    omega: float
 
 
+@functools.lru_cache(maxsize=16)
 def nu_method(nu: float) -> MethodSpec:
     """The nu-method: monic Jacobi polynomials with parameters
     (2 nu - 1/2, -1/2).
@@ -119,7 +124,8 @@ def nu_method(nu: float) -> MethodSpec:
 
     Constants: kappa0 = 1; kappa_mu is the constant max(1, (2 nu)!) with the
     factorial read as Gamma(2 nu + 1) for non-integer 2 nu; qualification
-    2 nu.
+    2 nu. One nu gives one (kept) spec, so the runs of a sweep share its
+    coefficient table.
     """
     a = 2.0 * nu - 0.5
     b = -0.5
@@ -162,10 +168,12 @@ def omega_next(spec: MethodSpec, k: int, omega_prev: float) -> float:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        den = 1.0 - spec.alpha(0)
-    else:
-        den = 1.0 - spec.alpha(k) - spec.beta(k) * omega_prev
+    return _omega(spec, k, spec.alpha(k), omega_prev)
+
+
+def _omega(spec: MethodSpec, k: int, alpha_k: float, omega_prev: float) -> float:
+    """``omega_next`` with alpha_k given."""
+    den = 1.0 - alpha_k if k == 0 else 1.0 - alpha_k - spec.beta(k) * omega_prev
     if abs(den) < _DEGENERACY_EPS:
         raise NumericalDegeneracyError(
             f"omega recursion denominator {den:.3e} at k={k} ({spec.name})"
@@ -173,16 +181,76 @@ def omega_next(spec: MethodSpec, k: int, omega_prev: float) -> float:
     return 1.0 / den
 
 
-def _advance(spec: MethodSpec, k: int, omega_prev: float, x_curr: np.ndarray,
-             x_prev: np.ndarray, update: np.ndarray):
-    """Step k of the two-step recursion on raw arrays: returns (x_k, omega_k)
-    from x_{k-1} = ``x_curr``, x_{k-2} = ``x_prev`` and ``update`` =
-    A*(f - A x_{k-1}). At k = 0 with zero ``x_curr``/``x_prev`` this is
-    x_0 = 2 omega_0 A* f exactly. ``step`` and the drivers' support kernel
-    both advance through here."""
-    omega = omega_next(spec, k, omega_prev)
-    mu_k = (1.0 - spec.alpha(k)) * omega - 1.0
-    return x_curr + mu_k * (x_curr - x_prev) + (2.0 * omega) * update, omega
+class _Coefficients:
+    """The step coefficients of one method, mu_k = (1 - alpha_k) omega_k - 1
+    and 2 omega_k for k = 0, 1, ..., as two float64 arrays grown on demand.
+
+    ``spec.alpha`` and ``spec.beta`` are evaluated once per k. A growth runs
+    ahead of the step asked for, but a step past it that fails (a degenerate
+    denominator, say) only ends the growth there: its error is raised when
+    that step itself is asked for, as the step-by-step recursion would.
+    """
+
+    def __init__(self, spec: MethodSpec):
+        self.spec = spec
+        self.mu = np.empty(0)
+        self.two_omega = np.empty(0)
+        self._omega = 0.0  # omega of the last entry
+
+    def upto(self, k: int):
+        """``(mu, two_omega)``, holding at least the entries 0..k."""
+        if k >= self.mu.size:
+            self._grow(k)
+        return self.mu, self.two_omega
+
+    def _grow(self, k: int) -> None:
+        spec, omega = self.spec, self._omega
+        start = self.mu.size
+        mu, two_omega = [], []
+        try:
+            for j in range(start, max(k + 1, 2 * start, _TABLE_START)):
+                try:
+                    alpha_j = spec.alpha(j)
+                    omega_j = _omega(spec, j, alpha_j, omega)
+                except Exception:
+                    if j > k:
+                        break
+                    raise
+                mu.append((1.0 - alpha_j) * omega_j - 1.0)
+                two_omega.append(2.0 * omega_j)
+                omega = omega_j
+        finally:
+            self._omega = omega
+            self.mu = np.concatenate((self.mu, mu))
+            self.two_omega = np.concatenate((self.two_omega, two_omega))
+
+
+@functools.lru_cache(maxsize=16)
+def _coefficients(spec: MethodSpec) -> _Coefficients:
+    """The kept coefficient table of ``spec``; ``init_state``/``step`` and
+    the drivers' support kernel all read their steps from it."""
+    return _Coefficients(spec)
+
+
+def _advance(spec: MethodSpec, k: int, x_curr: np.ndarray, x_prev: np.ndarray,
+             update: np.ndarray) -> np.ndarray:
+    """Step k of the two-step recursion on raw arrays: x_k from x_{k-1} =
+    ``x_curr``, x_{k-2} = ``x_prev`` and ``update`` = A*(f - A x_{k-1}),
+    which it overwrites. The coefficients come from the method's table, and
+    the update runs in place in the order of
+
+        x_k = (x_{k-1} + mu_k (x_{k-1} - x_{k-2})) + 2 omega_k update,
+
+    so every bit is that of the written-out expression. At k = 0 with zero
+    ``x_curr``/``x_prev`` this is x_0 = 2 omega_0 A* f exactly. The support
+    kernel of the drivers runs the same arithmetic inline."""
+    mu, two_omega = _coefficients(spec).upto(k)
+    x_new = x_curr - x_prev
+    x_new *= mu[k]
+    x_new += x_curr
+    update *= two_omega[k]
+    x_new += update
+    return x_new
 
 
 def init_state(op, rhs: CoeffVec, spec: MethodSpec) -> IterState:
@@ -192,9 +260,9 @@ def init_state(op, rhs: CoeffVec, spec: MethodSpec) -> IterState:
             f"rhs dimension {rhs.dim} exceeds operator dimension {op.dim}"
         )
     zero = CoeffVec.zeros(op.dim)
-    x0, omega0 = _advance(spec, 0, 0.0, zero.coeffs, zero.coeffs,
-                          op.apply_adjoint(rhs).coeffs)
-    return IterState(k=0, x_curr=CoeffVec._wrap(x0), x_prev=zero, omega=omega0)
+    x0 = _advance(spec, 0, zero.coeffs, zero.coeffs,
+                  np.array(op.apply_adjoint(rhs).coeffs))
+    return IterState(k=0, x_curr=CoeffVec._wrap(x0), x_prev=zero)
 
 
 def step(state: IterState, op, rhs: CoeffVec, spec: MethodSpec,
@@ -207,10 +275,10 @@ def step(state: IterState, op, rhs: CoeffVec, spec: MethodSpec,
     if ax_curr is None:
         ax_curr = op.apply(state.x_curr)
     update = op.apply_adjoint(rhs - ax_curr)
-    x_new, omega = _advance(spec, state.k + 1, state.omega, state.x_curr.coeffs,
-                            state.x_prev.coeffs, update.coeffs)
+    x_new = _advance(spec, state.k + 1, state.x_curr.coeffs,
+                     state.x_prev.coeffs, np.array(update.coeffs))
     return IterState(k=state.k + 1, x_curr=CoeffVec._wrap(x_new),
-                     x_prev=state.x_curr, omega=omega)
+                     x_prev=state.x_curr)
 
 
 def _lam_array(lam) -> np.ndarray:

@@ -18,16 +18,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BalancingWindow:
     """Iterates 1..K_n + K_sec of one discretization level plus the bound
     scale of the admissibility test.
 
-    ``bound_factor`` is 8 (1 + gamma) kappa0 delta; index k is admissible
-    when every later iterate j stays within bound_factor * j.
+    ``iterates`` is a (K_n + K_sec) x d array whose row j - 1 holds iterate
+    j; a sequence of ``CoeffVec``s is stacked into one (each zero-extended to
+    the longest). ``bound_factor`` is 8 (1 + gamma) kappa0 delta; index k is
+    admissible when every later iterate j stays within bound_factor * j.
     """
 
-    iterates: tuple
+    iterates: np.ndarray
     k_n: int
     k_sec: int
     bound_factor: float
@@ -41,31 +43,40 @@ class BalancingWindow:
             )
         if self.bound_factor < 0:
             raise ValueError("bound_factor must be nonnegative")
+        if not isinstance(self.iterates, np.ndarray):
+            dim = max(v.dim for v in self.iterates)
+            object.__setattr__(self, "iterates",
+                               np.stack([v.extended(dim) for v in self.iterates]))
 
 
 #: trailing iterates tested in a candidate's first block; each later block
-#: is twice as long
+#: is twice as long, up to 1/32 of the window
 _FIRST_BLOCK = 4
 
 
 def _admissible(w: BalancingWindow):
     """The admissible k <= K_n in increasing order, each candidate tested
-    only when it is asked for. A candidate's trailing iterates are compared
-    in blocks of doubling length, starting next to it, and the first
-    violated bound rejects it (most candidates fail close to k)."""
-    m = len(w.iterates)
-    dim = max(v.dim for v in w.iterates)
-    stack = np.stack([v.extended(dim) for v in w.iterates])
+    only when it is asked for, on the window's array in place. A candidate's
+    trailing iterates are compared in blocks of doubling length, starting
+    next to it, and the first violated bound rejects it (most candidates
+    fail close to k). A block holds at most 1/32 of the window's rows (or
+    ``_FIRST_BLOCK``), and so do the scan's temporaries."""
+    stack = w.iterates
+    m = len(stack)
+    bounds = w.bound_factor * np.arange(1, m + 1, dtype=float)
+    largest = max(_FIRST_BLOCK, m // 32)
     for k in range(1, w.k_n + 1):
+        x_k = stack[k - 1]
         lo, size = k, _FIRST_BLOCK
         while lo < m:
             hi = min(lo + size, m)
-            diffs = stack[lo:hi] - stack[k - 1]
-            dists = np.sqrt(np.sum(diffs * diffs, axis=1))
-            bounds = w.bound_factor * np.arange(lo + 1, hi + 1, dtype=float)
-            if not np.all(dists <= bounds):
+            diffs = stack[lo:hi] - x_k
+            diffs *= diffs
+            dists = np.add.reduce(diffs, axis=1)
+            np.sqrt(dists, out=dists)
+            if not (dists <= bounds[lo:hi]).all():
                 break
-            lo, size = hi, 2 * size
+            lo, size = hi, min(2 * size, largest)
         else:
             yield k
 

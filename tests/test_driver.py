@@ -471,6 +471,31 @@ def test_cold_run_allocates_nothing_of_noise_dim_length():
     assert peak < 2 * 2 ** 20, peak
 
 
+def test_balancing_stop_holds_its_window_once():
+    # the iterates go straight into one (K_n + k_sec) x |C| array, which the
+    # scan reads in place; a second copy (a stack of kept iterates) would
+    # double the peak
+    p = params(2.0 ** -12)
+    problem = get_problem("p2")
+    run_balancing(problem, NU32, p)  # keep the data and the coefficients
+    n = 8
+    k_n = max_iter_count(n, p)
+    data, _ = problems._noisy_data(problem, p.noise_dim, p.delta, p.seed)
+    op = assemble(problem.fresh_source(), n)
+    kernel = driver._SupportKernel(op, data.head(op.dim))
+    steps = driver._recorded(kernel.iterates(NU32), n, [], p.k_abs_max)
+    tracemalloc.start()
+    try:
+        hit = driver._balancing_stop(steps, k_n, p, NU32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit is not None
+    window = (k_n + p.k_sec) * kernel.cols.size * 8
+    assert window >= 2 ** 20
+    assert peak <= 1.25 * window, peak / window
+
+
 def test_iteration_cap():
     with pytest.raises(CapExceededError) as err:
         run_discrepancy(get_problem("p2"), NU32, params(2.0 ** -8, k_abs_max=5))

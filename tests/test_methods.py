@@ -1,3 +1,6 @@
+import collections
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import binom
 
+from semicross import driver, get_problem
 from semicross.coeffs import CoeffVec, norm
+from semicross.hypercross import assemble
 from semicross.methods import (
     MethodSpec,
     NumericalDegeneracyError,
@@ -16,6 +21,7 @@ from semicross.methods import (
     residual_profile,
     residual_value,
     step,
+    _coefficients,
 )
 
 from helpers import DiagonalOperator, ZeroOperator, cheb4_residual
@@ -93,6 +99,83 @@ def test_omega_degeneracy_detected():
 
 
 # ---------------------------------------------------------------------------
+# coefficient table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("nu", [0.25, 0.5, 1.5])
+def test_coefficient_table_is_the_omega_chain(nu):
+    # past K_9 = 14,122, the largest budget of the acceptance grid
+    spec = nu_method(nu)
+    k_max = 15_000
+    mu, two_omega = _coefficients(spec).upto(k_max)
+    omega = 0.0
+    chain_mu, chain_two = [], []
+    for k in range(k_max + 1):
+        omega = omega_next(spec, k, omega)
+        chain_mu.append((1.0 - spec.alpha(k)) * omega - 1.0)
+        chain_two.append(2.0 * omega)
+    assert mu.dtype == two_omega.dtype == np.float64
+    assert np.array_equal(mu[:k_max + 1], chain_mu)
+    assert np.array_equal(two_omega[:k_max + 1], chain_two)
+
+
+def _degenerate_at_7() -> MethodSpec:
+    """The nu = 3/2 method with alpha_7 moved so that the omega denominator
+    of step 7 is zero."""
+    base = nu_method(1.5)
+    omega = 0.0
+    for k in range(7):
+        omega = omega_next(base, k, omega)
+    alpha_7 = 1.0 - base.beta(7) * omega
+    spec = dataclasses.replace(
+        base, alpha=lambda k: alpha_7 if k == 7 else base.alpha(k))
+    with pytest.raises(NumericalDegeneracyError, match="k=7"):
+        omega_next(spec, 7, omega)
+    return spec
+
+
+def test_degenerate_step_raises_only_when_asked_for():
+    spec = _degenerate_at_7()
+    op = DiagonalOperator([0.9, 0.5, 0.1])
+    rhs = CoeffVec([1.0, 1.0, 1.0])
+    state = init_state(op, rhs, spec)
+    for _ in range(6):
+        state = step(state, op, rhs, spec)
+    with pytest.raises(NumericalDegeneracyError, match="k=7"):
+        step(state, op, rhs, spec)
+    # the support kernel reads the same table
+    kernel = driver._SupportKernel(assemble(get_problem("p1").fresh_source(), 3),
+                                   np.ones(64))
+    steps = kernel.iterates(spec)
+    assert len(list(itertools.islice(steps, 6))) == 6
+    with pytest.raises(NumericalDegeneracyError, match="k=7"):
+        next(steps)
+    # a run whose levels all stop before step 7 never meets it
+    p = driver.RunParams(delta=2.0 ** -4, tau=5.0, noise_dim=2 ** 14)
+    report = driver.run_discrepancy(get_problem("p1"), spec, p)
+    assert len(report.residual_norms) < 7
+    with pytest.raises(NumericalDegeneracyError, match="k=7"):
+        driver.run_discrepancy(get_problem("p1"), spec,
+                               dataclasses.replace(p, tau=2.5))
+
+
+def test_alpha_is_evaluated_once_per_step_across_levels():
+    base = nu_method(1.5)
+    calls = collections.Counter()
+
+    def alpha(k):
+        calls[k] += 1
+        return base.alpha(k)
+
+    spec = dataclasses.replace(base, alpha=alpha)
+    p = driver.RunParams(delta=2.0 ** -8, tau=2.5, noise_dim=2 ** 14)
+    report = driver.run_balancing(get_problem("p1"), spec, p)
+    assert len(report.levels) > 1
+    assert set(range(max(report.budgets) + p.k_sec + 1)) <= calls.keys()
+    assert max(calls.values()) == 1
+
+
+# ---------------------------------------------------------------------------
 # iteration
 # ---------------------------------------------------------------------------
 
@@ -108,7 +191,6 @@ def test_init_state_identity_example():
     op = DiagonalOperator([1.0])
     state = init_state(op, CoeffVec([1.0]), NU_HALF)
     assert state.x_curr.coeffs[0] == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert state.omega == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 def test_init_state_dimension_mismatch():

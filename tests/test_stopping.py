@@ -171,3 +171,25 @@ def test_stop_index_is_smallest_admissible(data):
                         bound_factor=bound)
     assert balancing_stop_index(w) == min(balancing_admissible_set(w),
                                           default=None)
+
+
+def _stacked(vec_lists) -> np.ndarray:
+    """The iterates as one array, each zero-extended to the longest."""
+    out = np.zeros((len(vec_lists), max(map(len, vec_lists))))
+    for row, v in zip(out, vec_lists):
+        row[:len(v)] = v
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(windows, tied_windows))
+def test_array_window_stops_at_the_smallest_admissible_index(data):
+    vec_lists, k_n, bound = data
+    k_sec = len(vec_lists) - k_n
+    array = _stacked(vec_lists)
+    w = BalancingWindow(iterates=array, k_n=k_n, k_sec=k_sec, bound_factor=bound)
+    assert w.iterates is array  # held, not copied
+    vecs = BalancingWindow(iterates=tuple(CoeffVec(v) for v in vec_lists),
+                           k_n=k_n, k_sec=k_sec, bound_factor=bound)
+    assert balancing_stop_index(w) == min(balancing_admissible_set(vecs),
+                                          default=None)
