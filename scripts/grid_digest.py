@@ -6,8 +6,10 @@ The grid is both drivers on both problems over delta = 2^-4 .. 2^-13 with
 the acceptance-test parameters; the run at delta = 2^-e uses noise seed
 ``seed + e - 4`` (seed 0 gives the runs pinned in tests/grid_pinned.json).
 Each line holds the algorithm, problem, exponent, levels, budgets, stop
-index and info_count, and a sha256 over the hex of every residual norm, of
-rel_error, abs_error, exact_norm and rhs_norm, and the solution's bytes.
+index and info_count, and two sha256 digests: ``res=`` over the hex of every
+residual norm, and ``sol=`` over the hex of rel_error, abs_error, exact_norm
+and rhs_norm and the solution's bytes. A change that moves only residual
+bits shows in ``res=`` alone.
 ``--noise-dim`` sets the dimension the noise and the error live in (default
 2^20); a length that is not a power of two, such as 1000003, exercises the
 error's pairwise split points away from the level windows.
@@ -29,13 +31,17 @@ TAU = 1.01 + math.sqrt(13.0 / 8.0)
 MU = {"p1": 1.2, "p2": 0.2}
 
 
-def digest(report) -> str:
-    h = hashlib.sha256()
-    floats = (*report.residual_norms, report.rel_error, report.abs_error,
-              report.exact_norm, report.rhs_norm)
-    h.update(",".join(x.hex() for x in floats).encode())
-    h.update(report.solution.coeffs.tobytes())
-    return h.hexdigest()
+def _hexes(floats) -> bytes:
+    return ",".join(x.hex() for x in floats).encode()
+
+
+def digests(report) -> tuple:
+    """(residual digest, solution digest) of one run."""
+    res = hashlib.sha256(_hexes(report.residual_norms))
+    sol = hashlib.sha256(_hexes((report.rel_error, report.abs_error,
+                                 report.exact_norm, report.rhs_norm)))
+    sol.update(report.solution.coeffs.tobytes())
+    return res.hexdigest(), sol.hexdigest()
 
 
 def main() -> int:
@@ -52,9 +58,10 @@ def main() -> int:
                               r=2.0, k_sec=20, seed=args.seed + e - 4,
                               noise_dim=args.noise_dim)
                 r = runner(problem, spec, p, mu=MU[pid])
+                res, sol = digests(r)
                 print(f"a{algorithm} {pid} e{e} levels={list(r.levels)} "
                       f"budgets={list(r.budgets)} stop={r.stop_index} "
-                      f"info={r.info_count} sha256={digest(r)}")
+                      f"info={r.info_count} res={res} sol={sol}")
     return 0
 
 
