@@ -266,7 +266,8 @@ class _SupportKernel:
     products equal the full ones bit for bit), and the residual norm is
     sqrt(||A_RC x - f_R||^2 + off2), where off2 = sum over i not in R of
     f_i^2 is summed once from the off-R entries (not as ||f||^2 - ||f_R||^2,
-    which cancels).
+    which cancels), by numpy's pairwise sum: a BLAS dot product of that
+    length rounds differently with its thread count.
 
     A step reads its coefficients from the method's table
     (``methods._coefficients``) and makes only numpy calls and one
@@ -281,7 +282,8 @@ class _SupportKernel:
         self.vals = op.vals
         self.data = data[rows]
         off = np.delete(data, rows)
-        self.off2 = float(off @ off)
+        off *= off
+        self.off2 = float(np.sum(off))
 
     def iterates(self, spec: MethodSpec):
         """Yield (x_k restricted to C, ||A x_k - f||) for k = 1, 2, ...;

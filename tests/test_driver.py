@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -494,6 +497,35 @@ def test_balancing_stop_holds_its_window_once():
     window = (k_n + p.k_sec) * kernel.cols.size * 8
     assert window >= 2 ** 20
     assert peak <= 1.25 * window, peak / window
+
+
+_ROW_DIGEST = """
+import hashlib, math
+from semicross import RunParams, get_problem, nu_method, run_discrepancy
+p = RunParams(delta=2.0 ** -13, tau=1.01 + math.sqrt(13 / 8), seed=9)
+r = run_discrepancy(get_problem("p2"), nu_method(1.5), p)
+h = hashlib.sha256(",".join(x.hex() for x in r.residual_norms).encode())
+h.update(r.solution.coeffs.tobytes())
+print(r.levels, r.stop_index, h.hexdigest())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+def test_a_row_is_bit_identical_under_one_and_two_blas_threads():
+    # the a1/p2/e13 row of the acceptance grid reaches level 9, where the
+    # off-support data holds 2^18 entries: a BLAS dot product of that length
+    # rounds differently with its thread count, numpy's pairwise sum does not
+    src = os.path.dirname(os.path.dirname(driver.__file__))
+    out = {
+        threads: subprocess.run(
+            [sys.executable, "-c", _ROW_DIGEST], check=True,
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+        ).stdout
+        for threads in ("1", "2")
+    }
+    assert out["1"].startswith("(6, 7, 8, 9) 1939 ")
+    assert out["1"] == out["2"]
 
 
 def test_iteration_cap():
