@@ -186,9 +186,10 @@ class _Coefficients:
     and 2 omega_k for k = 0, 1, ..., as two float64 arrays grown on demand.
 
     ``spec.alpha`` and ``spec.beta`` are evaluated once per k. A growth runs
-    ahead of the step asked for, but a step past it that fails (a degenerate
-    denominator, say) only ends the growth there: its error is raised when
-    that step itself is asked for, as the step-by-step recursion would.
+    ahead of the step asked for, but an arithmetic failure past it (a
+    degenerate denominator, say) only ends the growth there: its error is
+    raised when that step itself is asked for, as the step-by-step
+    recursion would.
     """
 
     def __init__(self, spec: MethodSpec):
@@ -204,25 +205,28 @@ class _Coefficients:
         return self.mu, self.two_omega
 
     def _grow(self, k: int) -> None:
+        # filled entry by entry, so no Python float outlives its step
         spec, omega = self.spec, self._omega
-        start = self.mu.size
-        mu, two_omega = [], []
+        n = self.mu.size
+        size = max(k + 1, 2 * n, _TABLE_START)
+        mu, two_omega = np.empty(size), np.empty(size)
+        mu[:n], two_omega[:n] = self.mu, self.two_omega
         try:
-            for j in range(start, max(k + 1, 2 * start, _TABLE_START)):
+            while n < size:
                 try:
-                    alpha_j = spec.alpha(j)
-                    omega_j = _omega(spec, j, alpha_j, omega)
-                except Exception:
-                    if j > k:
+                    alpha_n = spec.alpha(n)
+                    omega_n = _omega(spec, n, alpha_n, omega)
+                except ArithmeticError:
+                    if n > k:
                         break
                     raise
-                mu.append((1.0 - alpha_j) * omega_j - 1.0)
-                two_omega.append(2.0 * omega_j)
-                omega = omega_j
+                mu[n] = (1.0 - alpha_n) * omega_n - 1.0
+                two_omega[n] = 2.0 * omega_n
+                omega = omega_n
+                n += 1
         finally:
             self._omega = omega
-            self.mu = np.concatenate((self.mu, mu))
-            self.two_omega = np.concatenate((self.two_omega, two_omega))
+            self.mu, self.two_omega = mu[:n], two_omega[:n]
 
 
 @functools.lru_cache(maxsize=16)
