@@ -101,6 +101,23 @@ def test_one_far_iterate_rejects_every_earlier_candidate():
         assert balancing_stop_index(w) == (p + 1 if p < k_n else None), p
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_long_window_matches_all_pairwise_distances(seed):
+    # 300 iterates of a converging walk: a candidate's blocks double up to
+    # their cap of m // 32 rows, and many candidates scan to the end
+    rng = np.random.default_rng(seed)
+    m, k_n, bound = 300, 280, 1e-4
+    steps = rng.standard_normal((m, 3)) / np.arange(1, m + 1)[:, None] ** 1.5
+    iterates = np.cumsum(steps, axis=0)
+    dists = np.sqrt(((iterates[:, None, :] - iterates[None, :, :]) ** 2).sum(axis=2))
+    brute = {k for k in range(1, k_n + 1)
+             if all(dists[k - 1, j - 1] <= bound * j for j in range(k + 1, m + 1))}
+    assert 0 < len(brute) < k_n
+    w = BalancingWindow(iterates=iterates, k_n=k_n, k_sec=m - k_n,
+                        bound_factor=bound)
+    assert balancing_admissible_set(w) == brute
+
+
 # up to 40 iterates, so that candidates' trailing iterates span several
 # comparison blocks
 windows = st.integers(min_value=2, max_value=40).flatmap(
@@ -169,27 +186,14 @@ def test_stop_index_is_smallest_admissible(data):
     w = BalancingWindow(iterates=tuple(CoeffVec(v) for v in vec_lists),
                         k_n=k_n, k_sec=len(vec_lists) - k_n,
                         bound_factor=bound)
-    assert balancing_stop_index(w) == min(balancing_admissible_set(w),
-                                          default=None)
-
-
-def _stacked(vec_lists) -> np.ndarray:
-    """The iterates as one array, each zero-extended to the longest."""
-    out = np.zeros((len(vec_lists), max(map(len, vec_lists))))
-    for row, v in zip(out, vec_lists):
+    smallest = min(balancing_admissible_set(w), default=None)
+    assert balancing_stop_index(w) == smallest
+    # the drivers' window: one array, zero-padded rows, held without a copy
+    array = np.zeros((len(vec_lists), max(map(len, vec_lists))))
+    for row, v in zip(array, vec_lists):
         row[:len(v)] = v
-    return out
+    w = BalancingWindow(iterates=array, k_n=k_n, k_sec=len(vec_lists) - k_n,
+                        bound_factor=bound)
+    assert w.iterates is array
+    assert balancing_stop_index(w) == smallest
 
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(windows, tied_windows))
-def test_array_window_stops_at_the_smallest_admissible_index(data):
-    vec_lists, k_n, bound = data
-    k_sec = len(vec_lists) - k_n
-    array = _stacked(vec_lists)
-    w = BalancingWindow(iterates=array, k_n=k_n, k_sec=k_sec, bound_factor=bound)
-    assert w.iterates is array  # held, not copied
-    vecs = BalancingWindow(iterates=tuple(CoeffVec(v) for v in vec_lists),
-                           k_n=k_n, k_sec=k_sec, bound_factor=bound)
-    assert balancing_stop_index(w) == min(balancing_admissible_set(vecs),
-                                          default=None)
