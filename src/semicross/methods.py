@@ -240,14 +240,11 @@ def _advance(spec: MethodSpec, k: int, x_curr: np.ndarray, x_prev: np.ndarray,
              update: np.ndarray) -> np.ndarray:
     """Step k of the two-step recursion on raw arrays: x_k from x_{k-1} =
     ``x_curr``, x_{k-2} = ``x_prev`` and ``update`` = A*(f - A x_{k-1}),
-    which it overwrites. The coefficients come from the method's table, and
-    the update runs in place in the order of
-
-        x_k = (x_{k-1} + mu_k (x_{k-1} - x_{k-2})) + 2 omega_k update,
-
-    so every bit is that of the written-out expression. At k = 0 with zero
-    ``x_curr``/``x_prev`` this is x_0 = 2 omega_0 A* f exactly. The support
-    kernel of the drivers runs the same arithmetic inline."""
+    which it overwrites. The coefficients come from the method's table; the
+    in-place update keeps the order of (x_{k-1} + mu_k (x_{k-1} - x_{k-2}))
+    + 2 omega_k update, so every bit is that of the written-out expression.
+    At k = 0 with zero ``x_curr``/``x_prev`` this is x_0 = 2 omega_0 A* f
+    exactly. The drivers' support kernel runs the same arithmetic inline."""
     mu, two_omega = _coefficients(spec).upto(k)
     x_new = x_curr - x_prev
     x_new *= mu[k]
