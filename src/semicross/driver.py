@@ -34,7 +34,8 @@ import numpy as np
 
 from .coeffs import CoeffVec
 from .hypercross import _product, assemble, refine
-from .methods import MethodSpec, NumericalDegeneracyError, _coefficients
+from .methods import (MethodSpec, NumericalDegeneracyError, _advance,
+                      _coefficients)
 from .problems import Problem, _error_norms, _noisy_data
 from .stopping import BalancingWindow, balancing_stop_index
 
@@ -270,8 +271,8 @@ class _SupportKernel:
     length rounds differently with its thread count.
 
     A step reads its coefficients from the method's table
-    (``methods._coefficients``) and makes only numpy calls and one
-    ``math.sqrt``: the update is ``methods._advance`` written out inline.
+    (``methods._coefficients``) and advances through ``methods._advance``;
+    past those it makes only numpy calls and one ``math.sqrt``.
     """
 
     def __init__(self, op, data: np.ndarray):
@@ -299,12 +300,7 @@ class _SupportKernel:
             if k == len(mu):
                 mu, two_omega = table.upto(k)
             update = _product(ci, ri, vals, r, q)
-            x_new = x - x_prev
-            x_new *= mu[k]
-            x_new += x
-            update *= two_omega[k]
-            x_new += update
-            x_prev, x = x, x_new
+            x_prev, x = x, _advance(mu[k], two_omega[k], x, x_prev, update)
             r = _product(ri, ci, vals, x, m)
             np.subtract(f, r, out=r)
             if k:

@@ -98,12 +98,13 @@ class IterState:
 
     ``k`` counts completed steps; ``x_curr`` is the step-k iterate and
     ``x_prev`` the step-(k-1) one (the zero vector right after
-    initialization, realizing x_{-1} = 0).
+    initialization, realizing x_{-1} = 0); ``omega`` is omega_k.
     """
 
     k: int
     x_curr: CoeffVec
     x_prev: CoeffVec
+    omega: float
 
 
 @functools.lru_cache(maxsize=16)
@@ -186,10 +187,10 @@ class _Coefficients:
     and 2 omega_k for k = 0, 1, ..., as two float64 arrays grown on demand.
 
     ``spec.alpha`` and ``spec.beta`` are evaluated once per k. A growth runs
-    ahead of the step asked for, but an arithmetic failure past it (a
-    degenerate denominator, say) only ends the growth there: its error is
-    raised when that step itself is asked for, as the step-by-step
-    recursion would.
+    ahead of the step asked for, but a failure past it (a degenerate
+    denominator, or a user-defined ``alpha`` that ends) only ends the growth
+    there: its error is raised when that step itself is asked for, as the
+    step-by-step recursion would.
     """
 
     def __init__(self, spec: MethodSpec):
@@ -216,7 +217,7 @@ class _Coefficients:
                 try:
                     alpha_n = spec.alpha(n)
                     omega_n = _omega(spec, n, alpha_n, omega)
-                except ArithmeticError:
+                except Exception:
                     if n > k:
                         break
                     raise
@@ -236,20 +237,20 @@ def _coefficients(spec: MethodSpec) -> _Coefficients:
     return _Coefficients(spec)
 
 
-def _advance(spec: MethodSpec, k: int, x_curr: np.ndarray, x_prev: np.ndarray,
-             update: np.ndarray) -> np.ndarray:
+def _advance(mu_k: float, two_omega_k: float, x_curr: np.ndarray,
+             x_prev: np.ndarray, update: np.ndarray) -> np.ndarray:
     """Step k of the two-step recursion on raw arrays: x_k from x_{k-1} =
-    ``x_curr``, x_{k-2} = ``x_prev`` and ``update`` = A*(f - A x_{k-1}),
-    which it overwrites. The coefficients come from the method's table; the
-    in-place update keeps the order of (x_{k-1} + mu_k (x_{k-1} - x_{k-2}))
-    + 2 omega_k update, so every bit is that of the written-out expression.
-    At k = 0 with zero ``x_curr``/``x_prev`` this is x_0 = 2 omega_0 A* f
-    exactly. The drivers' support kernel runs the same arithmetic inline."""
-    mu, two_omega = _coefficients(spec).upto(k)
+    ``x_curr``, x_{k-2} = ``x_prev``, ``update`` = A*(f - A x_{k-1}), which
+    it overwrites, and the step's entries of the method's coefficient table.
+    The in-place update keeps the order of (x_{k-1} + mu_k (x_{k-1} -
+    x_{k-2})) + 2 omega_k update, so every bit is that of the written-out
+    expression. At k = 0 with zero ``x_curr``/``x_prev`` this is x_0 =
+    2 omega_0 A* f exactly. ``step`` and the drivers' support kernel both
+    advance through here."""
     x_new = x_curr - x_prev
-    x_new *= mu[k]
+    x_new *= mu_k
     x_new += x_curr
-    update *= two_omega[k]
+    update *= two_omega_k
     x_new += update
     return x_new
 
@@ -261,9 +262,11 @@ def init_state(op, rhs: CoeffVec, spec: MethodSpec) -> IterState:
             f"rhs dimension {rhs.dim} exceeds operator dimension {op.dim}"
         )
     zero = CoeffVec.zeros(op.dim)
-    x0 = _advance(spec, 0, zero.coeffs, zero.coeffs,
+    mu, two_omega = _coefficients(spec).upto(0)
+    x0 = _advance(mu[0], two_omega[0], zero.coeffs, zero.coeffs,
                   np.array(op.apply_adjoint(rhs).coeffs))
-    return IterState(k=0, x_curr=CoeffVec._wrap(x0), x_prev=zero)
+    return IterState(k=0, x_curr=CoeffVec._wrap(x0), x_prev=zero,
+                     omega=float(two_omega[0]) / 2.0)
 
 
 def step(state: IterState, op, rhs: CoeffVec, spec: MethodSpec,
@@ -276,10 +279,12 @@ def step(state: IterState, op, rhs: CoeffVec, spec: MethodSpec,
     if ax_curr is None:
         ax_curr = op.apply(state.x_curr)
     update = op.apply_adjoint(rhs - ax_curr)
-    x_new = _advance(spec, state.k + 1, state.x_curr.coeffs,
+    k = state.k + 1
+    mu, two_omega = _coefficients(spec).upto(k)
+    x_new = _advance(mu[k], two_omega[k], state.x_curr.coeffs,
                      state.x_prev.coeffs, np.array(update.coeffs))
-    return IterState(k=state.k + 1, x_curr=CoeffVec._wrap(x_new),
-                     x_prev=state.x_curr)
+    return IterState(k=k, x_curr=CoeffVec._wrap(x_new), x_prev=state.x_curr,
+                     omega=float(two_omega[k]) / 2.0)
 
 
 def _lam_array(lam) -> np.ndarray:

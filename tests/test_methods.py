@@ -134,27 +134,39 @@ def _degenerate_at_7() -> MethodSpec:
     return spec
 
 
-def test_degenerate_step_raises_only_when_asked_for():
-    spec = _degenerate_at_7()
+def _alpha_ends_at_7() -> MethodSpec:
+    """The nu = 3/2 method with ``alpha`` read from a table of steps 0..6,
+    so that asking for alpha_7 raises IndexError."""
+    base = nu_method(1.5)
+    table = [base.alpha(k) for k in range(7)]
+    return dataclasses.replace(base, alpha=table.__getitem__)
+
+
+@pytest.mark.parametrize("make_spec, error, match", [
+    (_degenerate_at_7, NumericalDegeneracyError, "k=7"),
+    (_alpha_ends_at_7, IndexError, "out of range"),
+])
+def test_degenerate_step_raises_only_when_asked_for(make_spec, error, match):
+    spec = make_spec()
     op = DiagonalOperator([0.9, 0.5, 0.1])
     rhs = CoeffVec([1.0, 1.0, 1.0])
     state = init_state(op, rhs, spec)
     for _ in range(6):
         state = step(state, op, rhs, spec)
-    with pytest.raises(NumericalDegeneracyError, match="k=7"):
+    with pytest.raises(error, match=match):
         step(state, op, rhs, spec)
     # the support kernel reads the same table
     kernel = driver._SupportKernel(assemble(get_problem("p1").fresh_source(), 3),
                                    np.ones(64))
     steps = kernel.iterates(spec)
     assert len(list(itertools.islice(steps, 6))) == 6
-    with pytest.raises(NumericalDegeneracyError, match="k=7"):
+    with pytest.raises(error, match=match):
         next(steps)
     # a run whose levels all stop before step 7 never meets it
     p = driver.RunParams(delta=2.0 ** -4, tau=5.0, noise_dim=2 ** 14)
     report = driver.run_discrepancy(get_problem("p1"), spec, p)
     assert len(report.residual_norms) < 7
-    with pytest.raises(NumericalDegeneracyError, match="k=7"):
+    with pytest.raises(error, match=match):
         driver.run_discrepancy(get_problem("p1"), spec,
                                dataclasses.replace(p, tau=2.5))
 
@@ -191,6 +203,7 @@ def test_init_state_identity_example():
     op = DiagonalOperator([1.0])
     state = init_state(op, CoeffVec([1.0]), NU_HALF)
     assert state.x_curr.coeffs[0] == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert state.omega == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 def test_init_state_dimension_mismatch():
