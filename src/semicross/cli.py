@@ -53,6 +53,10 @@ EXIT_CAP = 2
 EXIT_IO = 3
 EXIT_ROW = 4
 
+#: most pairs ``gamma-dump`` writes: level 10 (11,534,336 pairs) peaks at
+#: about 0.6 GB and writes 100 MB; level 11 would need about 2.5 GB
+GAMMA_DUMP_MAX_PAIRS = 1 << 24
+
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentGrid:
@@ -390,8 +394,11 @@ def _cmd_rates(args) -> int:
 def _cmd_gamma_dump(args) -> int:
     if args.level < 0:
         raise ConfigError("level must be >= 0")
-    export_gamma(args.level, args.out)
     count = gamma_count(args.level)
+    if count > GAMMA_DUMP_MAX_PAIRS:
+        raise ConfigError(f"level {args.level} holds {count} pairs; gamma-dump "
+                          f"writes at most {GAMMA_DUMP_MAX_PAIRS} (level 10)")
+    export_gamma(args.level, args.out)
     print(f"level {args.level}: {count} pairs -> {args.out}")
     if args.compare_rectangle:
         side = 1 << (2 * args.level)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoeffVec
-from .hypercross import _product, assemble, refine
+from .hypercross import _block_products, assemble, refine
 from .methods import (MethodSpec, NumericalDegeneracyError, _advance,
                       _coefficients)
 from .problems import Problem, _error_norms, _noisy_data
@@ -271,16 +271,21 @@ class _SupportKernel:
     length rounds differently with its thread count.
 
     A step reads its coefficients from the method's table
-    (``methods._coefficients``) and advances through ``methods._advance``;
-    past those it makes only numpy calls and one ``math.sqrt``.
+    (``methods._coefficients``), advances through ``methods._advance`` and
+    makes the two block products ``hypercross._block_products`` hands the
+    level: one elementwise multiply each when the block is diagonal (every
+    level of the shipped Green operator), a gather, scale and bincount
+    otherwise, to the same bits. Past those it makes only numpy calls and
+    one ``math.sqrt``.
     """
 
     def __init__(self, op, data: np.ndarray):
         """``data`` holds the level's window, coefficients 1..op.dim of
         f_delta."""
         self.dim = op.dim
-        rows, self.cols, self.ri, self.ci = op.support()
-        self.vals = op.vals
+        rows, self.cols, ri, ci = op.support()
+        self.forward, self.adjoint = _block_products(ri, ci, op.vals,
+                                                     rows.size, self.cols.size)
         self.data = data[rows]
         off = np.delete(data, rows)
         off *= off
@@ -290,18 +295,17 @@ class _SupportKernel:
         """Yield (x_k restricted to C, ||A x_k - f||) for k = 1, 2, ...;
         each step is computed only when it is asked for, and a yielded
         iterate is never written to again."""
-        ri, ci, vals, f, off2 = self.ri, self.ci, self.vals, self.data, self.off2
-        m, q = f.size, self.cols.size
+        forward, adjoint, f, off2 = self.forward, self.adjoint, self.data, self.off2
         table = _coefficients(spec)
         mu = two_omega = ()
-        x = x_prev = np.zeros(q)
+        x = x_prev = np.zeros(self.cols.size)
         r = f
         for k in itertools.count():
             if k == len(mu):
                 mu, two_omega = table.upto(k)
-            update = _product(ci, ri, vals, r, q)
+            update = adjoint(r)
             x_prev, x = x, _advance(mu[k], two_omega[k], x, x_prev, update)
-            r = _product(ri, ci, vals, x, m)
+            r = forward(x)
             np.subtract(f, r, out=r)
             if k:
                 yield x, math.sqrt(float(r @ r) + off2)

@@ -150,3 +150,16 @@ class BlockSource(GalerkinInfoSource):
         inside = ((rows % 2 == 0) & (rows <= 16)
                   & (cols % 2 == 1) & (cols >= 3) & (cols <= 15))
         return np.where(inside, 0.02 + 0.08 * ((7 * rows + 13 * cols) % 17) / 17.0, 0.0)
+
+
+class SwapSource(GalerkinInfoSource):
+    """Information source with one entry per row and per column off the
+    diagonal: 0.6 at (2i-1, 2i) and 0.3 at (2i, 2i-1), every other entry
+    zero. The support block is a permutation, so its entries do not sit at
+    the positions 0..nnz-1 of both R and C; the singular values are 0.6 and
+    0.3."""
+
+    def _values(self, rows, cols):
+        odd = rows % 2 == 1
+        return (np.where(odd & (cols == rows + 1), 0.6, 0.0)
+                + np.where(~odd & (cols == rows - 1), 0.3, 0.0))

@@ -295,6 +295,7 @@ _SMALL_RUN = ["--delta-max", "0.0625", "--delta-min", "0.03125",
     ["constants", "--nu", "100"],
     ["constants", "--delta", "1e-300", "--rho", "1e300"],
     ["gamma-dump", "--level", "-1", "--out", "gamma.txt"],
+    ["gamma-dump", "--level", "40", "--out", "gamma.txt"],
 ])
 def test_bad_values_are_configuration_errors(argv, capsys, tmp_path, monkeypatch):
     # each exits 1 before any row runs, with no CSV and no traceback
@@ -484,6 +485,22 @@ def test_main_gamma_dump(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 48
     text = capsys.readouterr().out
     assert "48 pairs" in text and "256 pairs" in text
+
+
+def test_gamma_dump_refuses_a_cross_past_its_bound(tmp_path, capsys, monkeypatch):
+    # level 10 (11,534,336 pairs) is the largest cross written; level 11
+    # (50,331,648 pairs) is refused before anything is allocated
+    written = []
+    monkeypatch.setattr(semicross.cli, "export_gamma",
+                        lambda n, path: written.append(n))
+    monkeypatch.chdir(tmp_path)
+    assert main(["gamma-dump", "--level", "10", "--out", "g.txt"]) == 0
+    capsys.readouterr()
+    assert main(["gamma-dump", "--level", "11", "--out", "g.txt"]) == 1
+    assert written == [10]
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("configuration error:") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_constants(capsys):

@@ -22,12 +22,14 @@ from semicross.driver import (
     run_discrepancy,
     theoretical_constants,
 )
-from semicross.hypercross import DiagonalSource, assemble, gamma_count, refine
-from semicross.methods import NumericalDegeneracyError, init_state, nu_method, step
-from semicross.problems import get_problem, perturb
+from semicross.hypercross import (DiagonalSource, _is_diagonal, _product, assemble,
+                                  gamma_count, refine)
+from semicross.methods import (NumericalDegeneracyError, _advance, _coefficients,
+                               init_state, nu_method, step)
+from semicross.problems import get_problem, green_operator, perturb
 from semicross.stopping import BalancingWindow, balancing_stop_index
 
-from helpers import BandSource, BlockSource
+from helpers import BandSource, BlockSource, SwapSource
 
 TAU_REF = 1.01 + math.sqrt(13.0 / 8.0)
 NU32 = nu_method(1.5)
@@ -644,6 +646,94 @@ def test_support_kernel_sums_in_entry_order(n):
     _, _, ri, ci = op.support()
     assert min(np.bincount(ri)) >= 3 and min(np.bincount(ci)) >= 3
     _assert_kernel_matches_full_length_iteration(op, n)
+
+
+def _product_reference(op, data, spec):
+    """The support kernel's loop with both block products made through
+    ``hypercross._product``: yields (x_k on C, residual norm)."""
+    rows, cols, ri, ci = op.support()
+    f = data[rows]
+    off = np.delete(data, rows)
+    off2 = float(np.sum(off * off))
+    table = _coefficients(spec)
+    x = x_prev = np.zeros(cols.size)
+    r = f
+    for k in itertools.count():
+        mu, two_omega = table.upto(k)
+        update = _product(ci, ri, op.vals, r, cols.size)
+        x_prev, x = x, _advance(mu[k], two_omega[k], x, x_prev, update)
+        r = f - _product(ri, ci, op.vals, x, rows.size)
+        if k:
+            yield x, math.sqrt(float(r @ r) + off2)
+
+
+#: diagonal operators: the shipped Green operator (R = C = the first 2^n
+#: indices) and one with alternating signs and every third entry zero (R = C
+#: neither full nor a leading block)
+_DIAGONAL_SOURCES = {
+    "green": lambda: green_operator(4 ** 6),
+    "gappy": lambda: DiagonalSource(
+        lambda kk: np.where(kk % 3 == 0, 0.0, (-1.0) ** kk * 0.9 / np.sqrt(kk))),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("source", sorted(_DIAGONAL_SOURCES))
+def test_diagonal_block_steps_bit_for_bit_as_through_product(source, n):
+    op = assemble(_DIAGONAL_SOURCES[source](), n)
+    rows, cols, ri, ci = op.support()
+    assert _is_diagonal(ri, ci)
+    if source == "gappy" and n > 1:
+        assert rows.size < 1 << n and rows[-1] >= rows.size
+    data = np.random.default_rng(n).standard_normal(op.dim)
+    # exact zeros of both signs on R, so residual zeros of both signs occur
+    data[rows[::4]] = 0.0
+    data[rows[1::4]] = -0.0
+    kernel = driver._SupportKernel(op, data)
+    pairs = zip(kernel.iterates(NU32), _product_reference(op, data, NU32))
+    for (x, res), (x_ref, res_ref) in itertools.islice(pairs, 300):
+        assert np.array_equal(x, x_ref) and res == res_ref
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_permutation_block_takes_the_product_path(n):
+    # one entry per row and column, but not in the order of R and C
+    op = assemble(SwapSource(), n)
+    _, _, ri, ci = op.support()
+    assert np.array_equal(np.bincount(ri), np.ones(ri.size))
+    assert np.array_equal(np.bincount(ci), np.ones(ci.size))
+    _assert_kernel_matches_full_length_iteration(op, n)
+
+
+@pytest.mark.parametrize("scaled", [True, False])
+@pytest.mark.parametrize("pid", ["p1", "p2"])
+def test_shipped_problems_step_elementwise(pid, scaled):
+    # every level the runs reach has a diagonal block
+    src = get_problem(pid, scaled=scaled).fresh_source()
+    for n in range(1, 10):
+        assert _is_diagonal(*assemble(src, n).support()[2:])
+
+
+@pytest.mark.parametrize("source", [BandSource, BlockSource, SwapSource])
+def test_off_diagonal_blocks_are_not_classed_diagonal(source):
+    # from level 3 on, each of these blocks holds two entries or more
+    for n in range(3, 7):
+        assert not _is_diagonal(*assemble(source(), n).support()[2:])
+
+
+def test_shipped_runs_never_gather_and_bincount(monkeypatch):
+    runs = [(runner, get_problem(pid)) for runner in (run_discrepancy, run_balancing)
+            for pid in ("p1", "p2")]
+    before = [runner(problem, NU32, params(2.0 ** -8)) for runner, problem in runs]
+
+    def bincount(*args, **kwargs):
+        raise AssertionError("a shipped run summed a product with bincount")
+
+    monkeypatch.setattr(np, "bincount", bincount)
+    after = [runner(problem, NU32, params(2.0 ** -8)) for runner, problem in runs]
+    for old, new in zip(before, after):
+        assert new.residual_norms == old.residual_norms
+        assert np.array_equal(new.solution.coeffs, old.solution.coeffs)
 
 
 def test_support_kernel_residual_when_off_support_data_is_tiny():
