@@ -7,7 +7,7 @@ sparse Galerkin discretization on hyperbolic-cross index sets, stopped by
 the residual discrepancy principle or the balancing principle.
 """
 
-from .coeffs import CoeffVec, norm
+from .coeffs import CoeffVec
 from .driver import (
     CapExceededError,
     ConfigError,
@@ -28,7 +28,6 @@ from .hypercross import (
     discretization_bounds,
     export_gamma,
     gamma_count,
-    gamma_pairs,
     refine,
 )
 from .methods import (

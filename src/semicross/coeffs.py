@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CoeffVec", "norm"]
+__all__ = ["CoeffVec"]
 
 
 class CoeffVec:
@@ -77,8 +77,3 @@ class CoeffVec:
         head = np.array2string(self.coeffs[:4], precision=6)
         tail = ", ..." if self.dim > 4 else ""
         return f"CoeffVec(dim={self.dim}, {head}{tail})"
-
-
-def norm(v: CoeffVec) -> float:
-    """The induced norm sqrt((v, v))."""
-    return float(np.sqrt(np.sum(v.coeffs * v.coeffs)))

@@ -35,7 +35,6 @@ from .coeffs import CoeffVec
 
 __all__ = [
     "gamma_count",
-    "gamma_pairs",
     "export_gamma",
     "GalerkinInfoSource",
     "DiagonalSource",
@@ -75,29 +74,24 @@ def _block_pairs(rows_lo: int, rows_hi: int, cols_lo: int, cols_hi: int):
     return np.repeat(rr, cc.size), np.tile(cc, rr.size)
 
 
-def gamma_pairs(n: int) -> np.ndarray:
-    """Level-n cross as an (m, 2) array of (row, column) pairs, sorted
-    row-major: the rectangles are disjoint and come in ascending row order,
-    so concatenating their row-major pairs needs neither a sort nor
-    deduplication."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    blocks = [_block_pairs(*rect) for rect in _rectangles(n)]
-    return np.column_stack([np.concatenate(axis) for axis in zip(*blocks)])
-
-
 def export_gamma(n: int, path) -> None:
     """Write the level-n cross to a two-column text file.
 
     Each line holds one pair as ``<column> <row>`` (input index first, so
     columns plot on the horizontal axis); lines are sorted lexicographically
-    by that order.
+    by that order. The cross is symmetric (a pair (i, j) belongs to it iff
+    ceil(log2 i) + ceil(log2 j) <= 2n), so these lines are its row-major
+    pairs written ``<row> <column>``: the file is streamed row by row, band
+    by band, with every column formatted once.
     """
-    pairs = gamma_pairs(n)
-    flipped = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    cols = [f" {j}\n" for j in range(1, (1 << (2 * n)) + 1)]
     with open(path, "w") as fh:
-        for i, j in flipped:
-            fh.write(f"{j} {i}\n")
+        for rows_lo, rows_hi, _, cols_hi in _rectangles(n):
+            band = cols[:cols_hi]
+            for i in map(str, range(rows_lo + 1, rows_hi + 1)):
+                fh.write(i + i.join(band))
 
 
 class GalerkinInfoSource:

@@ -62,10 +62,6 @@ _DEGENERACY_EPS = 1e-14
 #: filter evaluation point substituted for lam == 0 (one-sided limit)
 _FILTER_EPS = 1e-12
 
-#: entries of a coefficient table's first growth; each later one at least
-#: doubles it
-_TABLE_START = 64
-
 
 class NumericalDegeneracyError(ArithmeticError):
     """The omega recursion hit a (near-)zero denominator."""
@@ -184,50 +180,31 @@ def _omega(spec: MethodSpec, k: int, alpha_k: float, omega_prev: float) -> float
 
 class _Coefficients:
     """The step coefficients of one method, mu_k = (1 - alpha_k) omega_k - 1
-    and 2 omega_k for k = 0, 1, ..., as two float64 arrays grown on demand.
+    and 2 omega_k for k = 0, 1, ..., as two lists of ``np.float64`` scalars
+    (a numpy scalar scales an array faster than a Python float does).
 
-    ``spec.alpha`` and ``spec.beta`` are evaluated once per k. A growth runs
-    ahead of the step asked for, but a failure past it (a degenerate
-    denominator, or a user-defined ``alpha`` that ends) only ends the growth
-    there: its error is raised when that step itself is asked for, as the
-    step-by-step recursion would.
+    The lists grow one step at a time, up to the step asked for and no
+    further, so ``spec.alpha`` and ``spec.beta`` are evaluated once per k
+    and a failure (a degenerate denominator, or a user-defined ``alpha``
+    that ends) is raised at its own step.
     """
 
     def __init__(self, spec: MethodSpec):
         self.spec = spec
-        self.mu = np.empty(0)
-        self.two_omega = np.empty(0)
+        self.mu = []
+        self.two_omega = []
         self._omega = 0.0  # omega of the last entry
 
     def upto(self, k: int):
         """``(mu, two_omega)``, holding at least the entries 0..k."""
-        if k >= self.mu.size:
-            self._grow(k)
-        return self.mu, self.two_omega
-
-    def _grow(self, k: int) -> None:
-        # filled entry by entry, so no Python float outlives its step
-        spec, omega = self.spec, self._omega
-        n = self.mu.size
-        size = max(k + 1, 2 * n, _TABLE_START)
-        mu, two_omega = np.empty(size), np.empty(size)
-        mu[:n], two_omega[:n] = self.mu, self.two_omega
-        try:
-            while n < size:
-                try:
-                    alpha_n = spec.alpha(n)
-                    omega_n = _omega(spec, n, alpha_n, omega)
-                except Exception:
-                    if n > k:
-                        break
-                    raise
-                mu[n] = (1.0 - alpha_n) * omega_n - 1.0
-                two_omega[n] = 2.0 * omega_n
-                omega = omega_n
-                n += 1
-        finally:
-            self._omega = omega
-            self.mu, self.two_omega = mu[:n], two_omega[:n]
+        spec, mu, two_omega = self.spec, self.mu, self.two_omega
+        for n in range(len(mu), k + 1):
+            alpha_n = spec.alpha(n)
+            omega_n = _omega(spec, n, alpha_n, self._omega)
+            mu.append(np.float64((1.0 - alpha_n) * omega_n - 1.0))
+            two_omega.append(np.float64(2.0 * omega_n))
+            self._omega = omega_n
+        return mu, two_omega
 
 
 @functools.lru_cache(maxsize=16)

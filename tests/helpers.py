@@ -7,6 +7,23 @@ from semicross.hypercross import GalerkinInfoSource
 from semicross.problems import green_operator
 
 
+def gamma_pairs(n: int) -> np.ndarray:
+    """Oracle: the level-n cross, the pairs (i, j) of [1, 2^{2n}]^2 with
+    ceil(log2 i) + ceil(log2 j) <= 2n, as an (m, 2) array of (row, column)
+    pairs, sorted row-major."""
+    rows = np.arange(1, (1 << (2 * n)) + 1)
+    widths = 1 << (2 * n - np.frexp(rows - 1)[1])  # frexp: bit lengths
+    starts = np.cumsum(widths) - widths
+    cols = np.arange(widths.sum()) - np.repeat(starts, widths) + 1
+    return np.column_stack([np.repeat(rows, widths), cols])
+
+
+def norm(v: CoeffVec) -> float:
+    """The coefficient-space norm sqrt((v, v)), summed pairwise as
+    ``np.sum`` sums, which is how the drivers sum their error norms."""
+    return float(np.sqrt(np.sum(v.coeffs * v.coeffs)))
+
+
 class DiagonalOperator:
     """Plain diagonal operator on a fixed dimension (self-adjoint for real
     diagonals, which is all the tests need)."""

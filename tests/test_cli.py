@@ -81,6 +81,8 @@ def test_rate_fit_validation():
         rate_fit([(0.1, 1.0), (0.05, 0.5)])
     with pytest.raises(ValueError):
         rate_fit([(0.1, 1.0), (0.05, -0.5), (0.02, 0.1)])
+    with pytest.raises(ValueError):
+        rate_fit([(0.1, 1.0), (math.inf, 0.5), (0.02, 0.1)])
 
 
 def test_table_shaped_data_recovers_expected_slope():
@@ -475,6 +477,39 @@ def test_main_rates(tmp_path, capsys):
     assert main(["rates", "--csv", str(out)]) == 0
     text = capsys.readouterr().out
     assert "error_slope" in text and "stop_index_slope" in text
+
+
+_RATES_ROWS = (
+    "1,1.5,0.03125,5,10,4,0.1,0.2,6144,0",
+    "1,1.5,0.015625,5,10,5,0.08,0.2,6144,1",
+    "1,1.5,0.0078125,5,10,6,0.06,0.2,6144,2",
+)
+
+
+@pytest.mark.parametrize("header, rows", [
+    # a missing column
+    (",".join(CSV_COLUMNS[:-1]), [r.rsplit(",", 1)[0] for r in _RATES_ROWS]),
+    # a non-numeric cell
+    (",".join(CSV_COLUMNS), [_RATES_ROWS[0].replace("0.1,", "n/a,", 1),
+                             *_RATES_ROWS[1:]]),
+    # kept rows (finite rel_error, K >= 1) that no log-log fit takes
+    (",".join(CSV_COLUMNS), [_RATES_ROWS[0].replace("0.1,", "0,", 1),
+                             *_RATES_ROWS[1:]]),
+    (",".join(CSV_COLUMNS), [_RATES_ROWS[0].replace("0.03125", "-0.03125"),
+                             *_RATES_ROWS[1:]]),
+    (",".join(CSV_COLUMNS), [_RATES_ROWS[0].replace("0.03125", "nan"),
+                             *_RATES_ROWS[1:]]),
+], ids=["missing-column", "non-numeric", "zero-error", "negative-delta",
+        "nan-delta"])
+def test_rates_on_a_malformed_csv_is_a_configuration_error(header, rows, tmp_path,
+                                                          capfd):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    assert main(["rates", "--csv", str(path)]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert str(path) in err
 
 
 def test_main_gamma_dump(tmp_path, capsys):

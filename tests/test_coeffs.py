@@ -2,23 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from semicross.coeffs import CoeffVec, norm
+from semicross.coeffs import CoeffVec
+
+from helpers import norm
 
 finite_vecs = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     min_size=1, max_size=40,
 )
-
-
-def test_norm_examples():
-    assert norm(CoeffVec.zeros(5)) == 0.0
-    assert norm(CoeffVec([3, 4])) == 5.0
-
-
-@given(finite_vecs, st.floats(min_value=-100, max_value=100))
-def test_norm_homogeneous(coeffs, scale):
-    v = CoeffVec(coeffs)
-    assert norm(scale * v) == pytest.approx(abs(scale) * norm(v), rel=1e-12, abs=1e-12)
 
 
 @given(finite_vecs, st.data())

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from semicross import driver, problems
-from semicross.coeffs import CoeffVec, norm
+from semicross.coeffs import CoeffVec
 from semicross.driver import (
     CapExceededError,
     ConfigError,
@@ -29,7 +29,7 @@ from semicross.methods import (NumericalDegeneracyError, _advance, _coefficients
 from semicross.problems import get_problem, green_operator, perturb
 from semicross.stopping import BalancingWindow, balancing_stop_index
 
-from helpers import BandSource, BlockSource, SwapSource
+from helpers import BandSource, BlockSource, SwapSource, norm
 
 TAU_REF = 1.01 + math.sqrt(13.0 / 8.0)
 NU32 = nu_method(1.5)

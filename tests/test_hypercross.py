@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from semicross.coeffs import CoeffVec, norm
+from semicross.coeffs import CoeffVec
 from semicross.hypercross import (
     DiagonalSource,
     GalerkinInfoSource,
@@ -14,12 +14,11 @@ from semicross.hypercross import (
     discretization_bounds,
     export_gamma,
     gamma_count,
-    gamma_pairs,
     refine,
 )
 from semicross.problems import green_operator
 
-from helpers import HashSource, dense_cross_assembly, green_spectrum
+from helpers import HashSource, dense_cross_assembly, gamma_pairs, green_spectrum, norm
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +149,12 @@ def test_export_format(tmp_path):
     parsed = [tuple(map(int, ln.split())) for ln in lines]
     assert parsed == sorted(parsed)  # sorted by (column, row)
     assert {(i, j) for j, i in parsed} == _gamma_set(2)
+    # byte for byte the oracle's pairs sorted by (column, row)
+    for n in range(9):
+        pairs = gamma_pairs(n)
+        flipped = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]
+        export_gamma(n, path)
+        assert path.read_text() == "".join(f"{j} {i}\n" for i, j in flipped.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import roots_legendre
 
 from semicross import problems
-from semicross.coeffs import CoeffVec, norm
+from semicross.coeffs import CoeffVec
 from semicross.problems import (
     PROBLEM_IDS,
     NoisyData,
@@ -14,7 +14,7 @@ from semicross.problems import (
     perturb,
 )
 
-from helpers import green_spectrum, monomial_sine_coeffs, smoothness_envelope
+from helpers import green_spectrum, monomial_sine_coeffs, norm, smoothness_envelope
 
 SQRT2 = math.sqrt(2.0)
 #: operator scaling pi^2 and the unit-norm factors 1/||f|| of the shipped pairs

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semicross.coeffs import CoeffVec, norm
+from semicross.coeffs import CoeffVec
 from semicross.driver import ConfigError, RunParams, _discrepancy_stop, run_discrepancy
 from semicross.methods import nu_method
 from semicross.problems import get_problem
@@ -11,6 +11,8 @@ from semicross.stopping import (
     balancing_admissible_set,
     balancing_stop_index,
 )
+
+from helpers import norm
 
 
 def _discrepancy(residuals, tau, delta, k_n=None):
