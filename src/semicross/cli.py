@@ -163,7 +163,10 @@ def _run_row(payload: dict) -> dict:
 
 
 def run_grid(grid: ExperimentGrid, jobs: int = 1) -> list:
-    """All rows of a grid, in grid order regardless of completion order."""
+    """All rows of a grid, in grid order regardless of completion order;
+    ``jobs`` > 1 runs them in that many worker processes."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     payloads = [_row_payload(grid, i) for i in range(len(grid.deltas))]
     if jobs > 1 and len(payloads) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -272,8 +275,9 @@ def _config_tokens(path, args: argparse.Namespace) -> list:
     tokens = []
     for key, raw in values.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ConfigError(f"unknown config key {key!r}")
+        # a file cannot name another: the command line's --config wins
+        if attr == "config" or not hasattr(args, attr):
+            raise ConfigError(f"{path}: unknown config key {key!r}")
         if not isinstance(getattr(args, attr), bool):
             tokens.append(f"--{key}={raw}")
         elif raw.lower() in ("true", "yes", "on"):

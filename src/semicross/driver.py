@@ -15,7 +15,7 @@ residual norm at or below tau delta for the discrepancy variant, nonempty
 admissible set for the balancing variant -- or refines the discretization
 by one level, computing only the new Galerkin entries. The iteration runs
 on the operator's nonzero rows and columns only (``_SupportKernel``); the
-reported solution is scattered back to full length.
+report writes the stop iterate back into the level window.
 
 Safety caps convert non-termination under violated assumptions into
 reported errors: ``n_max`` bounds the level, ``k_abs_max`` the total number
@@ -282,7 +282,6 @@ class _SupportKernel:
     def __init__(self, op, data: np.ndarray):
         """``data`` holds the level's window, coefficients 1..op.dim of
         f_delta."""
-        self.dim = op.dim
         rows, self.cols, ri, ci = op.support()
         self.forward, self.adjoint = _block_products(ri, ci, op.vals,
                                                      rows.size, self.cols.size)
@@ -310,12 +309,6 @@ class _SupportKernel:
             if k:
                 yield x, math.sqrt(float(r @ r) + off2)
 
-    def scatter(self, x: np.ndarray) -> CoeffVec:
-        """A support iterate as a full-length coefficient vector."""
-        full = np.zeros(self.dim)
-        full[self.cols] = x
-        return CoeffVec._wrap(full)
-
 
 def _prepare(problem: Problem, p: RunParams):
     """The run's noisy data, ||f|| and a fresh information source. Called
@@ -338,13 +331,18 @@ def _prepare(problem: Problem, p: RunParams):
 
 
 def _finish(problem: Problem, spec: MethodSpec, p: RunParams, algorithm: int,
-            levels, budgets, stop_index, solution, residuals, src, rhs_norm,
-            mu):
-    """The run's report. The error is measured against the exact solution
-    at max(window, noise_dim), and no per-run array of noise_dim length is
-    built (``problems._error_norms``)."""
-    dim_ref = max(solution.dim, p.noise_dim)
-    abs_error, exact_norm = _error_norms(problem, solution.coeffs, dim_ref)
+            levels, budgets, stop_index, dim, cols, x, residuals, src,
+            rhs_norm, mu):
+    """The run's report, whose solution is the stop iterate ``x`` on the
+    support ``cols`` written into the level window of length ``dim``. The
+    error is measured against the exact solution at max(dim, noise_dim),
+    reading it only up to the last support column (``problems._error_norms``),
+    so no per-run array of noise_dim length is built."""
+    solution = np.zeros(dim)
+    solution[cols] = x
+    # cols is sorted, and empty on a zero operator
+    abs_error, exact_norm = _error_norms(
+        problem, solution[:cols.max(initial=-1) + 1], max(dim, p.noise_dim))
     rel_error = abs_error / exact_norm if exact_norm > 0.0 else math.nan
     diagnostics = None
     if mu is not None:
@@ -367,7 +365,7 @@ def _finish(problem: Problem, spec: MethodSpec, p: RunParams, algorithm: int,
         final_level=levels[-1],
         stop_index=stop_index,
         total_iterations=len(residuals),
-        solution=solution,
+        solution=CoeffVec._wrap(solution),
         residual_norms=tuple(residuals),
         info_count=src.eval_count,
         rhs_norm=rhs_norm,
@@ -475,7 +473,7 @@ def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
             if hit is not None:
                 stop, x = hit
                 return _finish(problem, spec, p, algorithm, levels, budgets,
-                               stop, kernel.scatter(x), residuals, src,
+                               stop, op.dim, kernel.cols, x, residuals, src,
                                rhs_norm, mu)
         if n >= p.n_max:
             raise CapExceededError(

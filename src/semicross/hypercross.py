@@ -101,9 +101,9 @@ class GalerkinInfoSource:
     coefficients at output index i and input index j, deterministically,
     and increments the evaluation counter by one per pair of it.
 
-    Subclasses implement ``_values``, the entries at aligned 1-based index
-    arrays; a subclass that knows where its nonzeros lie may also override
-    ``entry_block``.
+    A subclass implements ``_values``, the entries at aligned 1-based index
+    arrays, or overrides ``entry_block`` when it knows where its nonzeros
+    lie.
     """
 
     def __init__(self):
@@ -143,13 +143,6 @@ class DiagonalSource(GalerkinInfoSource):
         super().__init__()
         self._diag = diag
         self.dim_hint = dim_hint
-
-    def _values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        vals = np.zeros(rows.size)
-        on_diag = rows == cols
-        if np.any(on_diag):
-            vals[on_diag] = self._diag(rows[on_diag].astype(np.int64))
-        return vals
 
     def entry_block(self, rows_lo: int, rows_hi: int, cols_lo: int,
                     cols_hi: int):

@@ -41,9 +41,10 @@ range (``Problem.coeff_range``).
 
 Kept values. What a process keeps between runs lives here, each value
 behind a bounded ``functools.lru_cache`` function reset by ``cache_clear()``:
-the noise norm per (seed, dim), each closed form's head per (problem, rhs)
-and its ``_pairwise_sumsq`` per (problem, rhs, dim). No array of a run's
-``noise_dim`` length is held.
+the noise norm per (seed, dim), the right-hand side's head per problem and
+each closed form's ``_pairwise_sumsq`` per (problem, rhs, dim). No array of
+a run's ``noise_dim`` length is held, and no exact-solution coefficient
+outlives the run that reads it.
 """
 
 from __future__ import annotations
@@ -289,13 +290,12 @@ def get_problem(pid: str, scaled: bool = True,
     return Problem(pid, scaled, normalize)
 
 
-@functools.lru_cache(maxsize=16)
-def _closed_form(problem: Problem, rhs: bool) -> _Head:
-    """The kept head of ``problem``'s right-hand side (``rhs``) or exact
-    solution, grown with the windows the runs read; the bound holds both of
-    every shipped problem variant, so sweeps that alternate problems evict
-    nothing."""
-    return _Head(functools.partial(problem.coeff_range, rhs=rhs))
+@functools.lru_cache(maxsize=8)
+def _closed_form(problem: Problem) -> _Head:
+    """The kept head of ``problem``'s right-hand side, grown with the
+    windows the runs read; the bound holds every shipped problem variant,
+    so sweeps that alternate problems evict nothing."""
+    return _Head(functools.partial(problem.coeff_range, rhs=True))
 
 
 @functools.lru_cache(maxsize=64)
@@ -305,35 +305,27 @@ def _sumsq(problem: Problem, rhs: bool, dim: int):
     return _pairwise_sumsq(dim, functools.partial(problem.coeff_range, rhs=rhs))
 
 
-def _squared_distance(x: np.ndarray, exact, dim: int, tails: tuple):
-    """sum((x - exact)^2) over coefficients 1..dim, x zero-extended, bit for
-    bit the np.sum of the full-length squares; ``exact(d)`` returns the
-    first d coefficients and ``tails`` is the ``_pairwise_sumsq`` chain of
-    their squares at ``dim``. Past x the difference is -exact, so the
-    squares are summed on the smallest split of the chain that holds x, and
-    the tail sums beyond it are added innermost first; only that head is
-    allocated."""
-    kept = [(m, s) for m, s in tails if m >= x.size]
-    diff = -exact(kept[-1][0] if kept else dim)
-    diff[:x.size] += x
-    diff *= diff
-    total = np.sum(diff)
-    for _, s in reversed(kept):
-        total += s
-    return total
-
-
 def _noisy_data(problem: Problem, dim: int, delta: float, seed: int):
     """A run's ``NoisyData`` at ``dim`` and ||f||, both read from the kept
     right-hand side."""
     f_norm = float(np.sqrt(_sumsq(problem, True, dim)[0]))
-    return NoisyData(_closed_form(problem, True), dim, delta, seed), f_norm
+    return NoisyData(_closed_form(problem), dim, delta, seed), f_norm
 
 
 def _error_norms(problem: Problem, x: np.ndarray, dim: int):
     """(||x - x†||, ||x†||) over coefficients 1..dim of the exact solution
     x†, x zero-extended: the floats of the np.sum norms of the full-length
-    arrays, from the kept head and tail sums of x†."""
+    arrays. Past x the difference is -x†, so the squares are summed on the
+    smallest split of the ``_pairwise_sumsq`` chain of x† at ``dim`` that
+    holds x, and the kept tail sums beyond it are added innermost first;
+    only that head of x† is evaluated, and none is kept."""
     total, tails = _sumsq(problem, False, dim)
-    sq = _squared_distance(x, _closed_form(problem, False), dim, tails)
+    kept = [(m, s) for m, s in tails if m >= x.size]
+    # x† - x squares to the bits of x - x†
+    diff = problem.coeff_range(0, kept[-1][0] if kept else dim, rhs=False)
+    diff[:x.size] -= x
+    diff *= diff
+    sq = np.sum(diff)
+    for _, s in reversed(kept):
+        sq += s
     return float(np.sqrt(sq)), float(np.sqrt(total))

@@ -298,6 +298,8 @@ _SMALL_RUN = ["--delta-max", "0.0625", "--delta-min", "0.03125",
     ["constants", "--delta", "1e-300", "--rho", "1e300"],
     ["gamma-dump", "--level", "-1", "--out", "gamma.txt"],
     ["gamma-dump", "--level", "40", "--out", "gamma.txt"],
+    ["run", "--jobs", "0"],
+    ["run", "--jobs", "-3"],
 ])
 def test_bad_values_are_configuration_errors(argv, capsys, tmp_path, monkeypatch):
     # each exits 1 before any row runs, with no CSV and no traceback
@@ -596,11 +598,20 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("garbage-knob = 1\n")
     assert main(["run", "--config", str(cfg)]) == 1
     assert "garbage-knob" in capsys.readouterr().err
+    # a file naming another would be overridden by the command line's
+    # --config, so the other file would never be read
+    (tmp_path / "other.cfg").write_text("delta-max = 0.0625\n")
+    cfg.write_text(f"config = {tmp_path / 'other.cfg'}\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("configuration error:") == 1
+    assert str(cfg) in err and "'config'" in err
 
 
 @pytest.mark.parametrize("line, message", [
     ("problem = p9", "argument --problem: invalid choice: 'p9'"),
     ("nu = abc", "argument --nu: invalid float value: 'abc'"),
+    ("jobs = 0", "jobs must be >= 1"),
 ])
 def test_config_file_values_pass_the_flag_checks(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"

@@ -315,14 +315,29 @@ def _counted_ranges(monkeypatch) -> list:
     return calls
 
 
-def _assert_evaluated_once(calls, problem, noise_dim):
+def _support_split(problem, report, noise_dim) -> int:
+    """The head of the exact solution a run's error reads: the smallest split
+    of its ``_pairwise_sumsq`` chain that holds the final level's support
+    columns."""
+    cols = assemble(problem.fresh_source(), report.final_level).support()[1]
+    dim = max(report.solution.dim, noise_dim)
+    splits = [m for m, _ in problems._sumsq(problem, False, dim)[1]
+              if m > cols[-1]]
+    return splits[-1] if splits else dim
+
+
+def _assert_evaluated_once(calls, problem, noise_dim, reports):
     """Each coefficient of ``problem``'s closed forms was evaluated once for
-    the norm at noise_dim and once for the kept head, and no more."""
-    for rhs in (True, False):
-        head = problems._closed_form(problem, rhs).v.size
-        want = np.zeros(max(noise_dim, head), dtype=int)
+    the norm at noise_dim; each right-hand-side coefficient once more for the
+    kept head, and each exact-solution one once more per run of ``reports``
+    up to that run's support split; and no more."""
+    heads = {True: [problems._closed_form(problem).v.size],
+             False: [_support_split(problem, r, noise_dim) for r in reports]}
+    for rhs, ends in heads.items():
+        want = np.zeros(max(noise_dim, *ends), dtype=int)
         want[:noise_dim] += 1
-        want[:head] += 1
+        for end in ends:
+            want[:end] += 1
         got = np.zeros_like(want)
         for pid, r, start, stop in calls:
             if (pid, r) == (problem.pid, rhs):
@@ -331,14 +346,15 @@ def _assert_evaluated_once(calls, problem, noise_dim):
 
 
 def test_closed_forms_are_computed_once_per_problem(monkeypatch):
-    # the norms and the heads of the rhs and the exact solution are kept
-    # between runs of one problem: a later run evaluates only the range its
-    # window adds, and reusing them changes no report
+    # the norms and the head of the rhs are kept between runs of one
+    # problem: a later run evaluates only the rhs range its window adds and
+    # the exact solution up to its support split, and reusing them changes
+    # no report
     runs = [(2.0 ** -5, 1), (2.0 ** -7, 2)]
     calls = _counted_ranges(monkeypatch)
     reused = [run_discrepancy(get_problem("p1"), NU32, params(d, seed=s))
               for d, s in runs]
-    _assert_evaluated_once(calls, get_problem("p1"), 2 ** 14)
+    _assert_evaluated_once(calls, get_problem("p1"), 2 ** 14, reused)
     for (d, s), report in zip(runs, reused):
         _drop_closed_forms()
         fresh = run_discrepancy(get_problem("p1"), NU32, params(d, seed=s))
@@ -347,15 +363,18 @@ def test_closed_forms_are_computed_once_per_problem(monkeypatch):
 
 
 def test_sweeps_evaluate_each_closed_form_coefficient_once(monkeypatch):
-    # sweeps alternate problems (p1, p2, p1); no closed form is evicted, so
-    # each norm and each head coefficient is evaluated once per process
+    # sweeps alternate problems (p1, p2, p1); no norm and no rhs head is
+    # evicted, so each is evaluated once per process, and each run reads
+    # the exact solution up to its support split alone
     calls = _counted_ranges(monkeypatch)
+    reports = {"p1": [], "p2": []}
     for runner, pid in ((run_discrepancy, "p1"), (run_discrepancy, "p2"),
                         (run_balancing, "p1")):
         for e in (4, 6, 8):
-            runner(get_problem(pid), NU32, params(2.0 ** -e, seed=e))
+            reports[pid].append(
+                runner(get_problem(pid), NU32, params(2.0 ** -e, seed=e)))
     for pid in ("p1", "p2"):
-        _assert_evaluated_once(calls, get_problem(pid), 2 ** 14)
+        _assert_evaluated_once(calls, get_problem(pid), 2 ** 14, reports[pid])
     _drop_closed_forms()
 
 
@@ -414,32 +433,58 @@ def test_abs_error_is_the_norm_of_the_difference():
 @pytest.mark.parametrize("n", [2 ** 20, 2 ** 18 + 3, 999_999, 1000, 129, 7])
 def test_window_sum_with_tail_sums_is_numpys_full_sum(n):
     # pins numpy's pairwise split rule: the streamed sum of squares is np.sum
-    # of the full squares, and summing the squared difference on the
-    # smallest split that holds the window and adding the chain's tail sums
-    # gives np.sum over the full length, bit for bit
+    # of the full squares, and the error norms, summed on the smallest split
+    # that holds the iterate plus the chain's tail sums, are the np.sum
+    # norms over the full length, bit for bit
     rng = np.random.default_rng(n)
-    exact = rng.standard_normal(n) * rng.uniform(0.0, 1e3, n)
+    v = rng.standard_normal(n) * rng.uniform(0.0, 1e3, n)
     segments = []
 
     def leaf(lo, hi):
         segments.append((lo, hi))
-        return exact[lo:hi]
+        return v[lo:hi]
 
-    total, tails = problems._pairwise_sumsq(n, leaf)
-    assert total.hex() == np.sum(exact * exact).hex()
+    total, _ = problems._pairwise_sumsq(n, leaf)
+    assert total.hex() == np.sum(v * v).hex()
     # consecutive segments of at most 2^13 entries, in ascending order
     assert [lo for lo, _ in segments] == [0] + [hi for _, hi in segments[:-1]]
     assert segments[-1][1] == n
     assert max(hi - lo for lo, hi in segments) <= 2 ** 13
-    for w in (1, 7, 256, 4096, 2 ** 16, n):
-        if w > n:
-            continue
-        x = rng.standard_normal(w)
-        diff = -exact
-        diff[:w] += x
-        full = np.sum(diff * diff)
-        got = problems._squared_distance(x, lambda d: exact[:d], n, tails)
-        assert got.hex() == full.hex(), w
+    for pid in ("p1", "p2"):
+        problem = get_problem(pid)
+        exact = problem.exact(n).coeffs
+        exact_norm = np.sqrt(np.sum(exact * exact))
+        for w in (1, 7, 256, 4096, 2 ** 16, n):
+            if w > n:
+                continue
+            x = rng.standard_normal(w)
+            diff = -exact
+            diff[:w] += x
+            full = np.sqrt(np.sum(diff * diff))
+            got = problems._error_norms(problem, x, n)
+            assert (got[0].hex(), got[1].hex()) == (full.hex(), exact_norm.hex()), (pid, w)
+
+
+def test_warm_run_reads_the_exact_solution_up_to_its_support_split(monkeypatch):
+    # p2 at delta 2^-16 stops at level 10: a window of 2^20 coefficients
+    # whose support columns are 1..2^10. Past them the error's difference is
+    # -x†, whose squares the kept tail sums hold, so a warm run evaluates x†
+    # on the smallest split of the chain at 2^20 that holds 2^10 entries
+    problem, p = get_problem("p2"), params(2.0 ** -16, noise_dim=2 ** 20)
+    cold = run_discrepancy(problem, NU32, p)
+    real, calls = problems.Problem.coeff_range, []
+
+    def counting(self, start, stop, rhs):
+        calls.append((rhs, start, stop))
+        return real(self, start, stop, rhs)
+
+    monkeypatch.setattr(problems.Problem, "coeff_range", counting)
+    warm = run_discrepancy(problem, NU32, p)
+    monkeypatch.undo()
+    _assert_same_report(cold, warm)
+    cols = assemble(problem.fresh_source(), warm.final_level).support()[1]
+    assert (warm.final_level, cols[-1] + 1) == (10, 2 ** 10)
+    assert [(start, stop) for rhs, start, stop in calls if not rhs] == [(0, 2 ** 10)]
 
 
 def test_warm_run_allocates_nothing_of_noise_dim_length():
@@ -624,7 +669,9 @@ def _assert_kernel_matches_full_length_iteration(op, seed):
     for x, res in itertools.islice(kernel.iterates(NU32), 60):
         state = step(state, op, data, NU32)
         ref = driver._residual_norm(op.apply(state.x_curr), data)
-        assert np.array_equal(kernel.scatter(x).coeffs, state.x_curr.coeffs)
+        full = np.zeros(op.dim)
+        full[kernel.cols] = x
+        assert np.array_equal(full, state.x_curr.coeffs)
         assert res == pytest.approx(ref, rel=1e-12)
 
 
