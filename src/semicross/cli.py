@@ -19,6 +19,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import math
+import os
 import sys
 
 import numpy as np
@@ -35,7 +36,7 @@ from .driver import (
 )
 from .hypercross import export_gamma, gamma_count
 from .methods import nu_method
-from .problems import get_problem
+from .problems import _noise_norm, get_problem
 
 __all__ = ["ExperimentGrid", "run_grid", "rate_fit", "emit_csv", "main"]
 
@@ -99,6 +100,11 @@ class ExperimentGrid:
 _REPEAT_STRIDE = 10_007
 
 
+def _seeds(payload: dict) -> list:
+    """The noise seeds of a row's realizations, in the order they run."""
+    return [payload["seed"] + j * _REPEAT_STRIDE for j in range(payload["repeats"])]
+
+
 def _row_payload(grid: ExperimentGrid, index: int) -> dict:
     return {
         "problem_id": grid.problem_id,
@@ -116,7 +122,8 @@ def _row_payload(grid: ExperimentGrid, index: int) -> dict:
 
 def _run_row(payload: dict) -> dict:
     """Execute one grid row; importable at module level so process pools can
-    pickle it. Failures are recorded in-row."""
+    pickle it. Failures are recorded in-row. Each realization first waits for
+    its noise norm if ``payload["draws"]`` (seed -> future) is drawing it."""
     delta = payload["delta"]
     mu = payload["mu"]
     row = {
@@ -139,10 +146,10 @@ def _run_row(payload: dict) -> dict:
         runner = run_discrepancy if payload["algorithm"] == 1 else run_balancing
         errors = []
         first = None
-        for j in range(payload.get("repeats", 1)):
-            params = dataclasses.replace(
-                payload["params"], delta=delta,
-                seed=payload["seed"] + j * _REPEAT_STRIDE)
+        draws = payload.get("draws", {})
+        for seed in _seeds(payload):
+            concurrent.futures.wait([draws[seed]] if seed in draws else ())
+            params = dataclasses.replace(payload["params"], delta=delta, seed=seed)
             report = runner(problem, spec, params, mu=mu)
             errors.append(report.rel_error)
             first = first or report
@@ -164,14 +171,29 @@ def _run_row(payload: dict) -> dict:
 
 def run_grid(grid: ExperimentGrid, jobs: int = 1) -> list:
     """All rows of a grid, in grid order regardless of completion order;
-    ``jobs`` > 1 runs them in that many worker processes."""
+    ``jobs`` > 1 runs them in that many worker processes, else one thread per
+    usable CPU draws the coming rows' noise norms ahead, with the same bits."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     payloads = [_row_payload(grid, i) for i in range(len(grid.deltas))]
     if jobs > 1 and len(payloads) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_row, payloads))
-    return [_run_row(p) for p in payloads]
+    seeds = [seed for p in payloads for seed in _seeds(p)]
+    ahead = _noise_norm.cache_info().maxsize  # so no draw is evicted unread
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+    pool = concurrent.futures.ThreadPoolExecutor(cpus)  # None: the default size
+    draws, rows = {}, []
+    try:
+        for p in payloads:
+            done = len(rows) * grid.repeats
+            for seed in seeds[done:done + ahead]:
+                if seed not in draws:
+                    draws[seed] = pool.submit(_noise_norm, seed, grid.params.noise_dim)
+            rows.append(_run_row(dict(p, draws=draws)))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return rows
 
 
 def rate_fit(pairs) -> float:

@@ -49,36 +49,43 @@ class BalancingWindow:
                                np.stack([v.extended(dim) for v in self.iterates]))
 
 
-#: trailing iterates tested in a candidate's first block; each later block
-#: is twice as long, up to 1/32 of the window
+#: trailing iterates tested in a scan's first block; each later block is
+#: twice as long, up to 1/32 of the window
 _FIRST_BLOCK = 4
 
 
 def _admissible(w: BalancingWindow):
     """The admissible k <= K_n in increasing order, each candidate tested
-    only when it is asked for, on the window's array in place. A candidate's
-    trailing iterates are compared in blocks of doubling length, starting
-    next to it, and the first violated bound rejects it (most candidates
-    fail close to k). A block holds at most 1/32 of the window's rows (or
-    ``_FIRST_BLOCK``), and so do the scan's temporaries."""
+    only when it is asked for, on the window's array in place. Candidate k
+    is tested from the row that rejected candidate k - 1 to the end, and
+    only then on the rows before (most candidates fail at once). Rows are
+    compared in blocks of doubling length, at most 1/32 of the window (or
+    ``_FIRST_BLOCK``); a NaN distance is a violation."""
     stack = w.iterates
     m = len(stack)
     bounds = w.bound_factor * np.arange(1, m + 1, dtype=float)
     largest = max(_FIRST_BLOCK, m // 32)
-    for k in range(1, w.k_n + 1):
-        x_k = stack[k - 1]
-        lo, size = k, _FIRST_BLOCK
-        while lo < m:
-            hi = min(lo + size, m)
-            diffs = stack[lo:hi] - x_k
+    def violation(x, lo, hi):
+        """First row in [lo, hi) farther from x than its bound, or None."""
+        size = _FIRST_BLOCK
+        while lo < hi:
+            top = min(lo + size, hi)
+            diffs = stack[lo:top] - x
             diffs *= diffs
             dists = np.add.reduce(diffs, axis=1)
             np.sqrt(dists, out=dists)
-            if not (dists <= bounds[lo:hi]).all():
-                break
-            lo, size = hi, min(2 * size, largest)
-        else:
+            bad = ~(dists <= bounds[lo:top])
+            if bad.any():
+                return lo + int(bad.argmax())
+            lo, size = top, min(2 * size, largest)
+
+    last = 0  # the row that rejected the previous candidate, never row 0
+    for k in range(1, w.k_n + 1):
+        start = max(last, k)
+        last = violation(stack[k - 1], start, m) or violation(stack[k - 1], k, start)
+        if last is None:
             yield k
+            last = k  # nothing rejected k: candidate k + 1 scans from its own next row
 
 
 def balancing_admissible_set(w: BalancingWindow) -> set:

@@ -7,6 +7,9 @@ fixtures so the expensive adaptive runs execute once.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -35,6 +38,8 @@ ERROR_WINDOW = {"p1": (0.40, 0.70), "p2": (0.10, 0.30)}
 K_WINDOW_P1 = (-0.60, -0.30)
 #: levels, budgets, stop index, info_count and rel_error of every grid run
 GRID_PINNED = Path(__file__).with_name("grid_pinned.json")
+#: ``scripts/grid_digest.py --seed 0``: the bits of every grid run
+GRID_DIGESTS = Path(__file__).with_name("grid_digest_seed0.txt")
 
 
 def _ok(label: str, passed: bool, detail: str = "") -> None:
@@ -260,6 +265,19 @@ def test_grid_matches_pinned_table(grid_reports):
             assert rep.info_count == want["info_count"], key
             assert rep.rel_error == pytest.approx(want["rel_error"], rel=1e-9), key
     assert seen == set(pinned)
+
+
+def test_grid_digests_match_pinned_bits():
+    # every residual norm, error and solution of the 40 runs, bit for bit;
+    # rewrite the file from the script only for a change meant to move bits.
+    # The residual norms go through BLAS's dot, whose rounding may differ
+    # on another CPU.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "grid_digest.py"), "--seed", "0"],
+        env=env, check=True, capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines() == GRID_DIGESTS.read_text().splitlines()
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,17 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import warnings
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import semicross
+from semicross import cli, problems
 from semicross.cli import (
     CSV_COLUMNS,
     ExperimentGrid,
@@ -23,6 +28,8 @@ from semicross.cli import (
     run_grid,
     _build_parser,
     _delta_grid,
+    _row_payload,
+    _run_row,
 )
 from semicross.driver import ConfigError, RunParams
 
@@ -184,6 +191,110 @@ def test_row_failures_recorded_in_row():
     assert rows[0]["error"] is None
     assert rows[1]["error"].startswith("cap:level")
     assert math.isnan(rows[1]["rel_error"])
+
+
+# ---------------------------------------------------------------------------
+# noise norms drawn ahead of the rows
+# ---------------------------------------------------------------------------
+
+def _counted_streams(monkeypatch, fail_seed=None):
+    """Record each generator ``np.random.default_rng`` makes, with the number
+    of standard normals drawn from it; ``fail_seed`` makes that seed's
+    generator raise."""
+    make, streams = np.random.default_rng, []
+
+    class Counted:
+        def __init__(self, seed):
+            if seed == fail_seed:
+                raise ArithmeticError(f"draw of seed {seed} failed")
+            self.rng, self.seed, self.drawn = make(seed), seed, 0
+            streams.append(self)
+
+        def standard_normal(self, size):
+            self.drawn += size
+            return self.rng.standard_normal(size)
+
+    monkeypatch.setattr(np.random, "default_rng", Counted)
+    return streams
+
+
+def test_serial_rows_equal_a_plain_row_loop_and_the_process_pool():
+    grid = dataclasses.replace(small_grid(problem="p2", algorithm=2), repeats=3)
+    problems._noise_norm.cache_clear()
+    plain = [_run_row(_row_payload(grid, i)) for i in range(len(grid.deltas))]
+    problems._noise_norm.cache_clear()
+    rows = run_grid(grid)
+    assert rows == plain == run_grid(grid, jobs=2)
+    assert all(r["error"] is None for r in rows)
+    assert ([r["rel_error"].hex() for r in rows]
+            == [r["rel_error"].hex() for r in plain])
+
+
+def test_each_noise_norm_is_drawn_once_per_process(monkeypatch):
+    dim = 2 ** 16  # past every level window the rows read
+    grid = dataclasses.replace(small_grid(), repeats=2, params=RunParams(
+        delta=2.0 ** -5, tau=TAU_REF, noise_dim=dim))
+    problems._noise_norm.cache_clear()
+    streams = _counted_streams(monkeypatch)
+    run_grid(grid)
+    run_grid(grid)
+    full = Counter(s.seed for s in streams if s.drawn == dim)
+    assert full == {seed: 1 for seed in (0, 1, 2, 10_007, 10_008, 10_009)}
+
+
+def test_a_failed_draw_fails_only_its_own_row(monkeypatch):
+    problems._noise_norm.cache_clear()
+    _counted_streams(monkeypatch, fail_seed=1)
+    rows = run_grid(small_grid())
+    assert [r["error"] for r in rows] == [
+        None, "ArithmeticError: draw of seed 1 failed", None]
+
+
+def test_no_draw_thread_outlives_run_grid(monkeypatch):
+    before = threading.active_count()
+    run_grid(small_grid())
+    assert threading.active_count() == before
+
+    # a row interrupted while draws are still queued: enough realizations
+    # that most of them have not started when the first one runs
+    workers = len(os.sched_getaffinity(0))
+    grid = dataclasses.replace(
+        small_grid(deltas=(2.0 ** -5,)), repeats=8 * workers + 8,
+        params=RunParams(delta=2.0 ** -5, tau=TAU_REF, noise_dim=2 ** 18))
+    problems._noise_norm.cache_clear()
+    payloads = []
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    def kept_row(payload):
+        payloads.append(payload)
+        return _run_row(payload)
+
+    monkeypatch.setattr(cli, "run_discrepancy", interrupted)
+    monkeypatch.setattr(cli, "_run_row", kept_row)
+    with pytest.raises(KeyboardInterrupt):
+        run_grid(grid)
+    assert threading.active_count() == before
+    draws = payloads[0]["draws"].values()
+    assert all(f.done() for f in draws)
+    assert sum(f.cancelled() for f in draws) > len(draws) // 2
+
+
+def test_run_tables_rejects_bad_arguments_before_making_anything(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for flag in (["--jobs", "0"], ["--seed", "-1"]):
+        outdir = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_tables.py"),
+             "--outdir", str(outdir), *flag],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1, flag
+        assert done.stdout == ""
+        assert done.stderr.startswith("configuration error:")
+        assert len(done.stderr.splitlines()) == 1
+        assert not outdir.exists()
 
 
 # ---------------------------------------------------------------------------

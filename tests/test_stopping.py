@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semicross import driver
 from semicross.coeffs import CoeffVec
 from semicross.driver import ConfigError, RunParams, _discrepancy_stop, run_discrepancy
 from semicross.methods import nu_method
@@ -118,6 +119,34 @@ def test_long_window_matches_all_pairwise_distances(seed):
     w = BalancingWindow(iterates=iterates, k_n=k_n, k_sec=m - k_n,
                         bound_factor=bound)
     assert balancing_admissible_set(w) == brute
+
+
+def test_driver_window_with_long_rejection_chains_matches_pairwise_distances(monkeypatch):
+    # the level-8 window of p2, balancing driver, delta 2^-13 (K_n 496, stop
+    # 192): candidates below the stop are rejected up to 184 rows past them,
+    # so most scans start at the previous candidate's violated row
+    windows = []
+
+    def keep(w):
+        windows.append(w)
+        return balancing_stop_index(w)
+
+    monkeypatch.setattr(driver, "balancing_stop_index", keep)
+    p = RunParams(delta=2.0 ** -13, rho=1.0, gamma=0.5,
+                  tau=1.01 + np.sqrt(13.0 / 8.0), r=2.0, k_sec=20, seed=9)
+    driver.run_balancing(get_problem("p2"), nu_method(1.5), p, mu=0.2)
+    w = windows[-1]
+    x, m = w.iterates, len(w.iterates)
+    assert (w.k_n, x.shape[1]) == (496, 256)
+    first_violation = {}
+    for k in range(1, w.k_n + 1):
+        dists = np.sqrt(((x[k:] - x[k - 1]) ** 2).sum(axis=1))
+        bad = np.flatnonzero(~(dists <= w.bound_factor * np.arange(k + 1, m + 1)))
+        first_violation[k] = k + 1 + bad[0] if bad.size else None
+    brute = {k for k, j in first_violation.items() if j is None}
+    assert max(j - k for k, j in first_violation.items() if j) > 150
+    assert balancing_admissible_set(w) == brute
+    assert balancing_stop_index(w) == min(brute) == 192
 
 
 # up to 40 iterates, so that candidates' trailing iterates span several
