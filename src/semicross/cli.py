@@ -122,8 +122,8 @@ def _row_payload(grid: ExperimentGrid, index: int) -> dict:
 
 def _run_row(payload: dict) -> dict:
     """Execute one grid row; importable at module level so process pools can
-    pickle it. Failures are recorded in-row. Each realization first waits for
-    its noise norm if ``payload["draws"]`` (seed -> future) is drawing it."""
+    pickle it. Failures are recorded in-row. Each realization waits for its
+    noise norm's draw in ``payload["draws"]`` if started, else draws it itself."""
     delta = payload["delta"]
     mu = payload["mu"]
     row = {
@@ -148,7 +148,8 @@ def _run_row(payload: dict) -> dict:
         first = None
         draws = payload.get("draws", {})
         for seed in _seeds(payload):
-            concurrent.futures.wait([draws[seed]] if seed in draws else ())
+            if seed in draws and not draws[seed].cancel():  # running or done
+                concurrent.futures.wait([draws[seed]])
             params = dataclasses.replace(payload["params"], delta=delta, seed=seed)
             report = runner(problem, spec, params, mu=mu)
             errors.append(report.rel_error)
@@ -171,8 +172,8 @@ def _run_row(payload: dict) -> dict:
 
 def run_grid(grid: ExperimentGrid, jobs: int = 1) -> list:
     """All rows of a grid, in grid order regardless of completion order;
-    ``jobs`` > 1 runs them in that many worker processes, else one thread per
-    usable CPU draws the coming rows' noise norms ahead, with the same bits."""
+    ``jobs`` > 1 runs them in that many worker processes, else the rows draw
+    every CPU count-th noise norm and threads the rest ahead, with equal bits."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     payloads = [_row_payload(grid, i) for i in range(len(grid.deltas))]
@@ -181,14 +182,14 @@ def run_grid(grid: ExperimentGrid, jobs: int = 1) -> list:
             return list(pool.map(_run_row, payloads))
     seeds = [seed for p in payloads for seed in _seeds(p)]
     ahead = _noise_norm.cache_info().maxsize  # so no draw is evicted unread
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
-    pool = concurrent.futures.ThreadPoolExecutor(cpus)  # None: the default size
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    pool = concurrent.futures.ThreadPoolExecutor(max(1, cpus - 1))  # + the caller
     draws, rows = {}, []
     try:
         for p in payloads:
             done = len(rows) * grid.repeats
-            for seed in seeds[done:done + ahead]:
-                if seed not in draws:
+            for i, seed in enumerate(seeds[done:done + ahead], done):
+                if i % cpus and seed not in draws:
                     draws[seed] = pool.submit(_noise_norm, seed, grid.params.noise_dim)
             rows.append(_run_row(dict(p, draws=draws)))
     finally:

@@ -43,9 +43,9 @@ Kept values. What a process keeps between runs lives here, each value
 behind a bounded ``functools.lru_cache`` function reset by ``cache_clear()``:
 the noise norm per (seed, dim), the right-hand side's head per problem and
 each closed form's ``_pairwise_sumsq`` per (problem, rhs, dim). A serial
-``cli.run_grid`` draws noise norms in its threads ahead of the runs, which
-read them in the calling thread. No array of a run's ``noise_dim`` length is
-held, and no exact-solution coefficient outlives the run that reads it.
+``cli.run_grid`` draws noise norms in threads and in the calling thread,
+which reads them all. No array of a run's ``noise_dim`` length is held, and
+no exact-solution coefficient outlives the run that reads it.
 """
 
 from __future__ import annotations

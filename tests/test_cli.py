@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -199,8 +200,8 @@ def test_row_failures_recorded_in_row():
 
 def _counted_streams(monkeypatch, fail_seed=None):
     """Record each generator ``np.random.default_rng`` makes, with the number
-    of standard normals drawn from it; ``fail_seed`` makes that seed's
-    generator raise."""
+    of standard normals drawn from it, the thread that made it and the
+    threads then alive; ``fail_seed`` makes that seed's generator raise."""
     make, streams = np.random.default_rng, []
 
     class Counted:
@@ -208,6 +209,7 @@ def _counted_streams(monkeypatch, fail_seed=None):
             if seed == fail_seed:
                 raise ArithmeticError(f"draw of seed {seed} failed")
             self.rng, self.seed, self.drawn = make(seed), seed, 0
+            self.thread, self.alive = threading.get_ident(), threading.active_count()
             streams.append(self)
 
         def standard_normal(self, size):
@@ -240,6 +242,34 @@ def test_each_noise_norm_is_drawn_once_per_process(monkeypatch):
     run_grid(grid)
     full = Counter(s.seed for s in streams if s.drawn == dim)
     assert full == {seed: 1 for seed in (0, 1, 2, 10_007, 10_008, 10_009)}
+
+
+def test_the_calling_thread_draws_every_cpu_count_th_norm(monkeypatch):
+    cpus, dim = len(os.sched_getaffinity(0)), 2 ** 16
+    grid = dataclasses.replace(small_grid(), repeats=2, params=RunParams(
+        delta=2.0 ** -5, tau=TAU_REF, noise_dim=dim))
+    problems._noise_norm.cache_clear()
+    before = threading.active_count()
+    streams = _counted_streams(monkeypatch)
+    run_grid(grid)
+    full = [s for s in streams if s.drawn == dim]
+    in_order = [r + j * 10_007 for r in range(3) for j in range(2)]
+    assert {s.seed for s in full if s.thread == threading.get_ident()} >= set(
+        in_order[::cpus])
+    assert len({s.thread for s in full}) <= cpus
+    assert max(s.alive for s in full) <= before + cpus - 1
+
+
+def test_a_row_draws_itself_a_norm_whose_draw_has_not_started():
+    grid = small_grid(deltas=(2.0 ** -5,))
+    queued = concurrent.futures.Future()  # no worker ever picks it up
+    late = threading.Timer(5.0, queued.set_result, (None,))  # ends a wait on it
+    late.start()
+    try:
+        row = _run_row(dict(_row_payload(grid, 0), draws={grid.params.seed: queued}))
+    finally:
+        late.cancel()
+    assert queued.cancelled() and row["error"] is None
 
 
 def test_a_failed_draw_fails_only_its_own_row(monkeypatch):
@@ -278,7 +308,7 @@ def test_no_draw_thread_outlives_run_grid(monkeypatch):
     assert threading.active_count() == before
     draws = payloads[0]["draws"].values()
     assert all(f.done() for f in draws)
-    assert sum(f.cancelled() for f in draws) > len(draws) // 2
+    assert sum(f.cancelled() for f in draws) > len(draws) // 2 or workers == 1
 
 
 def test_run_tables_rejects_bad_arguments_before_making_anything(tmp_path):
