@@ -9,13 +9,14 @@ starting level is the smallest n >= 1 with
 and the per-level budget K_n is the largest integer satisfying the same
 inequality with rho replaced by K_n rho. At each level the two-step
 recursion restarts from scratch (iterates of different levels live in
-different dimensions) against the data truncated to the level window, the
-only part of f_delta that is built; the driver then either stops --
-residual norm at or below tau delta for the discrepancy variant, nonempty
-admissible set for the balancing variant -- or refines the discretization
-by one level, computing only the new Galerkin entries. The iteration runs
-on the operator's nonzero rows and columns only (``_SupportKernel``); the
-report writes the stop iterate back into the level window.
+different dimensions) against the data truncated to the level window; the
+driver then either stops -- residual norm at or below tau delta for the
+discrepancy variant, nonempty admissible set for the balancing variant --
+or refines the discretization by one level, computing only the new
+Galerkin entries. The iteration runs on the operator's nonzero rows and
+columns only (``_SupportKernel``), so of the window it holds f_delta on
+the rows and the energy off them; the report writes the stop iterate back
+into the level window.
 
 Safety caps convert non-termination under violated assumptions into
 reported errors: ``n_max`` bounds the level, ``k_abs_max`` the total number
@@ -36,7 +37,7 @@ from .coeffs import CoeffVec
 from .hypercross import _block_products, assemble, refine
 from .methods import (MethodSpec, NumericalDegeneracyError, _advance,
                       _coefficients)
-from .problems import Problem, _error_norms, _noisy_data
+from .problems import NoisyData, Problem, _error_norms, _noisy_data
 from .stopping import BalancingWindow, balancing_stop_index
 
 __all__ = [
@@ -243,7 +244,7 @@ def theoretical_constants(spec: MethodSpec, p: RunParams, mu: float,
 
 def _window(fdelta: CoeffVec, dim: int) -> CoeffVec:
     """Coefficients 1..dim of a full-length f_delta. The level loop reads
-    ``NoisyData.head`` instead; perfbench's layer timings window a full
+    ``NoisyData.window`` instead; perfbench's layer timings window a full
     ``perturb`` with this."""
     if dim <= fdelta.dim:
         return CoeffVec._wrap(fdelta.coeffs[:dim].copy())
@@ -266,9 +267,9 @@ class _SupportKernel:
     A[R][:, C] (the entries at their ``op.support()`` positions, whose
     products equal the full ones bit for bit), and the residual norm is
     sqrt(||A_RC x - f_R||^2 + off2), where off2 = sum over i not in R of
-    f_i^2 is summed once from the off-R entries (not as ||f||^2 - ||f_R||^2,
-    which cancels), by numpy's pairwise sum: a BLAS dot product of that
-    length rounds differently with its thread count.
+    f_i^2 is streamed from the off-R entries by ``NoisyData.window`` (not
+    as ||f||^2 - ||f_R||^2, which cancels) in numpy's pairwise order: a
+    BLAS dot product of that length rounds differently with its threads.
 
     A step reads its coefficients from the method's table
     (``methods._coefficients``), advances through ``methods._advance`` and
@@ -279,16 +280,12 @@ class _SupportKernel:
     one ``math.sqrt``.
     """
 
-    def __init__(self, op, data: np.ndarray):
-        """``data`` holds the level's window, coefficients 1..op.dim of
-        f_delta."""
+    def __init__(self, op, data: NoisyData):
+        """Read ``data`` on the level window: f_delta on R and off2."""
         rows, self.cols, ri, ci = op.support()
         self.forward, self.adjoint = _block_products(ri, ci, op.vals,
                                                      rows.size, self.cols.size)
-        self.data = data[rows]
-        off = np.delete(data, rows)
-        off *= off
-        self.off2 = float(np.sum(off))
+        self.data, self.off2 = data.window(op.dim, rows)
 
     def iterates(self, spec: MethodSpec):
         """Yield (x_k restricted to C, ||A x_k - f||) for k = 1, 2, ...;
@@ -465,7 +462,7 @@ def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
         levels.append(n)
         budgets.append(k_n)
         if k_n >= 1:
-            kernel = _SupportKernel(op, data.head(op.dim))
+            kernel = _SupportKernel(op, data)
             steps = _recorded(kernel.iterates(spec), n, residuals, p.k_abs_max)
             # a budget past the iteration cap reaches the cap all the same,
             # and islice takes no stop above sys.maxsize

@@ -41,11 +41,12 @@ range (``Problem.coeff_range``).
 
 Kept values. What a process keeps between runs lives here, each value
 behind a bounded ``functools.lru_cache`` function reset by ``cache_clear()``:
-the noise norm per (seed, dim), the right-hand side's head per problem and
-each closed form's ``_pairwise_sumsq`` per (problem, rhs, dim). A serial
-``cli.run_grid`` draws noise norms in threads and in the calling thread,
-which reads them all. No array of a run's ``noise_dim`` length is held, and
-no exact-solution coefficient outlives the run that reads it.
+the noise norm per (seed, dim), the right-hand side's head per problem (up
+to the longest window read) and each closed form's ``_pairwise_sumsq`` per
+(problem, rhs, dim). A serial ``cli.run_grid`` draws noise norms in threads
+and in the calling thread, which reads them all. A level streams its window
+to f_delta on the operator's nonzero rows and the energy off them; no
+exact-solution coefficient outlives the run that reads it.
 """
 
 from __future__ import annotations
@@ -134,24 +135,27 @@ def _rhs_coeffs(pid: str, kk: np.ndarray, scaled: bool) -> np.ndarray:
 _LEAF = 2 ** 13
 
 
-def _pairwise_sumsq(n: int, leaf):
+def _pairwise_sumsq(n: int, leaf, nonzero: float = math.inf, chain_to: int = 128):
     """np.sum(v * v) of a float64 array v of length ``n`` that is never
     held: ``leaf(lo, hi)`` returns v[lo:hi] and is called on consecutive
-    segments of at most ``_LEAF`` entries in ascending order.
+    segments of at most ``_LEAF`` entries in ascending order; v[nonzero:] is
+    zero, and no subtree that starts there is asked for (each adds +0.0).
 
     Above 128 entries numpy sums a contiguous float64 array as
     ``sum(a[:m]) + sum(a[m:n])`` with m = n//2 rounded down to a multiple of
     8 (pairwise summation). The segments follow that tree, so the total is
     the same float. Returns ``(total, chain)`` where the chain ((m_1, s_1),
     (m_2, s_2), ...) walks the leftmost path of the tree, outermost first,
-    down to 128 entries: s_i is the sum over [m_i, m_{i-1}) (m_0 = n), and
-    np.sum(v * v) is np.sum(v[:m_j] ** 2) + s_j + ... + s_1, added in that
-    order.
+    down to ``chain_to`` entries: s_i is the sum over [m_i, m_{i-1}) (m_0 =
+    n), and np.sum(v * v) is np.sum(v[:m_j] ** 2) + s_j + ... + s_1, added
+    in that order.
     """
     chain = []
 
     def part(lo: int, hi: int):
-        if hi - lo > _LEAF or (lo == 0 and hi > 128):
+        if lo >= nonzero:
+            return 0.0
+        if hi - lo > _LEAF or (lo == 0 and hi > chain_to):
             mid = lo + (hi - lo) // 2 - (hi - lo) // 2 % 8
             head, tail = part(lo, mid), part(mid, hi)
             if lo == 0:
@@ -161,6 +165,7 @@ def _pairwise_sumsq(n: int, leaf):
         return np.sum(v * v)
 
     total = part(0, n)
+    del part  # the recursive closure is a cycle that would keep ``leaf``
     return total, tuple(reversed(chain))
 
 
@@ -194,36 +199,54 @@ def _noise_norm(seed: int, dim: int) -> np.float64:
 
 
 class NoisyData:
-    """The perturbed data f_delta = f + (delta / ||g||) g, read one window
-    at a time; no array of length ``dim`` is held.
+    """The perturbed data f_delta = f + (delta / ||g||) g, one window at a time.
 
     The direction g is standard normal in the span of the first ``dim``
     basis elements (basis-isotropic), drawn deterministically from
     ``seed``; ``rhs(d)`` returns coefficients 1..d of f for d <= dim. The
     norm of g depends only on (seed, dim), so it is kept per process
-    (``_noise_norm``). The coefficients a level reads come from the head of
-    a second generator, continued as the level grows (chunked draws
-    concatenate to the single draw).
+    (``_noise_norm``). Of the draw only the generator's start state is
+    kept: each window is drawn again from it, in chunks of at most |rows| +
+    ``_LEAF`` coefficients (chunked draws concatenate to the single draw).
     """
 
     def __init__(self, rhs, dim: int, delta: float, seed: int):
         if delta < 0:
             raise ValueError("delta must be nonnegative")
         seed = operator.index(seed)  # a kept norm needs a reproducible draw
-        self.rhs, self.dim = rhs, dim
-        rng = np.random.default_rng(seed)
-        self._g = _Head(lambda lo, hi: rng.standard_normal(hi - lo))
+        self.rhs, self.dim, self._rng = rhs, dim, np.random.default_rng(seed)
+        self._start = self._rng.bit_generator.state
         self.scale = delta / _noise_norm(seed, dim)
 
-    def head(self, dim: int) -> np.ndarray:
-        """Coefficients 1..dim of f_delta as a new array; those past
-        ``self.dim`` are zero."""
-        d = min(dim, self.dim)
-        out = self.scale * self._g(d)
-        out += self.rhs(d)
-        if dim > d:
-            out = np.concatenate([out, np.zeros(dim - d)])
-        return out
+    def window(self, dim: int, rows: np.ndarray):
+        """``(f_delta[rows], off2)`` on coefficients 1..dim, zero past
+        ``self.dim``, at the sorted 0-based ``rows``; off2 is the float
+        np.sum(np.delete(f_delta, rows) ** 2). Drawn in ascending chunks, each
+        ending with a leaf of ``_pairwise_sumsq`` over the off-row entries."""
+        rng, live, pos = self._rng, min(dim, self.dim), 0
+        rng.bit_generator.state = self._start
+        rhs, out = self.rhs(live), np.zeros(rows.size)
+        before = rows - np.arange(rows.size)  # off-row entries before each row
+
+        def draw(end: int) -> np.ndarray:
+            # coefficients pos+1..end less those at rows, which go to out
+            nonlocal pos
+            lo, pos, stop = pos, end, min(end, live)
+            v = np.zeros(end - lo)
+            np.multiply(rng.standard_normal(stop - lo), self.scale, out=v[:stop - lo])
+            v[:stop - lo] += rhs[lo:stop]
+            i, j = rows.searchsorted((lo, end))
+            out[i:j] = v[rows[i:j] - lo]
+            return np.delete(v, rows[i:j] - lo) if i < j else v
+
+        # off-row entry k is coefficient k + (rows before it) + 1
+        off2, _ = _pairwise_sumsq(
+            dim - rows.size,
+            lambda lo, hi: draw(hi + int(before.searchsorted(hi - 1, "right"))),
+            nonzero=live - int(rows.searchsorted(live)), chain_to=_LEAF)
+        if pos < live:  # the rows past the last off-row entry drawn
+            draw(live)
+        return out, float(off2)
 
 
 def perturb(f: CoeffVec, delta: float, seed: int) -> CoeffVec:
@@ -233,7 +256,7 @@ def perturb(f: CoeffVec, delta: float, seed: int) -> CoeffVec:
     if delta == 0.0:
         return f
     data = NoisyData(lambda d: f.coeffs[:d], f.dim, delta, seed)
-    return CoeffVec._wrap(data.head(f.dim))
+    return CoeffVec._wrap(data.window(f.dim, np.arange(f.dim))[0])
 
 
 @dataclass(frozen=True)

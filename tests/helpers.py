@@ -24,6 +24,20 @@ def norm(v: CoeffVec) -> float:
     return float(np.sqrt(np.sum(v.coeffs * v.coeffs)))
 
 
+class HeldData:
+    """Data held as one full-length array, read the way the support kernel
+    reads ``NoisyData.window``: the entries at the sorted 0-based rows, and
+    the sum of squares of the others, summed as one ``np.sum``."""
+
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=float)
+
+    def window(self, dim: int, rows: np.ndarray):
+        assert dim == self.data.size
+        off = np.delete(self.data, rows)
+        return self.data[rows], float(np.sum(off * off))
+
+
 class DiagonalOperator:
     """Plain diagonal operator on a fixed dimension (self-adjoint for real
     diagonals, which is all the tests need)."""

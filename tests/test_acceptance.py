@@ -38,8 +38,11 @@ ERROR_WINDOW = {"p1": (0.40, 0.70), "p2": (0.10, 0.30)}
 K_WINDOW_P1 = (-0.60, -0.30)
 #: levels, budgets, stop index, info_count and rel_error of every grid run
 GRID_PINNED = Path(__file__).with_name("grid_pinned.json")
-#: ``scripts/grid_digest.py --seed 0``: the bits of every grid run
-GRID_DIGESTS = Path(__file__).with_name("grid_digest_seed0.txt")
+#: ``scripts/grid_digest.py --seed 0``: the bits of every grid run, and
+#: with ``--noise-dim 3000``, where the windows from level 6 on run past
+#: noise_dim
+GRID_DIGESTS = {(): Path(__file__).with_name("grid_digest_seed0.txt"),
+                ("--noise-dim", "3000"): Path(__file__).with_name("grid_digest_nd3000.txt")}
 
 
 def _ok(label: str, passed: bool, detail: str = "") -> None:
@@ -274,10 +277,11 @@ def test_grid_digests_match_pinned_bits():
     # on another CPU.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    out = subprocess.run(
-        [sys.executable, str(root / "scripts" / "grid_digest.py"), "--seed", "0"],
-        env=env, check=True, capture_output=True, text=True, timeout=120).stdout
-    assert out.splitlines() == GRID_DIGESTS.read_text().splitlines()
+    for args, pinned in GRID_DIGESTS.items():
+        out = subprocess.run(
+            [sys.executable, str(root / "scripts" / "grid_digest.py"), "--seed", "0", *args],
+            env=env, check=True, capture_output=True, text=True, timeout=120).stdout
+        assert out.splitlines() == pinned.read_text().splitlines(), args
 
 
 # ---------------------------------------------------------------------------

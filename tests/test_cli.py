@@ -209,6 +209,7 @@ def _counted_streams(monkeypatch, fail_seed=None):
             if seed == fail_seed:
                 raise ArithmeticError(f"draw of seed {seed} failed")
             self.rng, self.seed, self.drawn = make(seed), seed, 0
+            self.bit_generator = self.rng.bit_generator
             self.thread, self.alive = threading.get_ident(), threading.active_count()
             streams.append(self)
 

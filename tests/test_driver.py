@@ -29,7 +29,7 @@ from semicross.methods import (NumericalDegeneracyError, _advance, _coefficients
 from semicross.problems import get_problem, green_operator, perturb
 from semicross.stopping import BalancingWindow, balancing_stop_index
 
-from helpers import BandSource, BlockSource, SwapSource, norm
+from helpers import BandSource, BlockSource, HeldData, SwapSource, norm
 
 TAU_REF = 1.01 + math.sqrt(13.0 / 8.0)
 NU32 = nu_method(1.5)
@@ -388,6 +388,7 @@ def test_each_seed_is_drawn_in_full_once_per_process(monkeypatch):
     class CountingRng:
         def __init__(self, seed):
             self.seed, self.rng, self.sizes = seed, real(seed), []
+            self.bit_generator = self.rng.bit_generator
             rngs.append(self)
 
         def standard_normal(self, size):
@@ -503,6 +504,24 @@ def test_warm_run_allocates_nothing_of_noise_dim_length():
     assert peak < 2 ** 20, peak
 
 
+def test_warm_run_holds_nothing_of_window_length():
+    # p2 at delta 2^-13 runs levels 6-9, windows of up to 2^18 coefficients
+    # (2 MiB each): each level streams its window, so past the report's
+    # solution (written into the last window) the run stays under 1 MiB
+    p = params(2.0 ** -13, noise_dim=2 ** 20)
+    problem = get_problem("p2")
+    cold = run_discrepancy(problem, NU32, p)
+    tracemalloc.start()
+    try:
+        warm = run_discrepancy(problem, NU32, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_report(cold, warm)
+    assert warm.levels == (6, 7, 8, 9)
+    assert peak < warm.solution.coeffs.nbytes + 2 ** 20, peak
+
+
 def test_cold_run_allocates_nothing_of_noise_dim_length():
     # a problem and a seed the process has not met: the closed-form norms
     # and the noise norm are streamed in chunks of 2^13 entries, so the run
@@ -532,7 +551,7 @@ def test_balancing_stop_holds_its_window_once():
     k_n = max_iter_count(n, p)
     data, _ = problems._noisy_data(problem, p.noise_dim, p.delta, p.seed)
     op = assemble(problem.fresh_source(), n)
-    kernel = driver._SupportKernel(op, data.head(op.dim))
+    kernel = driver._SupportKernel(op, data)
     steps = driver._recorded(kernel.iterates(NU32), n, [], p.k_abs_max)
     tracemalloc.start()
     try:
@@ -664,7 +683,7 @@ def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 def _assert_kernel_matches_full_length_iteration(op, seed):
     data = CoeffVec(np.random.default_rng(seed).standard_normal(op.dim))
-    kernel = driver._SupportKernel(op, data.coeffs)
+    kernel = driver._SupportKernel(op, HeldData(data.coeffs))
     state = init_state(op, data, NU32)
     for x, res in itertools.islice(kernel.iterates(NU32), 60):
         state = step(state, op, data, NU32)
@@ -736,7 +755,7 @@ def test_diagonal_block_steps_bit_for_bit_as_through_product(source, n):
     # exact zeros of both signs on R, so residual zeros of both signs occur
     data[rows[::4]] = 0.0
     data[rows[1::4]] = -0.0
-    kernel = driver._SupportKernel(op, data)
+    kernel = driver._SupportKernel(op, HeldData(data))
     pairs = zip(kernel.iterates(NU32), _product_reference(op, data, NU32))
     for (x, res), (x_ref, res_ref) in itertools.islice(pairs, 300):
         assert np.array_equal(x, x_ref) and res == res_ref
@@ -796,7 +815,7 @@ def test_support_kernel_residual_when_off_support_data_is_tiny():
     off[rows] = False
     f[off] = 1e-6 * norm(CoeffVec(f)) * rng.standard_normal(off.sum()) / np.sqrt(off.sum())
     data = CoeffVec(f)
-    kernel = driver._SupportKernel(op, data.coeffs)
+    kernel = driver._SupportKernel(op, HeldData(data.coeffs))
     assert kernel.off2 <= 1e-11 * float(f @ f)
     state = init_state(op, data, NU32)
     last = None

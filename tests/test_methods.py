@@ -24,7 +24,7 @@ from semicross.methods import (
     _coefficients,
 )
 
-from helpers import DiagonalOperator, ZeroOperator, cheb4_residual, norm
+from helpers import DiagonalOperator, HeldData, ZeroOperator, cheb4_residual, norm
 
 NU_HALF = nu_method(0.5)
 NU_ONE = nu_method(1.0)
@@ -157,7 +157,7 @@ def test_degenerate_step_raises_only_when_asked_for(make_spec, error, match):
         step(state, op, rhs, spec)
     # the support kernel reads the same table
     kernel = driver._SupportKernel(assemble(get_problem("p1").fresh_source(), 3),
-                                   np.ones(64))
+                                   HeldData(np.ones(64)))
     steps = kernel.iterates(spec)
     assert len(list(itertools.islice(steps, 6))) == 6
     with pytest.raises(error, match=match):

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from scipy.special import roots_legendre
 
 from semicross import problems
 from semicross.coeffs import CoeffVec
+from semicross.hypercross import assemble
 from semicross.problems import (
     PROBLEM_IDS,
     NoisyData,
@@ -14,7 +17,8 @@ from semicross.problems import (
     perturb,
 )
 
-from helpers import green_spectrum, monomial_sine_coeffs, norm, smoothness_envelope
+from helpers import (BandSource, BlockSource, green_spectrum, monomial_sine_coeffs,
+                     norm, smoothness_envelope)
 
 SQRT2 = math.sqrt(2.0)
 #: operator scaling pi^2 and the unit-norm factors 1/||f|| of the shipped pairs
@@ -248,7 +252,7 @@ def test_perturbation_determinism():
 
 
 def test_chunked_normal_draws_concatenate_to_the_single_draw():
-    # NoisyData grows a level's noise head by continuing one generator
+    # NoisyData draws a level's window in chunks of one generator
     full = np.random.default_rng(42).standard_normal(2 ** 18 + 4100)
     rng = np.random.default_rng(42)
     chunks = [rng.standard_normal(n) for n in (1, 3, 4096, 2 ** 18)]
@@ -257,6 +261,8 @@ def test_chunked_normal_draws_concatenate_to_the_single_draw():
 
 @pytest.mark.parametrize("cold", [True, False])
 def test_noisy_data_head_is_the_window_of_perturb(cold):
+    # with every index a row, the window is the head of perturb's f_delta,
+    # zero past f.dim, and nothing is left off the rows
     f, _ = _pair("p2", 5000)
     problems._noise_norm.cache_clear()
     full = perturb(f, 0.1, seed=3).coeffs  # leaves the seed's norm kept
@@ -266,7 +272,76 @@ def test_noisy_data_head_is_the_window_of_perturb(cold):
     for d in (1, 3, 4, 1024, 4096, 5000, 6000):
         expect = np.zeros(d)
         expect[:min(d, f.dim)] = full[:d]
-        assert data.head(d).tobytes() == expect.tobytes(), d
+        got, off2 = data.window(d, np.arange(d))
+        assert got.tobytes() == expect.tobytes(), d
+        assert off2 == 0.0, d
+
+
+def _window_rows(kind: str, dim: int) -> np.ndarray:
+    """Sorted 0-based rows in a window of ``dim`` coefficients: the leading
+    block of the shipped diagonal operator, every 7th coefficient (rows
+    right before leaf ends), or the scattered nonzero rows of a helper
+    source at the highest level (up to 6) that fits."""
+    if kind == "diagonal":
+        return np.arange(math.isqrt(dim))
+    if kind == "strided":
+        return np.arange(3, dim, 7)
+    n = min((dim.bit_length() - 1) // 2, 6)
+    source = BandSource() if kind == "band" else BlockSource()
+    return assemble(source, n).support()[0]
+
+
+@pytest.mark.parametrize("dim,noise_dim", [
+    (64, 2 ** 14),          # the off-row entries fit in one leaf
+    (5003, 2 ** 14),        # lengths that are no multiple of 8
+    (4 ** 8, 2 ** 14),      # many leaves, the window inside noise_dim
+    (4 ** 7, 3000),         # many leaves past noise_dim
+    (4 ** 7, 8256),         # on the diagonal, the first zero starts a leaf
+    (4 ** 7, 8257),         # ... and there the last nonzero entry does
+    (3001, 3000),           # one entry past noise_dim
+    (4 ** 10, 1_000_003),   # 2^20 coefficients, 48573 past noise_dim
+])
+@pytest.mark.parametrize("kind", ["diagonal", "strided", "band", "block"])
+def test_window_is_the_pair_of_the_full_window(kind, dim, noise_dim, monkeypatch):
+    # the streamed pair is, bit for bit, what the full window gives: its
+    # entries at the rows and np.sum of the squares of the rest. Each
+    # coefficient below noise_dim is drawn once, in ascending chunks of at
+    # most one leaf plus the rows among it, and none past noise_dim is
+    rows = _window_rows(kind, dim)
+    assert rows.size and rows[-1] < dim
+    f = get_problem("p1").rhs(noise_dim)
+    g = np.random.default_rng(7).standard_normal(noise_dim)
+    full = np.zeros(dim)
+    live = min(dim, noise_dim)
+    full[:live] = (0.25 / np.sqrt(np.sum(g * g)) * g + f.coeffs)[:live]
+    real, sizes = np.random.default_rng, []
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = real(seed)
+            self.bit_generator = self.rng.bit_generator
+
+        def standard_normal(self, size):
+            sizes.append(size)
+            return self.rng.standard_normal(size)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    data = NoisyData(lambda d: f.coeffs[:d], noise_dim, 0.25, seed=7)
+    sizes.clear()  # a cold noise norm streams its own draw
+    gc.collect()
+    tracemalloc.start()
+    try:
+        got, off2 = data.window(dim, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert gc.collect() == 0  # no reference cycle keeps a chunk alive
+    assert got.tobytes() == full[rows].tobytes()
+    assert off2.hex() == np.sum(np.delete(full, rows) ** 2).hex()
+    assert sum(sizes) == live and min(sizes) > 0
+    assert max(sizes) <= problems._LEAF + rows.size
+    assert peak < 4 * (problems._LEAF + rows.size) * 8, peak
 
 
 @pytest.mark.parametrize("dim", [2 ** 20, 1_000_003, 3000])
