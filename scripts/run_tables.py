@@ -23,13 +23,10 @@ MU = {"p1": 1.2, "p2": 0.2}
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="results", help="CSV output directory")
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     try:
-        if args.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
         params = RunParams(delta=DELTAS[0], rho=1.0, gamma=0.5, tau=TAU,
                            r=2.0, k_sec=20, seed=args.seed)
         grids = [ExperimentGrid(problem_id=pid, algorithm=algorithm, nu=1.5,
@@ -46,7 +43,7 @@ def main() -> int:
           f"{'K slope':>10s} {'target':>8s}")
     for grid in grids:
         algorithm, pid = grid.algorithm, grid.problem_id
-        rows = run_grid(grid, jobs=args.jobs)
+        rows = run_grid(grid)
         path = outdir / f"alg{algorithm}_{pid}.csv"
         emit_csv(rows, path)
         bad = [r for r in rows if r["error"] is not None]

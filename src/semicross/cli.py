@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import math
@@ -121,9 +122,9 @@ def _row_payload(grid: ExperimentGrid, index: int) -> dict:
 
 
 def _run_row(payload: dict) -> dict:
-    """Execute one grid row; importable at module level so process pools can
-    pickle it. Failures are recorded in-row. Each realization waits for its
-    noise norm's draw in ``payload["draws"]`` if started, else draws it itself."""
+    """Execute one grid row; failures are recorded in-row. Each realization
+    waits for its noise norm's draw in ``payload["draws"]`` if started, else
+    draws it itself."""
     delta = payload["delta"]
     mu = payload["mu"]
     row = {
@@ -171,15 +172,12 @@ def _run_row(payload: dict) -> dict:
 
 
 def run_grid(grid: ExperimentGrid, jobs: int = 1) -> list:
-    """All rows of a grid, in grid order regardless of completion order;
-    ``jobs`` > 1 runs them in that many worker processes, else the rows draw
-    every CPU count-th noise norm and threads the rest ahead, with equal bits."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    """All rows of a grid, in grid order. The rows draw every CPU count-th
+    noise norm and threads draw the rest ahead, with the bits of a plain
+    row loop. ``jobs`` takes only 1, the one process the rows run in."""
+    if jobs != 1:
+        raise ConfigError(f"rows run in one process: jobs must be 1, got {jobs}")
     payloads = [_row_payload(grid, i) for i in range(len(grid.deltas))]
-    if jobs > 1 and len(payloads) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_row, payloads))
     seeds = [seed for p in payloads for seed in _seeds(p)]
     ahead = _noise_norm.cache_info().maxsize  # so no draw is evicted unread
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -215,16 +213,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(rows, path=None) -> None:
-    """Write grid rows in the fixed 10-column schema to ``path``, or to
-    standard output when ``path`` is None."""
+def emit_csv(rows, out=None) -> None:
+    """Write grid rows in the fixed 10-column schema to ``out``: a path, an
+    open text file, or None for standard output."""
     lines = [",".join(CSV_COLUMNS)]
     lines += [",".join(_fmt(row[c]) for c in CSV_COLUMNS) for row in rows]
     text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
+    if out is None or hasattr(out, "write"):
+        (out or sys.stdout).write(text)
         return
-    with open(path, "w", newline="") as fh:
+    with open(out, "w", newline="") as fh:
         fh.write(text)
 
 
@@ -350,9 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--n-max", type=int, default=12)
     run.add_argument("--k-abs-max", type=int, default=10 ** 6)
     run.add_argument("--noise-dim", type=int, default=2 ** 20)
-    run.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for the rows (default 1)")
-    run.add_argument("--out", default=None, help="CSV path (default stdout)")
+    run.add_argument("--out", default=None,
+                     help="CSV path, created when the run starts (default stdout)")
 
     rates = sub.add_parser("rates", help="fit log-log slopes from a CSV")
     rates.add_argument("--csv", required=True)
@@ -394,12 +391,15 @@ def _cmd_run(args) -> int:
         normalize=not args.no_normalize,
         repeats=args.repeats,
     )
-    rows = run_grid(grid, jobs=args.jobs)
-    for row in rows:
-        if row["error"] is not None:
-            print(f"row delta={row['delta']:g} failed: {row['error']}",
-                  file=sys.stderr)
-    emit_csv(rows, args.out)
+    # opened before the first row, so a path it cannot write runs no row
+    with (open(args.out, "w", newline="") if args.out is not None
+          else contextlib.nullcontext()) as out:
+        rows = run_grid(grid)
+        for row in rows:
+            if row["error"] is not None:
+                print(f"row delta={row['delta']:g} failed: {row['error']}",
+                      file=sys.stderr)
+        emit_csv(rows, out)
     errors = [row["error"] for row in rows if row["error"] is not None]
     if any(error.startswith("cap:") for error in errors):
         return EXIT_CAP

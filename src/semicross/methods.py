@@ -21,7 +21,8 @@ where the filter polynomial g of the step-k iterate satisfies
 
 i.e. the iterate produced after k steps carries the normalized polynomial
 of index k + 1 (the initial iterate x_0 already carries P_1).
-``residual_value`` and ``filter_value`` below are indexed by the polynomial
+``residual_value``, ``residual_profile`` and ``filter_value`` step r_k =
+P_k(1 - 2 lam)/P_k(1) and g like the iterate, indexed by the polynomial
 index, so the oracle identity for a diagonal operator with entries sigma_i
 and data g_i reads
 
@@ -58,9 +59,6 @@ __all__ = [
 
 #: omega recursion denominators smaller than this signal a degenerate method
 _DEGENERACY_EPS = 1e-14
-
-#: filter evaluation point substituted for lam == 0 (one-sided limit)
-_FILTER_EPS = 1e-12
 
 
 class NumericalDegeneracyError(ArithmeticError):
@@ -209,8 +207,8 @@ class _Coefficients:
 
 @functools.lru_cache(maxsize=16)
 def _coefficients(spec: MethodSpec) -> _Coefficients:
-    """The kept coefficient table of ``spec``; ``init_state``/``step`` and
-    the drivers' support kernel all read their steps from it."""
+    """The kept coefficient table of ``spec``; ``init_state``/``step``, the
+    drivers' support kernel and the polynomials all read their steps from it."""
     return _Coefficients(spec)
 
 
@@ -222,8 +220,8 @@ def _advance(mu_k: float, two_omega_k: float, x_curr: np.ndarray,
     The in-place update keeps the order of (x_{k-1} + mu_k (x_{k-1} -
     x_{k-2})) + 2 omega_k update, so every bit is that of the written-out
     expression. At k = 0 with zero ``x_curr``/``x_prev`` this is x_0 =
-    2 omega_0 A* f exactly. ``step`` and the drivers' support kernel both
-    advance through here."""
+    2 omega_0 A* f exactly. ``step``, the drivers' support kernel and the
+    polynomials all advance through here."""
     x_new = x_curr - x_prev
     x_new *= mu_k
     x_new += x_curr
@@ -264,43 +262,32 @@ def step(state: IterState, op, rhs: CoeffVec, spec: MethodSpec,
                      omega=float(two_omega[k]) / 2.0)
 
 
-def _lam_array(lam) -> np.ndarray:
-    arr = np.asarray(lam, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+def _stepped(spec: MethodSpec, k_max: int, lam, filter_: bool):
+    """Yield the residual polynomials r_0..r_{k_max} at ``lam`` in [0, 1],
+    or with ``filter_`` the filter polynomials g_0..g_{k_max}: ``step``
+    with lam for A*A and 1 for A* f, from p_{-1} = p_0 = 1 (r) or 0 (g),
+
+        r_{k+1} = r_k + mu_k (r_k - r_{k-1}) - 2 omega_k lam r_k,
+        g_{k+1} = g_k + mu_k (g_k - g_{k-1}) + 2 omega_k (1 - lam g_k).
+
+    Neither needs rescaling (|r_k| <= kappa0 on [0, 1]); lam = 0 is exact."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if np.any(lam < 0.0) or np.any(lam > 1.0):
         raise ValueError("lam must lie in [0, 1]")
-    return arr
+    mu, two_omega = _coefficients(spec).upto(k_max - 1)
+    p_prev = p = np.full_like(lam, 0.0 if filter_ else 1.0)
+    yield p
+    for k in range(k_max):
+        update = 1.0 - lam * p if filter_ else -lam * p
+        p_prev, p = p, _advance(mu[k], two_omega[k], p, p_prev, update)
+        yield p
 
 
-def _residual_ratios(spec: MethodSpec, k_max: int, lam: np.ndarray):
-    """Yield r_k(lam) = P_k(1-2 lam)/P_k(1) for k = 0..k_max, running the
-    recurrences of P_k(1 - 2 lam) and P_k(1) side by side.
-
-    Each ratio is one division of the two current values; joint rescaling by
-    powers of two (exact in binary floating point) guards against under- or
-    overflow of the monic values for large k without touching the ratio.
-    """
-    x = 1.0 - 2.0 * lam
-    yield np.ones_like(x)
-    if k_max == 0:
-        return
-    u_prev = np.ones_like(x)
-    u = x - spec.alpha(0)
-    v_prev = 1.0
-    v = 1.0 - spec.alpha(0)
-    yield u / v
-    for j in range(1, k_max):
-        a_j = spec.alpha(j)
-        b_j = spec.beta(j)
-        u_prev, u = u, (x - a_j) * u - b_j * u_prev
-        v_prev, v = v, (1.0 - a_j) * v - b_j * v_prev
-        mag = abs(v)
-        if mag < 1e-140 or mag > 1e140:
-            scale = 2.0 ** (-math.frexp(mag)[1])
-            u_prev = u_prev * scale
-            u = u * scale
-            v_prev *= scale
-            v *= scale
-        yield u / v
+def _value(spec: MethodSpec, k: int, lam, filter_: bool):
+    """The index-k polynomial of ``_stepped`` at a scalar or array ``lam``."""
+    for out in _stepped(spec, k, lam, filter_):
+        pass
+    return float(out[0]) if np.ndim(lam) == 0 else out
 
 
 def residual_value(spec: MethodSpec, k: int, lam):
@@ -310,35 +297,28 @@ def residual_value(spec: MethodSpec, k: int, lam):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    arr = _lam_array(lam)
-    for out in _residual_ratios(spec, k, np.atleast_1d(arr)):
-        pass
-    return float(out[0]) if arr.ndim == 0 else out
+    return _value(spec, k, lam, filter_=False)
 
 
 def residual_profile(spec: MethodSpec, k_max: int, lam) -> np.ndarray:
     """All residual polynomial values r_0..r_{k_max} on a grid.
 
     Returns an array of shape (k_max + 1, len(lam)); row k is r_k. One run
-    of the joint recurrence serves every row, which keeps sweep-style
+    of the recurrence serves every row, which keeps sweep-style
     diagnostics (condition suites, Lipschitz samples) cheap.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    arr = np.atleast_1d(_lam_array(lam))
-    return np.stack(list(_residual_ratios(spec, k_max, arr)))
+    return np.stack(list(_stepped(spec, k_max, lam, filter_=False)))
 
 
 def filter_value(spec: MethodSpec, k: int, lam):
-    """Filter polynomial value g_k(lam) = (1 - r_k(lam))/lam for k >= 1.
+    """Filter polynomial value g_k(lam), with 1 - lam g_k(lam) = r_k(lam),
+    for k >= 1 and lam (scalar or array) in [0, 1].
 
-    At lam == 0 the one-sided value at 1e-12 is substituted; the analytic
-    limit is never needed by the drivers.
+    Stepped itself, not taken as (1 - r_k)/lam, so it is exact at lam = 0:
+    g_k(0) = -r_k'(0), for the nu-methods k (k + 2 nu)/(2 nu + 1/2).
     """
     if k < 1:
         raise ValueError("filter index k must be >= 1")
-    arr = np.asarray(lam, dtype=float)
-    eff = np.where(arr == 0.0, _FILTER_EPS, arr)
-    r = residual_value(spec, k, eff)
-    out = (1.0 - np.asarray(r)) / eff
-    return float(out) if arr.ndim == 0 else out
+    return _value(spec, k, lam, filter_=True)

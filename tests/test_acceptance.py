@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semicross.cli import ExperimentGrid, emit_csv, rate_fit, run_grid
+from semicross.cli import rate_fit, read_csv
 from semicross.coeffs import CoeffVec
 from semicross.driver import RunParams, run_balancing, run_discrepancy
 from semicross.hypercross import assemble, gamma_count
@@ -309,19 +309,26 @@ def test_criterion_8_theorem_bounds(grid_reports):
 # ---------------------------------------------------------------------------
 
 def test_criterion_9_determinism(tmp_path):
+    # two executions of `semicross run`, each in a fresh interpreter
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
     ok = True
     for pid in ("p1", "p2"):
-        grid = ExperimentGrid(
-            problem_id=pid, algorithm=1, nu=1.5, deltas=GRID_DELTAS,
-            params=_grid_params(GRID_DELTAS[0], seed=0), mu=GRID_MU[pid],
-        )
         paths = []
         for tag in ("a", "b"):
-            rows = run_grid(grid, jobs=2)
             path = tmp_path / f"{pid}_{tag}.csv"
-            emit_csv(rows, path)
+            subprocess.run(
+                [sys.executable, "-m", "semicross.cli", "run", "--problem", pid,
+                 "--algorithm", "1", "--nu", "1.5", "--tau", repr(TAU_REF),
+                 "--delta-max", repr(GRID_DELTAS[0]),
+                 "--delta-min", repr(GRID_DELTAS[-1]),
+                 "--mu-diagnostic", repr(GRID_MU[pid]), "--out", str(path)],
+                env=env, check=True, timeout=120)
             paths.append(path)
         ok &= paths[0].read_bytes() == paths[1].read_bytes()
+        rows = read_csv(paths[0])
+        ok &= [r["delta"] for r in rows] == list(GRID_DELTAS)
+        ok &= [r["seed"] for r in rows] == list(range(len(GRID_DELTAS)))
     _ok("criterion 9 (byte-identical CSV across executions)", ok)
 
 

@@ -27,7 +27,6 @@ from semicross.cli import (
     rate_fit,
     read_csv,
     run_grid,
-    _build_parser,
     _delta_grid,
     _row_payload,
     _run_row,
@@ -158,9 +157,10 @@ def test_grid_rows_and_determinism():
     assert all(r["error"] is None for r in rows_a)
 
 
-def test_grid_parallel_matches_serial():
-    grid = small_grid(problem="p2", algorithm=2)
-    assert run_grid(grid, jobs=2) == run_grid(grid, jobs=1)
+def test_rows_run_in_one_process_only():
+    for jobs in (2, 0):
+        with pytest.raises(ConfigError, match="jobs must be 1"):
+            run_grid(small_grid(), jobs=jobs)
 
 
 def test_repeats_average_relative_error():
@@ -221,13 +221,13 @@ def _counted_streams(monkeypatch, fail_seed=None):
     return streams
 
 
-def test_serial_rows_equal_a_plain_row_loop_and_the_process_pool():
+def test_serial_rows_equal_a_plain_row_loop():
     grid = dataclasses.replace(small_grid(problem="p2", algorithm=2), repeats=3)
     problems._noise_norm.cache_clear()
     plain = [_run_row(_row_payload(grid, i)) for i in range(len(grid.deltas))]
     problems._noise_norm.cache_clear()
     rows = run_grid(grid)
-    assert rows == plain == run_grid(grid, jobs=2)
+    assert rows == plain
     assert all(r["error"] is None for r in rows)
     assert ([r["rel_error"].hex() for r in rows]
             == [r["rel_error"].hex() for r in plain])
@@ -315,17 +315,24 @@ def test_no_draw_thread_outlives_run_grid(monkeypatch):
 def test_run_tables_rejects_bad_arguments_before_making_anything(tmp_path):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    for flag in (["--jobs", "0"], ["--seed", "-1"]):
-        outdir = tmp_path / "out"
-        done = subprocess.run(
+    outdir = tmp_path / "out"
+
+    def run_tables(*flag):
+        return subprocess.run(
             [sys.executable, str(root / "scripts" / "run_tables.py"),
              "--outdir", str(outdir), *flag],
             env=env, capture_output=True, text=True, timeout=60)
-        assert done.returncode == 1, flag
-        assert done.stdout == ""
-        assert done.stderr.startswith("configuration error:")
-        assert len(done.stderr.splitlines()) == 1
-        assert not outdir.exists()
+
+    done = run_tables("--seed", "-1")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("configuration error:")
+    assert len(done.stderr.splitlines()) == 1
+    assert not outdir.exists()
+    # the rows run in one process: --jobs is no longer a flag
+    done = run_tables("--jobs", "2")
+    assert done.returncode != 0 and "--jobs" in done.stderr
+    assert not outdir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +344,7 @@ def test_main_run_writes_csv(tmp_path, capsys):
     code = main([
         "run", "--problem", "p1", "--algorithm", "1",
         "--delta-max", "0.03125", "--delta-min", "0.0078125",
-        "--noise-dim", "4096", "--jobs", "1", "--out", str(out),
+        "--noise-dim", "4096", "--out", str(out),
     ])
     assert code == 0
     rows = read_csv(out)
@@ -348,16 +355,12 @@ def test_main_run_writes_csv(tmp_path, capsys):
 def test_main_run_stdout_when_no_out(capsys):
     code = main([
         "run", "--problem", "p1", "--delta-max", "0.03125",
-        "--delta-min", "0.03125", "--noise-dim", "4096", "--jobs", "1",
+        "--delta-min", "0.03125", "--noise-dim", "4096",
     ])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 2
-
-
-def test_run_defaults_to_one_job():
-    assert _build_parser().parse_args(["run"]).jobs == 1
 
 
 def test_main_no_scaling_warns_once(capsys):
@@ -373,8 +376,7 @@ def test_main_no_scaling_warns_once(capsys):
 
 def test_main_no_normalize_changes_scale(tmp_path):
     common = ["run", "--problem", "p1", "--delta-max", "0.001953125",
-              "--delta-min", "0.001953125", "--noise-dim", "4096",
-              "--jobs", "1"]
+              "--delta-min", "0.001953125", "--noise-dim", "4096"]
     out_a = tmp_path / "unit.csv"
     out_b = tmp_path / "raw.csv"
     assert main(common + ["--out", str(out_a)]) == 0
@@ -384,7 +386,7 @@ def test_main_no_normalize_changes_scale(tmp_path):
 
 
 def test_main_rejects_inadmissible_tau(capsys):
-    code = main(["run", "--tau", "2.0", "--algorithm", "1", "--jobs", "1"])
+    code = main(["run", "--tau", "2.0", "--algorithm", "1"])
     assert code == 1
     assert "admissibility" in capsys.readouterr().err
 
@@ -440,8 +442,8 @@ _SMALL_RUN = ["--delta-max", "0.0625", "--delta-min", "0.03125",
     ["constants", "--delta", "1e-300", "--rho", "1e300"],
     ["gamma-dump", "--level", "-1", "--out", "gamma.txt"],
     ["gamma-dump", "--level", "40", "--out", "gamma.txt"],
-    ["run", "--jobs", "0"],
-    ["run", "--jobs", "-3"],
+    ["run", "--jobs", "2"],
+    ["run", "--jobs", "1"],
 ])
 def test_bad_values_are_configuration_errors(argv, capsys, tmp_path, monkeypatch):
     # each exits 1 before any row runs, with no CSV and no traceback
@@ -497,7 +499,7 @@ def _run_argvs(draw):
     """A small run with any of the flags set, at most one at an edge."""
     edged = draw(st.none() | st.sampled_from(
         [f for f, (_, edges) in _RUN_FLAGS.items() if edges is not None]))
-    argv = ["run", *_SMALL_RUN, "--jobs=1"]
+    argv = ["run", *_SMALL_RUN]
     for flag, (values, edges) in _RUN_FLAGS.items():
         if flag == edged:
             argv.append(f"{flag}={draw(edges)}")
@@ -570,7 +572,7 @@ def test_main_cap_exit_code(tmp_path):
     code = main([
         "run", "--problem", "p2", "--delta-max", "0.001953125",
         "--delta-min", "0.001953125", "--n-max", "4",
-        "--noise-dim", "4096", "--jobs", "1", "--out", str(out),
+        "--noise-dim", "4096", "--out", str(out),
     ])
     assert code == 2
     assert out.exists()
@@ -582,7 +584,7 @@ def test_main_diagnostics_never_fail_rows(tmp_path):
     out = tmp_path / "low.csv"
     code = main([
         "run", "--algorithm", "2", "--nu", "0.25", "--delta-max", "0.0625",
-        "--delta-min", "0.03", "--noise-dim", "4096", "--jobs", "1",
+        "--delta-min", "0.03", "--noise-dim", "4096",
         "--out", str(out),
     ])
     assert code == 0
@@ -602,7 +604,7 @@ def test_main_failed_row_exit_code(tmp_path, monkeypatch, capsys):
     out = tmp_path / "failed.csv"
     code = main([
         "run", "--problem", "p1", "--delta-max", "0.03125",
-        "--delta-min", "0.03125", "--noise-dim", "4096", "--jobs", "1",
+        "--delta-min", "0.03125", "--noise-dim", "4096",
         "--out", str(out),
     ])
     assert code == 4
@@ -615,7 +617,7 @@ def test_main_rates(tmp_path, capsys):
     main([
         "run", "--problem", "p1", "--delta-max", "0.03125",
         "--delta-min", "0.00390625", "--noise-dim", "4096",
-        "--jobs", "1", "--out", str(out),
+        "--out", str(out),
     ])
     capsys.readouterr()
     assert main(["rates", "--csv", str(out)]) == 0
@@ -699,6 +701,37 @@ def test_main_io_error(tmp_path):
     assert code == 3
 
 
+def test_unwritable_out_fails_before_any_row(tmp_path, monkeypatch, capsys):
+    # the CSV is created when the run starts, so a bad path costs no sweep
+    ran, run_row = [], cli._run_row
+
+    def counted(payload):
+        ran.append(payload["delta"])
+        return run_row(payload)
+
+    monkeypatch.setattr(cli, "_run_row", counted)
+    code = main(["run", *_SMALL_RUN, "--out", str(tmp_path / "no" / "x.csv")])
+    out, err = capsys.readouterr()
+    assert code == 3 and ran == []
+    assert out == "" and err.startswith("i/o error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_jobs_is_neither_a_flag_nor_a_config_key(how, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    argv = ["run", *_SMALL_RUN, "--out", str(out)]
+    if how == "flag":
+        argv += ["--jobs", "2"]
+    else:
+        (tmp_path / "run.cfg").write_text("jobs = 2\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("configuration error:") == 1
+    assert "--jobs" in err if how == "flag" else "'jobs'" in err
+    assert not out.exists()
+
+
 def test_config_file_with_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -707,7 +740,6 @@ def test_config_file_with_override(tmp_path):
         "delta-max = 0.03125\n"
         "delta-min: 0.03125\n"
         "noise-dim = 4096\n"
-        "jobs = 1\n"
         "seed = 3\n"
     )
     out1 = tmp_path / "a.csv"
@@ -725,7 +757,7 @@ def test_config_file_loses_to_flag_given_at_its_default(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("gamma = 0.9\n")
     common = ["run", "--problem", "p1", "--delta-max", "0.0078125",
-              "--delta-min", "0.0078125", "--noise-dim", "4096", "--jobs", "1"]
+              "--delta-min", "0.0078125", "--noise-dim", "4096"]
     paths = {tag: tmp_path / f"{tag}.csv" for tag in ("both", "flag", "file")}
     assert main(common + ["--config", str(cfg), "--gamma", "0.5",
                           "--out", str(paths["both"])]) == 0
@@ -753,13 +785,14 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
 @pytest.mark.parametrize("line, message", [
     ("problem = p9", "argument --problem: invalid choice: 'p9'"),
     ("nu = abc", "argument --nu: invalid float value: 'abc'"),
-    ("jobs = 0", "jobs must be >= 1"),
+    ("jobs = 1", "unknown config key 'jobs'"),
 ])
 def test_config_file_values_pass_the_flag_checks(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     assert main(["run", "--config", str(cfg)]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.count("configuration error:") == 1
 
 
 def test_config_file_boolean_flags(tmp_path, capsys):

@@ -342,8 +342,9 @@ def test_chebyshev_closed_form_oracle():
         assert np.max(np.abs(mine - cheb4_residual(k, lam))) <= 1e-11
 
 
-def test_joint_rescaling_survives_large_k():
-    # monic values underflow around k ~ 500 without rescaling
+def test_residual_recurrence_survives_large_k():
+    # monic P_k(1 - 2 lam) and P_k(1) would underflow around k ~ 500; the
+    # normalized recurrence never leaves [-1, 1]
     lam = np.array([0.1, 0.5, 0.9])
     for k in (1000, 2000):
         mine = residual_value(NU_HALF, k, lam)
@@ -375,6 +376,24 @@ def test_filter_value_basics():
     assert math.isfinite(filter_value(NU_32, 5, 0.0))
     with pytest.raises(ValueError):
         filter_value(NU_32, 0, 0.5)
+    with pytest.raises(ValueError):
+        filter_value(NU_32, 3, 1.5)
+
+
+@pytest.mark.parametrize("nu", [0.25, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("k", [1, 5, 50, 200])
+def test_filter_at_zero_is_exact(nu, k):
+    # g_k(0) = -r_k'(0) = k (k + 2 nu)/(2 nu + 1/2) for the nu-methods; a
+    # value taken as (1 - r_k(eps))/eps is off by O(k^4 eps)
+    expect = k * (k + 2.0 * nu) / (2.0 * nu + 0.5)
+    assert filter_value(nu_method(nu), k, 0.0) == pytest.approx(expect, rel=1e-12)
+
+
+def test_polynomials_at_zero_take_the_first_step_exactly():
+    for spec in (NU_HALF, NU_ONE, NU_32, nu_method(0.25)):
+        assert filter_value(spec, 1, 0.0) == 2.0 * omega_next(spec, 0, 0.0)
+        for k in (0, 1, 7, 50, 200):
+            assert residual_value(spec, k, 0.0) == 1.0
 
 
 def test_filter_bounds_full_sweep():
