@@ -2,9 +2,9 @@
 """Reproduce the four convergence-order experiments at desk scale.
 
 Runs both adaptive drivers (discrepancy- and balancing-stopped) on both test
-problems over the delta grid 2^-4 .. 2^-13, writes one CSV per sweep and
-prints the fitted log-log slopes next to the a-priori targets
-mu/(mu+1) and -1/(mu+1).
+problems over the delta grid 2^-4 .. 2^-13, writes one CSV per sweep (each
+row as it ends) and prints the fitted log-log slopes next to the a-priori
+targets mu/(mu+1) and -1/(mu+1).
 """
 
 import argparse
@@ -12,7 +12,7 @@ import math
 import sys
 from pathlib import Path
 
-from semicross.cli import ExperimentGrid, emit_csv, rate_fit, run_grid
+from semicross.cli import ExperimentGrid, emit_csv, iter_rows, rate_fit
 from semicross.driver import ConfigError, RunParams
 
 TAU = 1.01 + math.sqrt(13.0 / 8.0)
@@ -43,9 +43,9 @@ def main() -> int:
           f"{'K slope':>10s} {'target':>8s}")
     for grid in grids:
         algorithm, pid = grid.algorithm, grid.problem_id
-        rows = run_grid(grid)
         path = outdir / f"alg{algorithm}_{pid}.csv"
-        emit_csv(rows, path)
+        with open(path, "w", newline="") as fh:
+            rows = emit_csv(iter_rows(grid), fh)
         bad = [r for r in rows if r["error"] is not None]
         if bad:
             print(f"alg{algorithm}/{pid}: {len(bad)} failed rows "

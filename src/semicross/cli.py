@@ -9,7 +9,7 @@ so parsing recovers them bit-exactly):
 Exit codes: 0 success, 1 configuration or usage error, 2 runtime cap
 exceeded (in any row), 3 I/O failure, 4 a row failed for another reason
 (``run`` still writes every row; failed rows carry NaN errors and are
-reported on stderr).
+reported on stderr), 130 interrupted (``run`` keeps the rows written).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .hypercross import export_gamma, gamma_count
 from .methods import nu_method
 from .problems import _noise_norm, get_problem
 
-__all__ = ["ExperimentGrid", "run_grid", "rate_fit", "emit_csv", "main"]
+__all__ = ["ExperimentGrid", "iter_rows", "run_grid", "rate_fit", "emit_csv", "main"]
 
 CSV_COLUMNS = (
     "algorithm", "nu", "delta", "n", "K_n", "K",
@@ -54,6 +54,7 @@ EXIT_CONFIG = 1
 EXIT_CAP = 2
 EXIT_IO = 3
 EXIT_ROW = 4
+EXIT_INTERRUPT = 130
 
 #: most pairs ``gamma-dump`` writes: level 10 (11,534,336 pairs) writes
 #: 99 MB in about 1.4 s at a peak RSS of about 130 MB; level 11 would write
@@ -171,28 +172,33 @@ def _run_row(payload: dict) -> dict:
     return row
 
 
-def run_grid(grid: ExperimentGrid, jobs: int = 1) -> list:
-    """All rows of a grid, in grid order. The rows draw every CPU count-th
-    noise norm and threads draw the rest ahead, with the bits of a plain
-    row loop. ``jobs`` takes only 1, the one process the rows run in."""
-    if jobs != 1:
-        raise ConfigError(f"rows run in one process: jobs must be 1, got {jobs}")
+def iter_rows(grid: ExperimentGrid):
+    """The rows of a grid, in grid order, each as it ends. The rows draw every
+    CPU count-th noise norm and threads draw the rest ahead, with the bits of a
+    plain row loop; closing the generator early cancels the draws queued."""
     payloads = [_row_payload(grid, i) for i in range(len(grid.deltas))]
     seeds = [seed for p in payloads for seed in _seeds(p)]
     ahead = _noise_norm.cache_info().maxsize  # so no draw is evicted unread
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     pool = concurrent.futures.ThreadPoolExecutor(max(1, cpus - 1))  # + the caller
-    draws, rows = {}, []
+    draws = {}
     try:
-        for p in payloads:
-            done = len(rows) * grid.repeats
+        for index, p in enumerate(payloads):
+            done = index * grid.repeats
             for i, seed in enumerate(seeds[done:done + ahead], done):
                 if i % cpus and seed not in draws:
                     draws[seed] = pool.submit(_noise_norm, seed, grid.params.noise_dim)
-            rows.append(_run_row(dict(p, draws=draws)))
+            yield _run_row(dict(p, draws=draws))
     finally:
         pool.shutdown(cancel_futures=True)
-    return rows
+
+
+def run_grid(grid: ExperimentGrid, jobs: int = 1) -> list:
+    """All rows of a grid, in grid order (``iter_rows`` run to its end).
+    ``jobs`` takes only 1, the one process the rows run in."""
+    if jobs != 1:
+        raise ConfigError(f"rows run in one process: jobs must be 1, got {jobs}")
+    return list(iter_rows(grid))
 
 
 def rate_fit(pairs) -> float:
@@ -213,17 +219,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(rows, out=None) -> None:
-    """Write grid rows in the fixed 10-column schema to ``out``: a path, an
-    open text file, or None for standard output."""
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(_fmt(row[c]) for c in CSV_COLUMNS) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if out is None or hasattr(out, "write"):
-        (out or sys.stdout).write(text)
-        return
-    with open(out, "w", newline="") as fh:
-        fh.write(text)
+def emit_csv(rows, out=None) -> list:
+    """Write grid rows in the fixed 10-column schema to the open text file
+    ``out`` (None: standard output), the header first, then each row as it
+    comes, flushed, so a cut run leaves whole lines. Returns the rows."""
+    print(",".join(CSV_COLUMNS), file=out, flush=True)
+    written = []
+    for row in rows:
+        print(",".join(_fmt(row[c]) for c in CSV_COLUMNS), file=out, flush=True)
+        written.append(row)
+    return written
 
 
 def read_csv(path) -> list:
@@ -394,16 +399,13 @@ def _cmd_run(args) -> int:
     # opened before the first row, so a path it cannot write runs no row
     with (open(args.out, "w", newline="") if args.out is not None
           else contextlib.nullcontext()) as out:
-        rows = run_grid(grid)
-        for row in rows:
-            if row["error"] is not None:
-                print(f"row delta={row['delta']:g} failed: {row['error']}",
-                      file=sys.stderr)
-        emit_csv(rows, out)
-    errors = [row["error"] for row in rows if row["error"] is not None]
-    if any(error.startswith("cap:") for error in errors):
+        rows = emit_csv(iter_rows(grid), out)
+    failed = [row for row in rows if row["error"] is not None]
+    for row in failed:
+        print(f"row delta={row['delta']:g} failed: {row['error']}", file=sys.stderr)
+    if any(row["error"].startswith("cap:") for row in failed):
         return EXIT_CAP
-    return EXIT_ROW if errors else EXIT_OK
+    return EXIT_ROW if failed else EXIT_OK
 
 
 def _cmd_rates(args) -> int:
@@ -489,6 +491,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
 
 
 if __name__ == "__main__":

@@ -324,7 +324,7 @@ def _prepare(problem: Problem, p: RunParams):
             "the stopping-index and error bounds are not guaranteed",
             stacklevel=4,
         )
-    return data, rhs_norm, problem.fresh_source(dim_hint=p.noise_dim)
+    return data, rhs_norm, problem.fresh_source()
 
 
 def _finish(problem: Problem, spec: MethodSpec, p: RunParams, algorithm: int,

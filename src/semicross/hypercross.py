@@ -139,10 +139,9 @@ class DiagonalSource(GalerkinInfoSource):
     its stretch of the diagonal alone (its whole area still counts).
     """
 
-    def __init__(self, diag, dim_hint: int | None = None):
+    def __init__(self, diag):
         super().__init__()
         self._diag = diag
-        self.dim_hint = dim_hint
 
     def entry_block(self, rows_lo: int, rows_hi: int, cols_lo: int,
                     cols_hi: int):

@@ -86,19 +86,11 @@ def _eigenvalues(kk: np.ndarray, scaled: bool) -> np.ndarray:
     return -1.0 / (np.pi * kk.astype(float)) ** 2
 
 
-def green_operator(dim: int, scaled: bool = True) -> DiagonalSource:
+def green_operator(*, scaled: bool = True) -> DiagonalSource:
     """Information source of the Green-kernel operator: diagonal entries
     -(pi k)^{-2}, times pi^2 when ``scaled`` (the default), off-diagonal
-    entries exactly zero.
-
-    ``dim`` declares the intended ambient truncation (kept as a hint on the
-    source); entries are defined for every index.
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return DiagonalSource(
-        lambda kk, s=scaled: _eigenvalues(kk, s), dim_hint=int(dim)
-    )
+    entries exactly zero; entries are defined for every index."""
+    return DiagonalSource(lambda kk, s=scaled: _eigenvalues(kk, s))
 
 
 def _cos_half_pi(kk: np.ndarray) -> np.ndarray:
@@ -278,8 +270,9 @@ class Problem:
 
     def fresh_source(self, dim_hint: int = 1) -> DiagonalSource:
         """A new information source with a zeroed evaluation counter (one
-        per run, so information accounting stays per-run)."""
-        return green_operator(max(int(dim_hint), 1), scaled=self.scaled)
+        per run, so information accounting stays per-run). ``dim_hint`` is
+        ignored: the source answers every index."""
+        return green_operator(scaled=self.scaled)
 
     def rhs(self, dim: int) -> CoeffVec:
         """Basis coefficients 1..dim of the right-hand side."""

@@ -116,7 +116,7 @@ def monomial_sine_coeffs(powers: dict, kk) -> np.ndarray:
 def green_spectrum(dim: int, scaled: bool = True) -> np.ndarray:
     """Eigenvalues 1..dim of the shipped Green operator: the diagonal of
     one ``entry_block`` query over [1, dim]^2 (none of them is zero)."""
-    _, _, vals = green_operator(dim, scaled=scaled).entry_block(0, dim, 0, dim)
+    _, _, vals = green_operator(scaled=scaled).entry_block(0, dim, 0, dim)
     assert vals.size == dim
     return vals
 

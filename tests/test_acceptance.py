@@ -188,7 +188,7 @@ def test_criterion_5_bounds_realized():
 
     ok = True
     for n in range(1, 7):
-        src = green_operator(dim=1 << (2 * n), scaled=True)
+        src = green_operator(scaled=True)
         op = assemble(src, n)
         keep = 1 << n
         diag = green_spectrum(op.dim)

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -23,6 +24,7 @@ from semicross.cli import (
     CSV_COLUMNS,
     ExperimentGrid,
     emit_csv,
+    iter_rows,
     main,
     rate_fit,
     read_csv,
@@ -106,14 +108,16 @@ def test_table_shaped_data_recovers_expected_slope():
 
 def test_empty_report_list_gives_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv([], path)
+    with open(path, "w", newline="") as fh:
+        assert emit_csv([], fh) == []
     assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):
     rows = run_grid(small_grid())
     path = tmp_path / "rows.csv"
-    emit_csv(rows, path)
+    with open(path, "w", newline="") as fh:
+        assert emit_csv(iter(rows), fh) == rows
     text = path.read_text().splitlines()
     assert all(len(line.split(",")) == 10 for line in text)
     back = read_csv(path)
@@ -310,6 +314,36 @@ def test_no_draw_thread_outlives_run_grid(monkeypatch):
     draws = payloads[0]["draws"].values()
     assert all(f.done() for f in draws)
     assert sum(f.cancelled() for f in draws) > len(draws) // 2 or workers == 1
+
+
+def test_closing_the_row_stream_early_cancels_its_queued_draws(monkeypatch):
+    workers = len(os.sched_getaffinity(0)) - 1
+    grid = dataclasses.replace(
+        small_grid(deltas=(2.0 ** -5, 2.0 ** -6)), repeats=4 * workers + 4)
+    row_two = {grid.params.seed + 1 + j * 10_007 for j in range(grid.repeats)}
+    payloads, run_row = [], cli._run_row
+
+    def kept_row(payload):
+        payloads.append(payload)
+        return run_row(payload)
+
+    def drawn_ahead(seed, dim):  # a draw of row 2 holds its thread a while
+        time.sleep(0.2 if seed in row_two else 0.0)
+
+    drawn_ahead.cache_info = problems._noise_norm.cache_info  # sizes the look-ahead
+    monkeypatch.setattr(cli, "_run_row", kept_row)
+    monkeypatch.setattr(cli, "_noise_norm", drawn_ahead)
+    problems._noise_norm.cache_clear()
+    before = threading.active_count()
+    it = iter_rows(grid)
+    assert next(it)["error"] is None
+    it.close()
+    assert threading.active_count() == before
+    assert len(payloads) == 1  # row 2 never ran
+    ahead = [f for seed, f in payloads[0]["draws"].items() if seed in row_two]
+    assert all(f.done() for f in ahead)
+    assert sum(f.cancelled() for f in ahead) >= len(ahead) - workers
+    assert ahead or workers == 0
 
 
 def test_run_tables_rejects_bad_arguments_before_making_anything(tmp_path):
@@ -714,6 +748,47 @@ def test_unwritable_out_fails_before_any_row(tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert code == 3 and ran == []
     assert out == "" and err.startswith("i/o error:") and err.count("\n") == 1
+
+
+def test_each_row_is_in_the_out_file_when_the_next_row_starts(tmp_path, monkeypatch):
+    out = tmp_path / "grid.csv"
+    seen, run_row = [], cli._run_row
+
+    def peeking(payload):
+        seen.append(out.read_text())
+        return run_row(payload)
+
+    monkeypatch.setattr(cli, "_run_row", peeking)
+    assert main(["run", *_SMALL_RUN, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    assert len(lines) == 3
+    assert seen == ["".join(lines[:1]), "".join(lines[:2])]
+
+
+def test_an_interrupted_run_keeps_the_rows_that_ended(tmp_path, monkeypatch, capsys):
+    whole, cut = tmp_path / "whole.csv", tmp_path / "cut.csv"
+    assert main(["run", *_SMALL_RUN, "--out", str(whole)]) == 0
+    capsys.readouterr()
+    calls, run = [], cli.run_discrepancy
+
+    def interrupted_in_row_two(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_discrepancy", interrupted_in_row_two)
+    before = threading.active_count()
+    try:
+        code = main(["run", *_SMALL_RUN, "--out", str(cut)])
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped main")
+    out, err = capsys.readouterr()
+    assert code == 130 and out == ""
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    # the header and row 1, whole; no partial line of row 2
+    assert cut.read_text() == "".join(whole.read_text().splitlines(keepends=True)[:2])
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])

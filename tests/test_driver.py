@@ -254,7 +254,7 @@ def test_zero_operator_balancing_stops_immediately():
         def coeff_range(self, start, stop, rhs):
             return np.ones(stop - start) if rhs else np.zeros(stop - start)
 
-        def fresh_source(self, dim_hint=1):
+        def fresh_source(self):
             return DiagonalSource(lambda kk: np.zeros(kk.size))
 
     report = run_balancing(ZeroProblem(), NU32, params(0.25, noise_dim=64))
@@ -625,7 +625,7 @@ class BandProblem:
         k = np.arange(start + 1, stop + 1, dtype=float)
         return (np.where(k % 2 == 0, 1.0, 1e-6) if rhs else 1.0) / k ** 2
 
-    def fresh_source(self, dim_hint=1):
+    def fresh_source(self):
         return BandSource()
 
 
@@ -737,7 +737,7 @@ def _product_reference(op, data, spec):
 #: indices) and one with alternating signs and every third entry zero (R = C
 #: neither full nor a leading block)
 _DIAGONAL_SOURCES = {
-    "green": lambda: green_operator(4 ** 6),
+    "green": green_operator,
     "gappy": lambda: DiagonalSource(
         lambda kk: np.where(kk % 3 == 0, 0.0, (-1.0) ** kk * 0.9 / np.sqrt(kk))),
 }
@@ -848,7 +848,7 @@ def test_nonfinite_residual_raises():
             # unit norm at the noise_dim = 2^10 the runs below use
             return np.full(stop - start, 1.0 / 32.0 if rhs else 1.0)
 
-        def fresh_source(self, dim_hint=1):
+        def fresh_source(self):
             return DiagonalSource(lambda kk: np.full(kk.size, 10.0))
 
     with np.errstate(over="ignore", invalid="ignore"):

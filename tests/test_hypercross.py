@@ -142,7 +142,7 @@ def test_diagonal_block_query_matches_base_path(n):
 def test_refine_peak_memory_is_nonzero_only():
     # the zero-retaining table peaked at 191 MB here (5.2M pairs at n = 9),
     # and dimension-length CSR row pointers at 2.6 MB
-    src = green_operator(dim=1 << 18)
+    src = green_operator()
     tracemalloc.start()
     try:
         op = refine(assemble(src, 8), src)
@@ -309,7 +309,7 @@ def test_bounds_decrease_in_level():
 def test_bounds_realized_by_shipped_operator():
     # diagonal spectrum -k^{-2}: all three norms are exactly computable
     for n in range(1, 7):
-        src = green_operator(dim=1 << (2 * n), scaled=True)
+        src = green_operator(scaled=True)
         op = assemble(src, n)
         keep = 1 << n
         diag = green_spectrum(op.dim)

@@ -44,7 +44,7 @@ def _entry(src, i, j):
 
 
 def test_scaled_entries():
-    src = green_operator(dim=16, scaled=True)
+    src = green_operator(scaled=True)
     assert _entry(src, 1, 1) == -1.0
     assert _entry(src, 2, 3) == 0.0
     assert _entry(src, 4, 4) == pytest.approx(-1.0 / 16.0, rel=1e-15)
@@ -52,7 +52,7 @@ def test_scaled_entries():
 
 
 def test_unscaled_entries():
-    src = green_operator(dim=16, scaled=False)
+    src = green_operator(scaled=False)
     assert _entry(src, 1, 1) == pytest.approx(-1.0 / math.pi ** 2, rel=1e-15)
 
 
