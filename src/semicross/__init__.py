@@ -5,53 +5,18 @@ combining semiiterative two-step iterations (generated from monic
 orthogonal-polynomial recurrences, e.g. the nu-methods) with an adaptive
 sparse Galerkin discretization on hyperbolic-cross index sets, stopped by
 the residual discrepancy principle or the balancing principle.
+
+The top level holds the two adaptive drivers and what a call to them needs,
+returns or raises; everything else is imported from its module.
 """
 
-from .coeffs import CoeffVec
-from .driver import (
-    CapExceededError,
-    ConfigError,
-    RunParams,
-    RunReport,
-    admissibility_threshold,
-    initial_level,
-    max_iter_count,
-    run_balancing,
-    run_discrepancy,
-    theoretical_constants,
-)
-from .hypercross import (
-    DiagonalSource,
-    GalerkinInfoSource,
-    GalerkinOperator,
-    assemble,
-    discretization_bounds,
-    export_gamma,
-    gamma_count,
-    refine,
-)
-from .methods import (
-    IterState,
-    MethodSpec,
-    NumericalDegeneracyError,
-    filter_value,
-    init_state,
-    nu_method,
-    omega_next,
-    residual_profile,
-    residual_value,
-    step,
-)
-from .problems import (
-    Problem,
-    get_problem,
-    green_operator,
-    perturb,
-)
-from .stopping import (
-    BalancingWindow,
-    balancing_admissible_set,
-    balancing_stop_index,
-)
+from .driver import (CapExceededError, ConfigError, RunParams, RunReport,
+                     run_balancing, run_discrepancy)
+from .methods import NumericalDegeneracyError, nu_method
+from .problems import get_problem
+
+__all__ = ["RunParams", "RunReport", "run_discrepancy", "run_balancing",
+           "get_problem", "nu_method", "ConfigError", "CapExceededError",
+           "NumericalDegeneracyError"]
 
 __version__ = "0.1.0"

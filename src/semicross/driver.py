@@ -147,15 +147,11 @@ def admissibility_threshold(spec: MethodSpec, gamma: float) -> float:
     )
 
 
-def _level_lhs(r: float, n: int) -> float:
-    return (1.0 + 2.0 ** (r + 3.0)) * 2.0 ** (-2.0 * r * n) * n
-
-
 def initial_level(p: RunParams) -> int:
-    """Smallest level n >= 1 with (1+2^{r+3}) 2^{-2rn} n < gamma delta/(2 rho)."""
-    target = p.gamma * p.delta / (2.0 * p.rho)
+    """Smallest level n >= 1 with (1+2^{r+3}) 2^{-2rn} n < gamma delta/(2 rho):
+    the first level whose budget ``max_iter_count`` allows a step."""
     for n in range(1, p.n_max + 1):
-        if _level_lhs(p.r, n) < target:
+        if max_iter_count(n, p) >= 1:
             return n
     raise CapExceededError(
         "level", f"no admissible start level up to n_max={p.n_max}"

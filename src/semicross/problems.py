@@ -243,12 +243,18 @@ class NoisyData:
 
 def perturb(f: CoeffVec, delta: float, seed: int) -> CoeffVec:
     """Add a pseudo-random perturbation of exact norm delta: the full-length
-    f_delta of ``NoisyData``; delta = 0 returns f unchanged.
+    f_delta of ``NoisyData``, drawn in one piece; delta = 0 returns f
+    unchanged.
     """
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
     if delta == 0.0:
         return f
-    data = NoisyData(lambda d: f.coeffs[:d], f.dim, delta, seed)
-    return CoeffVec._wrap(data.window(f.dim, np.arange(f.dim))[0])
+    seed = operator.index(seed)  # a kept norm needs a reproducible draw
+    v = np.random.default_rng(seed).standard_normal(f.dim)
+    v *= delta / _noise_norm(seed, f.dim)
+    v += f.coeffs
+    return CoeffVec._wrap(v)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semicross import driver, problems
 from semicross.coeffs import CoeffVec
@@ -111,6 +112,26 @@ def test_initial_level_always_admits_an_iteration():
     for e in range(2, 20):
         p = params(2.0 ** -e, n_max=16)
         assert max_iter_count(initial_level(p), p) >= 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(delta=st.floats(1e-12, 1.0), gamma=st.floats(0.01, 10.0),
+       rho=st.floats(0.01, 10.0), r=st.floats(0.5, 4.0),
+       n_max=st.integers(1, 20))
+def test_initial_level_is_the_first_level_of_the_docstring_inequality(
+        delta, gamma, rho, r, n_max):
+    # (1 + 2^{r+3}) 2^{-2rn} n < gamma delta / (2 rho), written out here
+    # apart from the budget rule that initial_level reads
+    p = params(delta, gamma=gamma, rho=rho, r=r, n_max=n_max)
+    target = gamma * delta / (2.0 * rho)
+    first = next((n for n in range(1, n_max + 1)
+                  if (1.0 + 2.0 ** (r + 3.0)) * 2.0 ** (-2.0 * r * n) * n < target),
+                 None)
+    if first is None:
+        with pytest.raises(CapExceededError, match="no admissible start level"):
+            initial_level(p)
+    else:
+        assert initial_level(p) == first
 
 
 # ---------------------------------------------------------------------------

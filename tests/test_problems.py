@@ -277,6 +277,18 @@ def test_noisy_data_head_is_the_window_of_perturb(cold):
         assert off2 == 0.0, d
 
 
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+@pytest.mark.parametrize("dim", [1, 7, 1000, 8193])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_perturb_is_the_window_with_every_index_a_row(pid, dim, seed):
+    # perturb draws f_delta in one piece; NoisyData draws the same bytes
+    # in chunks around its rows
+    f, _ = _pair(pid, dim)
+    data = NoisyData(lambda d: f.coeffs[:d], dim, 0.1, seed)
+    expect = data.window(dim, np.arange(dim))[0]
+    assert perturb(f, 0.1, seed).coeffs.tobytes() == expect.tobytes()
+
+
 def _window_rows(kind: str, dim: int) -> np.ndarray:
     """Sorted 0-based rows in a window of ``dim`` coefficients: the leading
     block of the shipped diagonal operator, every 7th coefficient (rows
