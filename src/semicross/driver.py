@@ -26,7 +26,6 @@ of iteration steps across levels, and a non-finite residual norm raises
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -109,6 +108,8 @@ class RunParams:
             raise ConfigError("k_sec, n_max, k_abs_max and noise_dim must be >= 1")
         if self.r * self.n_max >= 512:  # 2^(2 r n) must be a float
             raise ConfigError("r * n_max must be below 512")
+        for n in (1, self.n_max):  # the budget bound's log is convex in n
+            max_iter_count(n, self)
 
 
 @dataclass(frozen=True)
@@ -163,15 +164,14 @@ def max_iter_count(n: int, p: RunParams) -> int:
     0 signals an inconsistent level (the caller must refine).
 
     The strict inequality is preserved exactly: an integral bound yields
-    bound - 1.
+    bound - 1. A bound that is not a finite float raises ConfigError.
     """
     bound = p.gamma * p.delta * 2.0 ** (2.0 * p.r * n) / (
         2.0 * p.rho * (1.0 + 2.0 ** (p.r + 3.0)) * n
     )
-    k = int(math.floor(bound))
-    if k == bound:
-        k -= 1
-    return max(k, 0)
+    if not math.isfinite(bound):
+        raise ConfigError(f"the budget bound at level {n} is {bound}, not a finite float")
+    return max(math.ceil(bound) - 1, 0)
 
 
 def theoretical_constants(spec: MethodSpec, p: RunParams, mu: float,
@@ -276,31 +276,45 @@ class _SupportKernel:
     one ``math.sqrt``.
     """
 
-    def __init__(self, op, data: NoisyData):
+    def __init__(self, op, data: NoisyData, residuals: list, cap: int):
         """Read ``data`` on the level window: f_delta on R and off2."""
         rows, self.cols, ri, ci = op.support()
         self.forward, self.adjoint = _block_products(ri, ci, op.vals,
                                                      rows.size, self.cols.size)
         self.data, self.off2 = data.window(op.dim, rows)
+        self.level, self.residuals, self.cap = op.level, residuals, cap
 
-    def iterates(self, spec: MethodSpec):
-        """Yield (x_k restricted to C, ||A x_k - f||) for k = 1, 2, ...;
-        each step is computed only when it is asked for, and a yielded
-        iterate is never written to again."""
+    def iterates(self, spec: MethodSpec, m: int, window=None):
+        """Yield (k, x_k restricted to C, ||A x_k - f||) for k = 1..m, each
+        step computed only when it is asked for, into row k - 1 of
+        ``window`` (m x |C|) if given; a yielded iterate is never written to
+        again. Each residual norm is appended to the run's ``residuals``; a
+        step past ``cap`` of them raises ``CapExceededError``, a non-finite
+        residual norm ``NumericalDegeneracyError``."""
         forward, adjoint, f, off2 = self.forward, self.adjoint, self.data, self.off2
+        residuals, cap = self.residuals, self.cap
         table = _coefficients(spec)
         mu = two_omega = ()
         x = x_prev = np.zeros(self.cols.size)
         r = f
-        for k in itertools.count():
+        for k in range(m + 1):
             if k == len(mu):
                 mu, two_omega = table.upto(k)
             update = adjoint(r)
-            x_prev, x = x, _advance(mu[k], two_omega[k], x, x_prev, update)
+            out = None if window is None or not k else window[k - 1]
+            x_prev, x = x, _advance(mu[k], two_omega[k], x, x_prev, update, out)
             r = forward(x)
             np.subtract(f, r, out=r)
             if k:
-                yield x, math.sqrt(float(r @ r) + off2)
+                if len(residuals) >= cap:
+                    raise CapExceededError(
+                        "iterations", f"total iteration cap k_abs_max={cap} exceeded")
+                res = math.sqrt(float(r @ r) + off2)
+                if not math.isfinite(res):
+                    raise NumericalDegeneracyError(
+                        f"non-finite residual norm at level {self.level}, step {k}")
+                residuals.append(res)
+                yield k, x, res
 
 
 def _prepare(problem: Problem, p: RunParams):
@@ -396,41 +410,21 @@ def _diagnostics(spec: MethodSpec, p: RunParams, mu: float, levels) -> dict:
     return diag
 
 
-def _recorded(iterates, n: int, residuals: list, cap: int):
-    """Number the iterates of level n and append their residual norms to
-    ``residuals`` (one per step of the run), enforcing the total iteration
-    cap and finite residual norms."""
-    for k, (x, res) in enumerate(iterates, 1):
-        if len(residuals) >= cap:
-            raise CapExceededError(
-                "iterations", f"total iteration cap k_abs_max={cap} exceeded"
-            )
-        if not math.isfinite(res):
-            raise NumericalDegeneracyError(
-                f"non-finite residual norm at level {n}, step {k}"
-            )
-        residuals.append(res)
-        yield k, x, res
-
-
-def _discrepancy_stop(steps, k_n: int, p: RunParams, spec: MethodSpec):
+def _discrepancy_stop(kernel, k_n: int, p: RunParams, spec: MethodSpec):
     """First of the iterates 1..K_n whose residual norm is at most tau delta."""
-    for k, x, res in itertools.islice(steps, k_n):
+    for k, x, res in kernel.iterates(spec, k_n):
         if res <= p.tau * p.delta:
             return k, x
     return None
 
 
-def _balancing_stop(steps, k_n: int, p: RunParams, spec: MethodSpec):
+def _balancing_stop(kernel, k_n: int, p: RunParams, spec: MethodSpec):
     """Smallest admissible index of the K_n + k_sec iterates with bound
-    8 (1 + gamma) kappa0 j delta. The iterates are written into one
-    (K_n + k_sec) x |C| array as they come, which the scan reads in place."""
-    m = k_n + p.k_sec
-    window = None
-    for i, (_, x, _) in enumerate(itertools.islice(steps, m)):
-        if window is None:
-            window = np.empty((m, x.size))
-        window[i] = x
+    8 (1 + gamma) kappa0 j delta. The iterates are computed straight into
+    the rows of one (K_n + k_sec) x |C| array, which the scan reads in place."""
+    window = np.empty((k_n + p.k_sec, kernel.cols.size))
+    for _ in kernel.iterates(spec, len(window), window):
+        pass
     stop = balancing_stop_index(BalancingWindow(
         iterates=window, k_n=k_n, k_sec=p.k_sec,
         bound_factor=8.0 * (1.0 + p.gamma) * spec.kappa0 * p.delta,
@@ -443,9 +437,9 @@ def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
     """The refinement loop both drivers share.
 
     Per level it computes the budget K_n and, when K_n >= 1, hands
-    ``stop_rule(steps, K_n, p, spec)`` the level's iterates as ``(k, x_k on
-    C, residual norm)``; the rule takes as many as it needs and returns
-    ``(k, x_k)`` to stop or None to refine.
+    ``stop_rule(kernel, K_n, p, spec)`` the level's ``_SupportKernel``; the
+    rule steps it as far as it needs and returns ``(k, x_k)`` to stop or
+    None to refine.
     """
     data, rhs_norm, src = _prepare(problem, p)
     n = initial_level(p)
@@ -458,11 +452,10 @@ def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
         levels.append(n)
         budgets.append(k_n)
         if k_n >= 1:
-            kernel = _SupportKernel(op, data)
-            steps = _recorded(kernel.iterates(spec), n, residuals, p.k_abs_max)
+            kernel = _SupportKernel(op, data, residuals, p.k_abs_max)
             # a budget past the iteration cap reaches the cap all the same,
-            # and islice takes no stop above sys.maxsize
-            hit = stop_rule(steps, min(k_n, p.k_abs_max + 1), p, spec)
+            # and the balancing window has a row per step of the budget
+            hit = stop_rule(kernel, min(k_n, p.k_abs_max + 1), p, spec)
             if hit is not None:
                 stop, x = hit
                 return _finish(problem, spec, p, algorithm, levels, budgets,

@@ -213,16 +213,16 @@ def _coefficients(spec: MethodSpec) -> _Coefficients:
 
 
 def _advance(mu_k: float, two_omega_k: float, x_curr: np.ndarray,
-             x_prev: np.ndarray, update: np.ndarray) -> np.ndarray:
+             x_prev: np.ndarray, update: np.ndarray, out=None) -> np.ndarray:
     """Step k of the two-step recursion on raw arrays: x_k from x_{k-1} =
     ``x_curr``, x_{k-2} = ``x_prev``, ``update`` = A*(f - A x_{k-1}), which
     it overwrites, and the step's entries of the method's coefficient table.
     The in-place update keeps the order of (x_{k-1} + mu_k (x_{k-1} -
     x_{k-2})) + 2 omega_k update, so every bit is that of the written-out
     expression. At k = 0 with zero ``x_curr``/``x_prev`` this is x_0 =
-    2 omega_0 A* f exactly. ``step``, the drivers' support kernel and the
-    polynomials all advance through here."""
-    x_new = x_curr - x_prev
+    2 omega_0 A* f exactly. x_k goes to ``out`` if given. ``step``, the
+    drivers' support kernel and the polynomials all advance through here."""
+    x_new = np.subtract(x_curr, x_prev, out=out)
     x_new *= mu_k
     x_new += x_curr
     update *= two_omega_k

@@ -40,13 +40,13 @@ the closed forms are evaluated on the nonzero parity only, over any index
 range (``Problem.coeff_range``).
 
 Kept values. What a process keeps between runs lives here, each value
-behind a bounded ``functools.lru_cache`` function reset by ``cache_clear()``:
-the noise norm per (seed, dim), the right-hand side's head per problem (up
-to the longest window read) and each closed form's ``_pairwise_sumsq`` per
-(problem, rhs, dim). A serial ``cli.run_grid`` draws noise norms in threads
-and in the calling thread, which reads them all. A level streams its window
-to f_delta on the operator's nonzero rows and the energy off them; no
-exact-solution coefficient outlives the run that reads it.
+behind a bounded cache reset by ``cache_clear()``: the noise norm per (seed,
+dim), the right-hand side's head per problem (up to the longest window
+read), each closed form's ``_pairwise_sumsq`` per (problem, rhs, dim), and,
+read-only in ``_windows`` (at most 1 MiB, oldest out first), each level
+window of a run's data per (problem, noise_dim, delta, seed, dim, rows).
+A serial ``cli.run_grid`` draws noise norms in threads and in the calling
+thread, which reads them all. No exact-solution coefficient outlives its run.
 """
 
 from __future__ import annotations
@@ -190,6 +190,21 @@ def _noise_norm(seed: int, dim: int) -> np.float64:
     return g_norm
 
 
+class _Kept(dict):
+    """``(value, nbytes)`` per key, up to ``limit`` bytes in all, oldest out first."""
+
+    cache_clear, limit = dict.clear, 2 ** 20
+
+    def keep(self, key, value, nbytes: int) -> None:
+        self[key] = value, nbytes
+        while sum(n for _, n in self.values()) > self.limit:
+            del self[next(iter(self))]
+
+
+#: the level windows of ``_noisy_data``'s data: 86 KiB for the paper's grid
+_windows = _Kept()
+
+
 class NoisyData:
     """The perturbed data f_delta = f + (delta / ||g||) g, one window at a time.
 
@@ -197,17 +212,19 @@ class NoisyData:
     basis elements (basis-isotropic), drawn deterministically from
     ``seed``; ``rhs(d)`` returns coefficients 1..d of f for d <= dim. The
     norm of g depends only on (seed, dim), so it is kept per process
-    (``_noise_norm``). Of the draw only the generator's start state is
-    kept: each window is drawn again from it, in chunks of at most |rows| +
-    ``_LEAF`` coefficients (chunked draws concatenate to the single draw).
+    (``_noise_norm``). Of the draw only the seed is kept: each window is
+    drawn again from it, in chunks of at most |rows| + ``_LEAF``
+    coefficients (chunked draws concatenate to the single draw). Given a
+    ``key``, as ``_noisy_data`` passes (problem, dim, delta, seed), windows
+    are kept read-only in ``_windows`` (at most 1 MiB) under it, their dim
+    and rows, so runs on the same data draw each window once per process.
     """
 
-    def __init__(self, rhs, dim: int, delta: float, seed: int):
+    def __init__(self, rhs, dim: int, delta: float, seed: int, key=None):
         if delta < 0:
             raise ValueError("delta must be nonnegative")
         seed = operator.index(seed)  # a kept norm needs a reproducible draw
-        self.rhs, self.dim, self._rng = rhs, dim, np.random.default_rng(seed)
-        self._start = self._rng.bit_generator.state
+        self.rhs, self.dim, self.seed, self.key = rhs, dim, seed, key
         self.scale = delta / _noise_norm(seed, dim)
 
     def window(self, dim: int, rows: np.ndarray):
@@ -215,8 +232,17 @@ class NoisyData:
         ``self.dim``, at the sorted 0-based ``rows``; off2 is the float
         np.sum(np.delete(f_delta, rows) ** 2). Drawn in ascending chunks, each
         ending with a leaf of ``_pairwise_sumsq`` over the off-row entries."""
-        rng, live, pos = self._rng, min(dim, self.dim), 0
-        rng.bit_generator.state = self._start
+        key = self.key and (self.key, dim, rows.size, rows.tobytes())
+        if key in _windows:
+            return _windows[key][0]
+        out, off2 = self._draw(dim, rows)
+        if key:
+            out.flags.writeable = False
+            _windows.keep(key, (out, off2), out.nbytes + len(key[-1]))
+        return out, off2
+
+    def _draw(self, dim: int, rows: np.ndarray):
+        rng, live, pos = np.random.default_rng(self.seed), min(dim, self.dim), 0
         rhs, out = self.rhs(live), np.zeros(rows.size)
         before = rows - np.arange(rows.size)  # off-row entries before each row
 
@@ -332,7 +358,8 @@ def _noisy_data(problem: Problem, dim: int, delta: float, seed: int):
     """A run's ``NoisyData`` at ``dim`` and ||f||, both read from the kept
     right-hand side."""
     f_norm = float(np.sqrt(_sumsq(problem, True, dim)[0]))
-    return NoisyData(_closed_form(problem), dim, delta, seed), f_norm
+    key = (problem, dim, delta, seed)
+    return NoisyData(_closed_form(problem), dim, delta, seed, key), f_norm
 
 
 def _error_norms(problem: Problem, x: np.ndarray, dim: int):

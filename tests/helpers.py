@@ -1,6 +1,7 @@
 """Shared test fixtures: tiny operators and reference oracles."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from semicross.coeffs import CoeffVec
 from semicross.hypercross import GalerkinInfoSource
@@ -22,6 +23,27 @@ def norm(v: CoeffVec) -> float:
     """The coefficient-space norm sqrt((v, v)), summed pairwise as
     ``np.sum`` sums, which is how the drivers sum their error norms."""
     return float(np.sqrt(np.sum(v.coeffs * v.coeffs)))
+
+
+#: run parameters at the edges of what ``RunParams`` takes: delta, rho and
+#: gamma from a subnormal to 1e300, r from 1e-3 to 40, up to level 8 and
+#: noise_dim 2^12
+_WIDE = st.sampled_from([1e-320, 1e-300, 1e-12, 2.0 ** -8, 0.5, 1.0, 1e6,
+                         1e150, 1e300])
+EDGE_RUNS = st.fixed_dictionaries({
+    "pid": st.sampled_from(["p1", "p2"]),
+    "algorithm": st.sampled_from([1, 2]),
+    "delta": _WIDE,
+    "rho": _WIDE,
+    "gamma": _WIDE,
+    "r": st.sampled_from([1e-3, 0.5, 2.0, 8.0, 40.0]),
+    "tau": st.sampled_from([1.0, 2.5, 1e6]),
+    "k_sec": st.sampled_from([1, 20]),
+    "seed": st.integers(0, 3),
+    "n_max": st.integers(1, 8),
+    "k_abs_max": st.sampled_from([1, 30, 300]),
+    "noise_dim": st.sampled_from([1, 7, 64, 4096]),
+})
 
 
 class HeldData:

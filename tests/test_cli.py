@@ -35,6 +35,8 @@ from semicross.cli import (
 )
 from semicross.driver import ConfigError, RunParams
 
+from helpers import EDGE_RUNS
+
 TAU_REF = 1.01 + math.sqrt(13.0 / 8.0)
 
 
@@ -235,6 +237,35 @@ def test_serial_rows_equal_a_plain_row_loop():
     assert all(r["error"] is None for r in rows)
     assert ([r["rel_error"].hex() for r in rows]
             == [r["rel_error"].hex() for r in plain])
+
+
+def test_the_four_paper_sweeps_draw_each_window_once(monkeypatch):
+    # alg1 p1, alg1 p2, alg2 p1, alg2 p2 over delta 2^-4..2^-13, as
+    # scripts/run_tables.py runs them: the balancing sweeps read the windows
+    # the discrepancy sweeps drew, so 54 of the 91 level windows are drawn,
+    # and every row is that of a run that draws each window afresh
+    params = RunParams(delta=2.0 ** -4, tau=TAU_REF)
+    grids = [ExperimentGrid(problem_id=pid, algorithm=algorithm, nu=1.5,
+                            deltas=tuple(2.0 ** -e for e in range(4, 14)),
+                            params=params, mu=cli.DEFAULT_MU[pid])
+             for algorithm in (1, 2) for pid in ("p1", "p2")]
+    draws, draw = [], problems.NoisyData._draw
+
+    def counted(self, dim, rows):
+        draws.append(dim)
+        return draw(self, dim, rows)
+
+    monkeypatch.setattr(problems.NoisyData, "_draw", counted)
+    problems._windows.cache_clear()
+    kept = [run_grid(grid) for grid in grids]
+    assert len(draws) == 54
+    draws.clear()
+    problems._windows.cache_clear()
+    monkeypatch.setattr(problems._windows, "limit", 0)  # keeps no window
+    fresh = [run_grid(grid) for grid in grids]
+    assert len(draws) == 91
+    assert fresh == kept
+    assert all(row["error"] is None for rows in kept for row in rows)
 
 
 def test_each_noise_norm_is_drawn_once_per_process(monkeypatch):
@@ -572,6 +603,33 @@ def test_run_flag_space_ends_in_a_documented_outcome(argv):
     else:
         assert code == 4 and failed
         assert all(f.startswith("NumericalDegeneracyError:") for f in failed)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=EDGE_RUNS)
+def test_edge_parameters_exit_with_a_documented_code(run):
+    # the driver property test's values through the front door: exit 0, 1
+    # (before any row) or 2, or 4 only for a NumericalDegeneracyError row
+    argv = ["run", f"--problem={run['pid']}", f"--algorithm={run['algorithm']}",
+            f"--delta-max={run['delta']!r}", f"--delta-min={run['delta']!r}"]
+    argv += [f"--{flag}={run[key]!r}" for flag, key in (
+        ("rho", "rho"), ("gamma", "gamma"), ("r", "r"), ("tau", "tau"),
+        ("ksec", "k_sec"), ("seed", "seed"), ("n-max", "n_max"),
+        ("k-abs-max", "k_abs_max"), ("noise-dim", "noise_dim"))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(), _deadline(5):
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    failed = [line.split(" failed: ", 1)[1]
+              for line in err.getvalue().splitlines() if " failed: " in line]
+    assert code in (0, 1, 2, 4)
+    if code == 1:
+        assert out.getvalue() == "" and "configuration error:" in err.getvalue()
+    if code == 4:
+        assert failed and all(
+            f.startswith("NumericalDegeneracyError:") for f in failed)
 
 
 def test_grid_rejects_what_the_discrepancy_driver_does_not_admit():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from semicross.methods import (NumericalDegeneracyError, _advance, _coefficients
 from semicross.problems import get_problem, green_operator, perturb
 from semicross.stopping import BalancingWindow, balancing_stop_index
 
-from helpers import BandSource, BlockSource, HeldData, SwapSource, norm
+from helpers import EDGE_RUNS, BandSource, BlockSource, HeldData, SwapSource, norm
 
 TAU_REF = 1.01 + math.sqrt(13.0 / 8.0)
 NU32 = nu_method(1.5)
@@ -61,6 +62,35 @@ def test_run_params_reject_a_negative_seed_and_a_level_rule_past_the_floats():
     with pytest.raises(ConfigError, match="n_max"):
         params(0.1, r=43.0)
     assert max_iter_count(12, params(0.1, r=42.0)) > 0
+
+
+def test_run_params_reject_a_budget_bound_past_the_floats():
+    # gamma delta 2^(2 r n) / (2 rho (1 + 2^(r+3)) n) overflows (rho tiny)
+    # or is inf / inf (delta and rho huge): a configuration error, not the
+    # bare OverflowError or ValueError of int(floor(bound)) in a run
+    with pytest.raises(ConfigError, match="budget bound"):
+        params(2.0 ** -4, rho=1e-320)
+    with pytest.raises(ConfigError, match="budget bound"):
+        params(1e300, rho=1e300, gamma=1e6, r=40.0, n_max=8)
+    # small r: the bound falls with n, so it overflows at n = 1 first
+    with pytest.raises(ConfigError, match="budget bound"):
+        params(1.0, rho=1e-310, r=1e-3, n_max=8)
+    assert max_iter_count(8, params(1.0, rho=1e-308, r=1e-3, n_max=8)) > 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(run=EDGE_RUNS)
+def test_edge_parameters_end_in_a_report_or_a_typed_error(run):
+    # a finite relative error, or one of the three typed errors
+    runner = run_discrepancy if run.pop("algorithm") == 1 else run_balancing
+    problem = get_problem(run.pop("pid"))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = runner(problem, NU32, RunParams(**run))
+    except (ConfigError, CapExceededError, NumericalDegeneracyError):
+        return
+    assert math.isfinite(report.rel_error)
 
 
 def test_initial_level_example():
@@ -316,8 +346,10 @@ def _assert_same_report(a, b):
 
 
 def _drop_closed_forms():
+    """Drop the kept closed forms and the windows drawn from them."""
     problems._closed_form.cache_clear()
     problems._sumsq.cache_clear()
+    problems._windows.cache_clear()
 
 
 def _counted_ranges(monkeypatch) -> list:
@@ -423,10 +455,11 @@ def test_each_seed_is_drawn_in_full_once_per_process(monkeypatch):
         return runner(get_problem(pid), NU32, params(2.0 ** -e, seed=e - 4))
 
     problems._noise_norm.cache_clear()
+    problems._windows.cache_clear()
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
     reports = [run(*r) for r in runs]
     assert sorted(r.seed for r in rngs if sum(r.sizes) == 2 ** 14) == [0, 1, 2]
-    assert max(max(r.sizes) for r in rngs) <= 2 ** 13
+    assert max(max(r.sizes, default=0) for r in rngs) <= 2 ** 13
     monkeypatch.undo()
     for r, report in zip(runs, reports):
         problems._noise_norm.cache_clear()
@@ -515,6 +548,7 @@ def test_warm_run_allocates_nothing_of_noise_dim_length():
     p = params(2.0 ** -4, noise_dim=2 ** 20)
     problem = get_problem("p1")
     cold = run_discrepancy(problem, NU32, p)
+    problems._windows.cache_clear()  # the warm run draws its window
     tracemalloc.start()
     try:
         warm = run_discrepancy(problem, NU32, p)
@@ -532,6 +566,7 @@ def test_warm_run_holds_nothing_of_window_length():
     p = params(2.0 ** -13, noise_dim=2 ** 20)
     problem = get_problem("p2")
     cold = run_discrepancy(problem, NU32, p)
+    problems._windows.cache_clear()  # the warm run streams its windows
     tracemalloc.start()
     try:
         warm = run_discrepancy(problem, NU32, p)
@@ -572,11 +607,10 @@ def test_balancing_stop_holds_its_window_once():
     k_n = max_iter_count(n, p)
     data, _ = problems._noisy_data(problem, p.noise_dim, p.delta, p.seed)
     op = assemble(problem.fresh_source(), n)
-    kernel = driver._SupportKernel(op, data)
-    steps = driver._recorded(kernel.iterates(NU32), n, [], p.k_abs_max)
+    kernel = driver._SupportKernel(op, data, [], p.k_abs_max)
     tracemalloc.start()
     try:
-        hit = driver._balancing_stop(steps, k_n, p, NU32)
+        hit = driver._balancing_stop(kernel, k_n, p, NU32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -704,9 +738,9 @@ def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 def _assert_kernel_matches_full_length_iteration(op, seed):
     data = CoeffVec(np.random.default_rng(seed).standard_normal(op.dim))
-    kernel = driver._SupportKernel(op, HeldData(data.coeffs))
+    kernel = driver._SupportKernel(op, HeldData(data.coeffs), [], 10 ** 6)
     state = init_state(op, data, NU32)
-    for x, res in itertools.islice(kernel.iterates(NU32), 60):
+    for _, x, res in kernel.iterates(NU32, 60):
         state = step(state, op, data, NU32)
         ref = driver._residual_norm(op.apply(state.x_curr), data)
         full = np.zeros(op.dim)
@@ -776,9 +810,9 @@ def test_diagonal_block_steps_bit_for_bit_as_through_product(source, n):
     # exact zeros of both signs on R, so residual zeros of both signs occur
     data[rows[::4]] = 0.0
     data[rows[1::4]] = -0.0
-    kernel = driver._SupportKernel(op, HeldData(data))
-    pairs = zip(kernel.iterates(NU32), _product_reference(op, data, NU32))
-    for (x, res), (x_ref, res_ref) in itertools.islice(pairs, 300):
+    kernel = driver._SupportKernel(op, HeldData(data), [], 10 ** 6)
+    pairs = zip(kernel.iterates(NU32, 300), _product_reference(op, data, NU32))
+    for (_, x, res), (x_ref, res_ref) in pairs:
         assert np.array_equal(x, x_ref) and res == res_ref
 
 
@@ -836,11 +870,11 @@ def test_support_kernel_residual_when_off_support_data_is_tiny():
     off[rows] = False
     f[off] = 1e-6 * norm(CoeffVec(f)) * rng.standard_normal(off.sum()) / np.sqrt(off.sum())
     data = CoeffVec(f)
-    kernel = driver._SupportKernel(op, HeldData(data.coeffs))
+    kernel = driver._SupportKernel(op, HeldData(data.coeffs), [], 10 ** 6)
     assert kernel.off2 <= 1e-11 * float(f @ f)
     state = init_state(op, data, NU32)
     last = None
-    for x, res in itertools.islice(kernel.iterates(NU32), 300):
+    for _, x, res in kernel.iterates(NU32, 300):
         state = step(state, op, data, NU32)
         last = (res, driver._residual_norm(op.apply(state.x_curr), data))
         assert res == pytest.approx(last[1], rel=1e-12)

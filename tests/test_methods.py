@@ -157,8 +157,8 @@ def test_degenerate_step_raises_only_when_asked_for(make_spec, error, match):
         step(state, op, rhs, spec)
     # the support kernel reads the same table
     kernel = driver._SupportKernel(assemble(get_problem("p1").fresh_source(), 3),
-                                   HeldData(np.ones(64)))
-    steps = kernel.iterates(spec)
+                                   HeldData(np.ones(64)), [], 10 ** 6)
+    steps = kernel.iterates(spec, 7)
     assert len(list(itertools.islice(steps, 6))) == 6
     with pytest.raises(error, match=match):
         next(steps)

@@ -367,6 +367,41 @@ def test_streamed_noise_norm_is_the_norm_of_the_full_draw(seed, dim):
     assert data.scale.hex() == (1.0 / g_norm).hex()
 
 
+def test_kept_windows_stay_within_their_bound():
+    # level-12 windows of the shipped operator (rows 0..2^12-1 of 2^24
+    # coefficients) keep 64 KiB each with their rows' key: sixteen fit in
+    # 1 MiB, and the oldest go first
+    problems._windows.cache_clear()
+    rows, kept = np.arange(2 ** 12), problems._windows
+    for seed in range(20):
+        data, _ = problems._noisy_data(get_problem("p1"), 2 ** 12, 0.1, seed)
+        data.window(2 ** 24, rows)
+        held = sum(f.nbytes + len(key[-1]) for key, ((f, _), _) in kept.items())
+        assert held == sum(n for _, n in kept.values()) <= 2 ** 20
+    assert [key[0][3] for key in kept] == list(range(4, 20))
+    kept.cache_clear()
+    assert not kept
+
+
+def test_a_kept_window_is_read_only_and_equals_a_fresh_draw():
+    problems._windows.cache_clear()
+    problem, rows = get_problem("p2"), np.arange(1, 2 ** 10, 3)
+    f_r, off2 = problems._noisy_data(problem, 5000, 0.01, 7)[0].window(2 ** 12, rows)
+    again = problems._noisy_data(problem, 5000, 0.01, 7)[0].window(2 ** 12, rows)
+    assert again[0] is f_r and again[1] == off2
+    assert not f_r.flags.writeable
+    # data built directly is drawn afresh, and writable as drawn
+    fresh = NoisyData(problems._closed_form(problem), 5000, 0.01, 7).window(2 ** 12, rows)
+    assert fresh[0].flags.writeable
+    assert fresh[0].tobytes() == f_r.tobytes() and fresh[1] == off2 > 0.0
+    # each part of the key makes its own window
+    for dim, delta, seed, at in ((5000, 0.02, 7, rows), (5000, 0.01, 8, rows),
+                                 (4999, 0.01, 7, rows), (5000, 0.01, 7, rows[1:])):
+        data = problems._noisy_data(problem, dim, delta, seed)[0]
+        assert data.window(2 ** 12, at)[0] is not f_r
+    assert len(problems._windows) == 5
+
+
 def test_zero_delta_returns_data_unchanged():
     f, _ = _pair("p1", 64)
     assert perturb(f, 0.0, seed=1) is f

@@ -20,9 +20,13 @@ def _discrepancy(residuals, tau, delta, k_n=None):
     """Stop index of the discrepancy rule on one level whose iterates carry
     the given residual norms (budget K_n = all of them by default), or None
     to refine."""
-    steps = ((k, np.array([float(k)]), res) for k, res in enumerate(residuals, 1))
+    class Level:  # a kernel whose iterate k is [k]
+        def iterates(self, spec, m):
+            for k, res in enumerate(residuals[:m], 1):
+                yield k, np.array([float(k)]), res
+
     p = RunParams(delta=delta, tau=tau)
-    hit = _discrepancy_stop(steps, k_n or len(residuals), p, None)
+    hit = _discrepancy_stop(Level(), k_n or len(residuals), p, None)
     if hit is None:
         return None
     assert hit[1][0] == hit[0]  # the stopping iterate comes with its index
