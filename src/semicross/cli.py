@@ -30,6 +30,7 @@ from .driver import (
     ConfigError,
     RunParams,
     _check_discrepancy,
+    _check_integers,
     admissibility_threshold,
     run_balancing,
     run_discrepancy,
@@ -86,6 +87,7 @@ class ExperimentGrid:
     def __post_init__(self):
         if self.algorithm not in (1, 2):
             raise ConfigError("algorithm must be 1 or 2")
+        _check_integers(self, "repeats")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         d = np.asarray(self.deltas, dtype=float)
@@ -416,7 +418,7 @@ def _cmd_rates(args) -> int:
                           f"{type(exc).__name__}: {exc}") from None
     good = [r for r in rows if math.isfinite(r["rel_error"]) and r["K"] >= 1]
     if len(good) < 3:
-        raise ConfigError("need at least 3 successful rows to fit rates")
+        raise ConfigError(f"{args.csv}: need at least 3 successful rows to fit rates")
     try:
         err_slope = rate_fit([(r["delta"], r["rel_error"]) for r in good])
         k_slope = rate_fit([(r["delta"], float(r["K"])) for r in good])

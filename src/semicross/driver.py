@@ -1,7 +1,8 @@
 """Adaptive drivers: level initialization, per-level iteration budgets, the
 refinement loop, and the a-priori constants used as runtime diagnostics.
 
-Both drivers run one level loop and differ only in its stopping rule. The
+Both drivers run one level loop, which reads the run's data, steps the
+levels and builds the report; they differ only in its stopping rule. The
 starting level is the smallest n >= 1 with
 
     (1 + 2^{r+3}) 2^{-2rn} n < gamma delta / (2 rho),
@@ -27,6 +28,7 @@ of iteration steps across levels, and a non-finite residual norm raises
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -66,6 +68,17 @@ class CapExceededError(RuntimeError):
         self.kind = kind
 
 
+def _check_integers(config, *names) -> None:
+    """Raise ConfigError unless each named field of ``config`` is an integer
+    (to ``operator.index``, so numpy integers pass)."""
+    for name in names:
+        try:
+            operator.index(getattr(config, name))
+        except TypeError:
+            raise ConfigError(f"{name} must be an integer, "
+                              f"got {getattr(config, name)!r}") from None
+
+
 @dataclass(frozen=True)
 class RunParams:
     """Control parameters of one adaptive run.
@@ -97,6 +110,7 @@ class RunParams:
     noise_dim: int = 2 ** 20
 
     def __post_init__(self):
+        _check_integers(self, "k_sec", "seed", "n_max", "k_abs_max", "noise_dim")
         if not all(map(math.isfinite, (self.delta, self.rho, self.gamma,
                                        self.tau, self.r))):
             raise ConfigError("delta, rho, gamma, tau and r must be finite")
@@ -175,7 +189,7 @@ def max_iter_count(n: int, p: RunParams) -> int:
 
 
 def theoretical_constants(spec: MethodSpec, p: RunParams, mu: float,
-                          n: int) -> dict:
+                          n: int, *, check_tau: bool = True) -> dict:
     """A-priori constants of the error and cost bounds at smoothness mu and
     level n.
 
@@ -185,7 +199,8 @@ def theoretical_constants(spec: MethodSpec, p: RunParams, mu: float,
     c3, c4) additionally require mu <= qualification - 1 with qualification
     >= 2 and tau above the admissibility threshold. A mu outside
     (0, qualification], n < 1, or such a tau at or below the threshold
-    raises ConfigError.
+    raises ConfigError; with ``check_tau=False`` such a tau leaves those
+    constants None instead.
     """
     if not 0 < mu <= spec.qualification:
         raise ConfigError(
@@ -217,9 +232,11 @@ def theoretical_constants(spec: MethodSpec, p: RunParams, mu: float,
     }
     if spec.qualification >= 2.0 and mu <= spec.qualification - 1.0:
         if p.tau <= thr:
-            raise ConfigError(
-                f"tau={p.tau} at or below admissibility threshold {thr:.6g}"
-            )
+            if check_tau:
+                raise ConfigError(
+                    f"tau={p.tau} at or below admissibility threshold {thr:.6g}"
+                )
+            return out
         c2 = max((kmu / (p.tau - thr)) ** (1.0 / (mu + 1.0)), 1.0)
         c_alg1 = k0 ** (1.0 / (mu + 1.0)) * (p.tau + c1) ** (mu / (mu + 1.0)) \
             + 2.0 * k0 * (1.0 + p.gamma) * c2
@@ -317,75 +334,9 @@ class _SupportKernel:
                 yield k, x, res
 
 
-def _prepare(problem: Problem, p: RunParams):
-    """The run's noisy data, ||f|| and a fresh information source. Called
-    from ``_level_loop`` under a driver, so a warning's stacklevel of 4
-    names the driver's caller."""
-    if not getattr(problem, "scaled", True):
-        warnings.warn(
-            "running on the unscaled operator; the smoothness-class "
-            "constants behind the level and budget rules are not sharp",
-            stacklevel=4,
-        )
-    data, rhs_norm = _noisy_data(problem, p.noise_dim, p.delta, p.seed)
-    if p.delta >= rhs_norm:
-        warnings.warn(
-            f"noise level delta={p.delta:g} is not below ||f||={rhs_norm:g}; "
-            "the stopping-index and error bounds are not guaranteed",
-            stacklevel=4,
-        )
-    return data, rhs_norm, problem.fresh_source()
-
-
-def _finish(problem: Problem, spec: MethodSpec, p: RunParams, algorithm: int,
-            levels, budgets, stop_index, dim, cols, x, residuals, src,
-            rhs_norm, mu):
-    """The run's report, whose solution is the stop iterate ``x`` on the
-    support ``cols`` written into the level window of length ``dim``. The
-    error is measured against the exact solution at max(dim, noise_dim),
-    reading it only up to the last support column (``problems._error_norms``),
-    so no per-run array of noise_dim length is built."""
-    solution = np.zeros(dim)
-    solution[cols] = x
-    # cols is sorted, and empty on a zero operator
-    abs_error, exact_norm = _error_norms(
-        problem, solution[:cols.max(initial=-1) + 1], max(dim, p.noise_dim))
-    rel_error = abs_error / exact_norm if exact_norm > 0.0 else math.nan
-    diagnostics = None
-    if mu is not None:
-        try:
-            diagnostics = _diagnostics(spec, p, mu, levels)
-        except (ValueError, ArithmeticError) as exc:  # e.g. mu > qualification
-            diagnostics = {"mu": mu, "unavailable": str(exc)}
-    return RunReport(
-        algorithm=algorithm,
-        method=spec.name,
-        delta=p.delta,
-        rho=p.rho,
-        gamma=p.gamma,
-        tau=p.tau,
-        r=p.r,
-        k_sec=p.k_sec,
-        seed=p.seed,
-        levels=tuple(levels),
-        budgets=tuple(budgets),
-        final_level=levels[-1],
-        stop_index=stop_index,
-        total_iterations=len(residuals),
-        solution=CoeffVec._wrap(solution),
-        residual_norms=tuple(residuals),
-        info_count=src.eval_count,
-        rhs_norm=rhs_norm,
-        abs_error=abs_error,
-        rel_error=rel_error,
-        exact_norm=exact_norm,
-        diagnostics=diagnostics,
-    )
-
-
 def _diagnostics(spec: MethodSpec, p: RunParams, mu: float, levels) -> dict:
     n_final = levels[-1]
-    cons = theoretical_constants(spec, p, mu, n_final)
+    cons = theoretical_constants(spec, p, mu, n_final, check_tau=False)
     diag = dict(cons)
     diag["mu"] = mu
     rate = p.rho ** (1.0 / (mu + 1.0)) * p.delta ** (mu / (mu + 1.0))
@@ -434,39 +385,82 @@ def _balancing_stop(kernel, k_n: int, p: RunParams, spec: MethodSpec):
 
 def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
                 algorithm: int, stop_rule) -> RunReport:
-    """The refinement loop both drivers share.
+    """The run both drivers share, from its data to its report. It is called
+    by a driver, so a warning's stacklevel of 3 names the driver's caller.
 
     Per level it computes the budget K_n and, when K_n >= 1, hands
     ``stop_rule(kernel, K_n, p, spec)`` the level's ``_SupportKernel``; the
     rule steps it as far as it needs and returns ``(k, x_k)`` to stop or
-    None to refine.
+    None to refine. The report writes x_k into the level window and reads
+    the exact solution only up to the last support column for the error.
     """
-    data, rhs_norm, src = _prepare(problem, p)
-    n = initial_level(p)
+    if not getattr(problem, "scaled", True):
+        warnings.warn(
+            "running on the unscaled operator; the smoothness-class "
+            "constants behind the level and budget rules are not sharp",
+            stacklevel=3,
+        )
+    data, rhs_norm = _noisy_data(problem, p.noise_dim, p.delta, p.seed)
+    if p.delta >= rhs_norm:
+        warnings.warn(
+            f"noise level delta={p.delta:g} is not below ||f||={rhs_norm:g}; "
+            "the stopping-index and error bounds are not guaranteed",
+            stacklevel=3,
+        )
+    src = problem.fresh_source()
+    first = n = initial_level(p)
     op = assemble(src, n)
-    levels: list = []
-    budgets: list = []
     residuals: list = []
     while True:
         k_n = max_iter_count(n, p)
-        levels.append(n)
-        budgets.append(k_n)
         if k_n >= 1:
             kernel = _SupportKernel(op, data, residuals, p.k_abs_max)
             # a budget past the iteration cap reaches the cap all the same,
             # and the balancing window has a row per step of the budget
             hit = stop_rule(kernel, min(k_n, p.k_abs_max + 1), p, spec)
             if hit is not None:
-                stop, x = hit
-                return _finish(problem, spec, p, algorithm, levels, budgets,
-                               stop, op.dim, kernel.cols, x, residuals, src,
-                               rhs_norm, mu)
+                break
         if n >= p.n_max:
             raise CapExceededError(
                 "level", f"level cap n_max={p.n_max} reached without stopping"
             )
         op = refine(op, src)
         n += 1
+    stop_index, x = hit
+    levels = tuple(range(first, n + 1))
+    solution = np.zeros(op.dim)
+    solution[kernel.cols] = x
+    # cols is sorted, and empty on a zero operator
+    abs_error, exact_norm = _error_norms(
+        problem, solution[:kernel.cols.max(initial=-1) + 1], max(op.dim, p.noise_dim))
+    try:
+        diagnostics = None if mu is None else _diagnostics(spec, p, mu, levels)
+    except (ValueError, ArithmeticError) as exc:  # e.g. mu > qualification
+        diagnostics = {"mu": mu, "unavailable": str(exc)}
+    return RunReport(
+        algorithm=algorithm,
+        method=spec.name,
+        delta=p.delta,
+        rho=p.rho,
+        gamma=p.gamma,
+        tau=p.tau,
+        r=p.r,
+        k_sec=p.k_sec,
+        seed=p.seed,
+        levels=levels,
+        budgets=tuple(max_iter_count(m, p) for m in levels),
+        final_level=n,
+        stop_index=stop_index,
+        total_iterations=len(residuals),
+        solution=CoeffVec._wrap(solution),
+        residual_norms=tuple(residuals),
+        info_count=src.eval_count,
+        rhs_norm=rhs_norm,
+        abs_error=abs_error,
+        rel_error=abs_error / exact_norm if exact_norm > 0.0 else math.nan,
+        exact_norm=exact_norm,
+        diagnostics=diagnostics,
+    )
 
 
 def _check_discrepancy(spec: MethodSpec, p: RunParams) -> None:

@@ -153,6 +153,19 @@ def test_grid_validation():
                        deltas=(0.1, 0.2), params=RunParams(delta=0.1), mu=1.2)
 
 
+@pytest.mark.parametrize("repeats", [2.5, "2", None])
+def test_grid_repeats_must_be_an_integer(repeats):
+    with pytest.raises(ConfigError, match="repeats must be an integer"):
+        ExperimentGrid(problem_id="p1", algorithm=2, nu=1.5, deltas=(0.1,),
+                       params=RunParams(delta=0.1), mu=1.2, repeats=repeats)
+
+
+def test_grid_takes_numpy_integer_repeats():
+    grid = dataclasses.replace(small_grid(algorithm=2, deltas=(2.0 ** -5,)),
+                               repeats=np.int64(2))
+    assert run_grid(grid)[0]["error"] is None
+
+
 def test_grid_rows_and_determinism():
     grid = small_grid()
     rows_a = run_grid(grid, jobs=1)
@@ -737,12 +750,15 @@ _RATES_ROWS = (
                              *_RATES_ROWS[1:]]),
     (",".join(CSV_COLUMNS), [_RATES_ROWS[0].replace("0.03125", "nan"),
                              *_RATES_ROWS[1:]]),
+    # a header-only file without the grid columns, and an empty file
+    ("algorithm,nu,delta", []),
+    ("", []),
 ], ids=["missing-column", "non-numeric", "zero-error", "negative-delta",
-        "nan-delta"])
+        "nan-delta", "header-only", "empty"])
 def test_rates_on_a_malformed_csv_is_a_configuration_error(header, rows, tmp_path,
                                                           capfd):
     path = tmp_path / "bad.csv"
-    path.write_text("\n".join([header, *rows]) + "\n")
+    path.write_text("\n".join([header, *rows]) + "\n" if header else "")
     assert main(["rates", "--csv", str(path)]) == 1
     out, err = capfd.readouterr()
     assert out == ""

@@ -55,6 +55,26 @@ def test_run_params_require_finite_reals(field, value):
         RunParams(**{"delta": 0.1, field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("k_sec", 2.5), ("n_max", 6.5), ("k_abs_max", 100.5),
+    ("noise_dim", 1000.5), ("seed", None),
+])
+def test_run_params_require_integer_fields(field, value):
+    # refused when made: in a run such a value raises a bare TypeError, or
+    # (k_abs_max) passes unchecked
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        params(0.1, **{field: value})
+
+
+def test_run_params_take_numpy_integers():
+    p = params(2.0 ** -5, seed=np.int64(3), k_sec=np.int32(20), n_max=np.int64(12),
+               k_abs_max=np.uint16(1000), noise_dim=np.int64(2 ** 14))
+    a, b = (run_balancing(get_problem("p1"), NU32, q)
+            for q in (p, params(2.0 ** -5, seed=3, k_abs_max=1000)))
+    assert a.residual_norms == b.residual_norms and a.rel_error == b.rel_error
+    assert np.array_equal(a.solution.coeffs, b.solution.coeffs)
+
+
 def test_run_params_reject_a_negative_seed_and_a_level_rule_past_the_floats():
     with pytest.raises(ConfigError, match="seed"):
         params(0.1, seed=-1)
@@ -911,6 +931,21 @@ def test_nonfinite_residual_raises():
             with pytest.raises(NumericalDegeneracyError, match="non-finite"):
                 runner(BlowUpProblem(), NU32, params(2.0 ** -6, noise_dim=2 ** 10,
                                                      n_max=6))
+
+
+def test_balancing_diagnostics_do_not_depend_on_tau():
+    # tau = 2.0 is at or below nu-1.5's admissibility threshold 2.27475,
+    # which concerns the discrepancy analysis only
+    low, high = (run_balancing(get_problem("p1"), NU32, params(2.0 ** -6, tau=tau),
+                               mu=1.2).diagnostics for tau in (2.0, TAU_REF))
+    assert "unavailable" not in low and low.keys() == high.keys()
+    for key in ("mu", "c1", "c_alg2", "k_opt", "tau_threshold", "error_bound_alg2"):
+        assert low[key] == high[key]
+    for key in ("c2", "c_alg1", "c3", "c4", "c5", "error_bound_alg1", "k_bound",
+                "n_bound", "info_bound"):
+        assert low[key] is None
+    with pytest.raises(ConfigError, match="admissibility threshold"):
+        theoretical_constants(NU32, params(2.0 ** -6, tau=2.0), 1.2, 5)
 
 
 def test_diagnostics_outside_qualification_do_not_abort_the_run():
