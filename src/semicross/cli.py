@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -110,18 +111,9 @@ def _seeds(payload: dict) -> list:
 
 
 def _row_payload(grid: ExperimentGrid, index: int) -> dict:
-    return {
-        "problem_id": grid.problem_id,
-        "algorithm": grid.algorithm,
-        "nu": grid.nu,
-        "mu": grid.mu,
-        "scaled": grid.scaled,
-        "normalize": grid.normalize,
-        "delta": grid.deltas[index],
-        "seed": grid.params.seed + index,
-        "repeats": grid.repeats,
-        "params": grid.params,
-    }
+    """Row ``index`` of a grid: the grid's own fields, the row's delta and
+    its seed."""
+    return dict(vars(grid), delta=grid.deltas[index], seed=grid.params.seed + index)
 
 
 def _run_row(payload: dict) -> dict:
@@ -277,34 +269,40 @@ def _method(nu: float):
         raise ConfigError(str(exc)) from None
 
 
-def _default_tau(nu: float, gamma: float) -> float:
-    # smallest admissible value plus the customary 0.01 head room
-    return admissibility_threshold(_method(nu), gamma) + 0.01
+def _params(args, delta: float, **fields) -> RunParams:
+    """``RunParams`` from the flags ``run`` and ``constants`` share. The
+    default tau is the admissibility threshold of ``args.nu``'s method plus
+    0.01, or the next float above the threshold where 0.01 is lost."""
+    tau = args.tau
+    if tau is None:
+        threshold = admissibility_threshold(_method(args.nu), args.gamma)
+        tau = max(threshold + 0.01, math.nextafter(threshold, math.inf))
+    return RunParams(delta=delta, rho=args.rho, gamma=args.gamma, tau=tau,
+                     r=args.r, **fields)
 
 
 def _config_tokens(path, args: argparse.Namespace) -> list:
-    """A flat key-value file -- one `key = value` (or `key: value`) per
-    line, '#' comments, keys named like the long flags of ``run`` in
-    ``args`` -- as ``--key=value`` tokens; a boolean flag becomes ``--key``
-    when true and is dropped when false."""
+    """A flat key-value file -- one `key = value` (or `key: value`, split
+    at the first `=` or `:`) per line, '#' comments, keys named like the
+    long flags of ``run`` in ``args`` -- as ``--key=value`` tokens; a
+    boolean flag becomes ``--key`` when true and is dropped when false."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue
-            for sep in ("=", ":"):
-                if sep in body:
-                    key, raw = body.split(sep, 1)
-                    break
-            else:
+            parts = re.split("[=:]", body, maxsplit=1)
+            if len(parts) < 2:
                 raise ConfigError(f"{path}:{lineno}: expected `key = value`")
+            key, raw = parts
             values[key.strip().replace("_", "-")] = raw.strip()
     tokens = []
     for key, raw in values.items():
         attr = key.replace("-", "_")
-        # a file cannot name another: the command line's --config wins
-        if attr == "config" or not hasattr(args, attr):
+        # a file cannot name another (the command line's --config wins),
+        # and ``handler`` is the subcommand's function, not a flag
+        if attr in ("config", "handler") or not hasattr(args, attr):
             raise ConfigError(f"{path}: unknown config key {key!r}")
         if not isinstance(getattr(args, attr), bool):
             tokens.append(f"--{key}={raw}")
@@ -329,21 +327,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Adaptive semiiterative regularization experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags of ``_params``, shared by ``run`` and ``constants``
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--nu", type=_positive_float, default=1.5)
+    shared.add_argument("--gamma", type=float, default=RunParams.gamma)
+    shared.add_argument("--tau", type=float, default=None,
+                        help="default: admissibility threshold + 0.01, or the "
+                             "next float above it where 0.01 is lost to rounding")
+    shared.add_argument("--rho", type=float, default=RunParams.rho)
+    shared.add_argument("--r", type=float, default=RunParams.r)
 
-    run = sub.add_parser("run", help="run one delta grid and emit CSV")
+    run = sub.add_parser("run", parents=[shared], help="run one delta grid and emit CSV")
+    run.set_defaults(handler=_cmd_run)
     run.add_argument("--config", help="key-value config file (flags override)")
     run.add_argument("--problem", default="p1", choices=("p1", "p2"))
     run.add_argument("--algorithm", type=int, default=1, choices=(1, 2))
-    run.add_argument("--nu", type=_positive_float, default=1.5)
     run.add_argument("--delta-max", type=float, default=2.0 ** -4)
     run.add_argument("--delta-min", type=float, default=2.0 ** -13)
-    run.add_argument("--gamma", type=float, default=0.5)
-    run.add_argument("--tau", type=float, default=None,
-                     help="default: admissibility threshold + 0.01")
-    run.add_argument("--rho", type=float, default=1.0)
-    run.add_argument("--r", type=float, default=2.0)
-    run.add_argument("--ksec", type=int, default=20)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--ksec", type=int, default=RunParams.k_sec)
+    run.add_argument("--seed", type=int, default=RunParams.seed)
     run.add_argument("--repeats", type=int, default=1,
                      help="noise realizations averaged per row (rel_error)")
     run.add_argument("--mu-diagnostic", type=_positive_float, default=None,
@@ -352,28 +354,26 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="disable the operator/rhs rescaling to norm 1")
     run.add_argument("--no-normalize", action="store_true",
                      help="keep the raw norm of the right-hand side")
-    run.add_argument("--n-max", type=int, default=12)
-    run.add_argument("--k-abs-max", type=int, default=10 ** 6)
-    run.add_argument("--noise-dim", type=int, default=2 ** 20)
+    run.add_argument("--n-max", type=int, default=RunParams.n_max)
+    run.add_argument("--k-abs-max", type=int, default=RunParams.k_abs_max)
+    run.add_argument("--noise-dim", type=int, default=RunParams.noise_dim)
     run.add_argument("--out", default=None,
                      help="CSV path, created when the run starts (default stdout)")
 
     rates = sub.add_parser("rates", help="fit log-log slopes from a CSV")
+    rates.set_defaults(handler=_cmd_rates)
     rates.add_argument("--csv", required=True)
 
     dump = sub.add_parser("gamma-dump", help="export a cross index set")
+    dump.set_defaults(handler=_cmd_gamma_dump)
     dump.add_argument("--level", type=int, required=True)
     dump.add_argument("--out", required=True)
     dump.add_argument("--compare-rectangle", action="store_true",
                       help="also print the square-domain entry count")
 
-    cons = sub.add_parser("constants", help="print a-priori constants")
-    cons.add_argument("--nu", type=_positive_float, default=1.5)
-    cons.add_argument("--gamma", type=float, default=0.5)
-    cons.add_argument("--tau", type=float, default=None)
+    cons = sub.add_parser("constants", parents=[shared], help="print a-priori constants")
+    cons.set_defaults(handler=_cmd_constants)
     cons.add_argument("--delta", type=float, default=2.0 ** -4)
-    cons.add_argument("--rho", type=float, default=1.0)
-    cons.add_argument("--r", type=float, default=2.0)
     cons.add_argument("--mu", type=_positive_float, default=1.2)
     cons.add_argument("--level", type=int, default=6)
     return parser
@@ -381,12 +381,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     mu = args.mu_diagnostic if args.mu_diagnostic is not None else DEFAULT_MU[args.problem]
-    tau = args.tau if args.tau is not None else _default_tau(args.nu, args.gamma)
-    params = RunParams(
-        delta=args.delta_max, rho=args.rho, gamma=args.gamma, tau=tau,
-        r=args.r, k_sec=args.ksec, seed=args.seed, n_max=args.n_max,
-        k_abs_max=args.k_abs_max, noise_dim=args.noise_dim,
-    )
+    params = _params(args, args.delta_max, k_sec=args.ksec, seed=args.seed,
+                     n_max=args.n_max, k_abs_max=args.k_abs_max,
+                     noise_dim=args.noise_dim)
     grid = ExperimentGrid(
         problem_id=args.problem,
         algorithm=args.algorithm,
@@ -448,16 +445,14 @@ def _cmd_gamma_dump(args) -> int:
 
 def _cmd_constants(args) -> int:
     spec = _method(args.nu)
-    tau = args.tau if args.tau is not None else _default_tau(args.nu, args.gamma)
-    params = RunParams(delta=args.delta, rho=args.rho, gamma=args.gamma,
-                       tau=tau, r=args.r)
+    params = _params(args, args.delta)
     try:
         cons = theoretical_constants(spec, params, args.mu, args.level)
     except ArithmeticError as exc:
         raise ConfigError(f"the constants leave the float range: {exc}") from None
     print(f"method {spec.name} qualification {spec.qualification:g} "
           f"kappa0 {spec.kappa0:g} kappa2 {spec.kappa2:g}")
-    print(f"tau {tau:.17g}")
+    print(f"tau {params.tau:.17g}")
     for key in ("tau_threshold", "c1", "c2", "c_alg1", "c_alg2", "k_opt",
                 "c3", "c4", "c5"):
         value = cons[key]
@@ -469,12 +464,6 @@ def _cmd_constants(args) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
-    handlers = {
-        "run": _cmd_run,
-        "rates": _cmd_rates,
-        "gamma-dump": _cmd_gamma_dump,
-        "constants": _cmd_constants,
-    }
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None) is not None:
@@ -483,13 +472,10 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             tokens = _config_tokens(args.config, args)
             args = parser.parse_args(argv[:at] + tokens + argv[at:])
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CapExceededError as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

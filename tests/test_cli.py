@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import contextlib
 import csv
@@ -33,7 +34,8 @@ from semicross.cli import (
     _row_payload,
     _run_row,
 )
-from semicross.driver import ConfigError, RunParams
+from semicross.driver import ConfigError, RunParams, admissibility_threshold
+from semicross.methods import nu_method
 
 from helpers import EDGE_RUNS
 
@@ -803,6 +805,113 @@ def test_main_constants(capsys):
     assert float(values["c2"]) >= 1.0
 
 
+@pytest.mark.parametrize("nu", [1.5, 13.0, 14.0, 30.0, 85.0])
+def test_the_default_tau_lies_above_the_threshold_at_every_nu(nu, capsys):
+    # 0.01 is lost to rounding from nu = 14 on (threshold 2.76e14 at gamma
+    # 0.5); there the default is the next float above the threshold
+    threshold = admissibility_threshold(nu_method(nu), 0.5)
+    assert main(["constants", "--nu", str(nu)]) == 0
+    values = dict(line.split() for line in capsys.readouterr().out.splitlines()
+                  if len(line.split()) == 2)
+    tau = float(values["tau"])
+    assert tau > threshold
+    if threshold + 0.01 > threshold:
+        assert tau == threshold + 0.01
+    else:
+        assert tau == math.nextafter(threshold, math.inf)
+
+
+def test_run_and_constants_take_the_default_tau_at_nu_30(tmp_path):
+    out = tmp_path / "nu30.csv"
+    assert main(["constants", "--nu", "30"]) == 0
+    assert main(["run", "--nu", "30", *_SMALL_RUN, "--out", str(out)]) == 0
+    assert [row["nu"] for row in read_csv(out)] == [30.0, 30.0]
+
+
+def _subcommand(command):
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+#: each subcommand's flags: option strings, dest, type, default and choices
+_FLAGS = {
+    "run": [
+        (("-h", "--help"), "help", None, argparse.SUPPRESS, None),
+        (("--config",), "config", None, None, None),
+        (("--problem",), "problem", None, "p1", ("p1", "p2")),
+        (("--algorithm",), "algorithm", int, 1, (1, 2)),
+        (("--nu",), "nu", cli._positive_float, 1.5, None),
+        (("--delta-max",), "delta_max", float, 2.0 ** -4, None),
+        (("--delta-min",), "delta_min", float, 2.0 ** -13, None),
+        (("--gamma",), "gamma", float, 0.5, None),
+        (("--tau",), "tau", float, None, None),
+        (("--rho",), "rho", float, 1.0, None),
+        (("--r",), "r", float, 2.0, None),
+        (("--ksec",), "ksec", int, 20, None),
+        (("--seed",), "seed", int, 0, None),
+        (("--repeats",), "repeats", int, 1, None),
+        (("--mu-diagnostic",), "mu_diagnostic", cli._positive_float, None, None),
+        (("--no-scaling",), "no_scaling", None, False, None),
+        (("--no-normalize",), "no_normalize", None, False, None),
+        (("--n-max",), "n_max", int, 12, None),
+        (("--k-abs-max",), "k_abs_max", int, 10 ** 6, None),
+        (("--noise-dim",), "noise_dim", int, 2 ** 20, None),
+        (("--out",), "out", None, None, None),
+    ],
+    "rates": [
+        (("-h", "--help"), "help", None, argparse.SUPPRESS, None),
+        (("--csv",), "csv", None, None, None),
+    ],
+    "gamma-dump": [
+        (("-h", "--help"), "help", None, argparse.SUPPRESS, None),
+        (("--level",), "level", int, None, None),
+        (("--out",), "out", None, None, None),
+        (("--compare-rectangle",), "compare_rectangle", None, False, None),
+    ],
+    "constants": [
+        (("-h", "--help"), "help", None, argparse.SUPPRESS, None),
+        (("--nu",), "nu", cli._positive_float, 1.5, None),
+        (("--gamma",), "gamma", float, 0.5, None),
+        (("--tau",), "tau", float, None, None),
+        (("--delta",), "delta", float, 2.0 ** -4, None),
+        (("--rho",), "rho", float, 1.0, None),
+        (("--r",), "r", float, 2.0, None),
+        (("--mu",), "mu", cli._positive_float, 1.2, None),
+        (("--level",), "level", int, 6, None),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_each_subcommand_keeps_its_flags(command):
+    actions = [(tuple(a.option_strings), a.dest, a.type, a.default, a.choices)
+               for a in _subcommand(command)._actions]
+    assert sorted(actions, key=repr) == sorted(_FLAGS[command], key=repr)
+
+
+#: the dest of each flag that sets a RunParams field with a default, and the
+#: field (tau defaults to None: ``_params`` resolves it)
+_FIELD_OF = {"gamma": "gamma", "rho": "rho", "r": "r", "ksec": "k_sec",
+             "seed": "seed", "n_max": "n_max", "k_abs_max": "k_abs_max",
+             "noise_dim": "noise_dim"}
+
+
+@pytest.mark.parametrize("command", ["run", "constants"])
+def test_run_parameter_flags_take_their_defaults_from_run_params(command, monkeypatch):
+    fields = {f.name for f in dataclasses.fields(RunParams)
+              if f.default is not dataclasses.MISSING}
+    assert set(_FIELD_OF.values()) == fields - {"tau"}
+    marks = {field: object() for field in fields}
+    for field, mark in marks.items():
+        monkeypatch.setattr(RunParams, field, mark)
+    actions = {a.dest: a for a in _subcommand(command)._actions}
+    for dest, field in _FIELD_OF.items():
+        if dest in actions:
+            assert actions[dest].default is marks[field], dest
+    assert actions["tau"].default is None
+
+
 def test_main_io_error(tmp_path):
     code = main(["gamma-dump", "--level", "1",
                  "--out", str(tmp_path / "no" / "such" / "dir" / "f.txt")])
@@ -935,6 +1044,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     ("problem = p9", "argument --problem: invalid choice: 'p9'"),
     ("nu = abc", "argument --nu: invalid float value: 'abc'"),
     ("jobs = 1", "unknown config key 'jobs'"),
+    ("handler = 1", "unknown config key 'handler'"),
+    ("no-scaling", "bad.cfg:1: expected `key = value`"),
 ])
 def test_config_file_values_pass_the_flag_checks(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
@@ -942,6 +1053,15 @@ def test_config_file_values_pass_the_flag_checks(tmp_path, capsys, line, message
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert message in err and err.count("configuration error:") == 1
+
+
+def test_config_line_splits_at_its_first_separator(tmp_path):
+    out = tmp_path / "a=b.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out: {out}\ndelta-max = 0.0625\ndelta-min: 0.03125\n"
+                   "noise-dim=4096\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert len(read_csv(out)) == 2
 
 
 def test_config_file_boolean_flags(tmp_path, capsys):

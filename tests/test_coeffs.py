@@ -28,6 +28,8 @@ def test_mixed_dim_arithmetic_zero_extends():
     b = CoeffVec([10, 20, 30])
     assert np.array_equal((a + b).coeffs, [11, 22, 30])
     assert np.array_equal((b - a).coeffs, [9, 18, 30])
+    with pytest.raises(ValueError, match="may not truncate"):
+        b.extended(2)
 
 
 def test_vectors_are_immutable():

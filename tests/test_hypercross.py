@@ -282,6 +282,8 @@ def test_apply_zero_extends_shorter_vectors():
     assert np.array_equal(op.apply(short).coeffs, op.apply(long).coeffs)
     with pytest.raises(ValueError):
         op.apply(CoeffVec(np.ones(op.dim + 1)))
+    with pytest.raises(ValueError, match="exceeds operator dimension"):
+        op.apply_adjoint(CoeffVec(np.ones(op.dim + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +297,20 @@ def test_bound_values():
     assert b3 == pytest.approx(2.0 ** (-4.0), rel=1e-15)
     b1_6, _, _ = discretization_bounds(2.0, 6)
     assert b1_6 == pytest.approx(33.0 * 6.0 / 2.0 ** 24, rel=1e-15)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda path: gamma_count(-1), "level must be >= 0"),
+    (lambda path: export_gamma(-1, path), "level must be >= 0"),
+    (lambda path: assemble(HashSource(salt=2), -1), "level must be >= 0"),
+    (lambda path: discretization_bounds(0, 1), "r must be positive"),
+    (lambda path: discretization_bounds(2, 0), "n must be >= 1"),
+])
+def test_levels_and_class_exponents_are_checked(call, match, tmp_path):
+    path = tmp_path / "gamma.txt"
+    with pytest.raises(ValueError, match=match):
+        call(path)
+    assert not path.exists()
 
 
 def test_bounds_decrease_in_level():

@@ -73,6 +73,8 @@ def test_qualifications_and_constants():
 def test_beta_positive():
     for spec in (NU_HALF, NU_ONE, NU_32, nu_method(0.75)):
         assert all(spec.beta(k) > 0 for k in range(1, 50))
+    with pytest.raises(ValueError, match="k >= 1"):
+        NU_32.beta(0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +85,8 @@ def test_omega_values_chebyshev():
     w0 = omega_next(NU_HALF, 0, 0.0)
     assert w0 == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert omega_next(NU_HALF, 1, w0) == pytest.approx(6.0 / 5.0, rel=1e-15)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        omega_next(NU_32, -1, 0.0)
 
 
 def test_omega_is_one_for_zero_alpha0():
@@ -329,6 +333,8 @@ def test_residual_at_zero_is_one():
 def test_residual_rejects_bad_arguments():
     with pytest.raises(ValueError):
         residual_value(NU_HALF, -1, 0.5)
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        residual_profile(NU_32, -1, 0.5)
     with pytest.raises(ValueError):
         residual_value(NU_HALF, 3, 1.5)
     with pytest.raises(ValueError):

@@ -407,6 +407,8 @@ def test_zero_delta_returns_data_unchanged():
     assert perturb(f, 0.0, seed=1) is f
     with pytest.raises(ValueError):
         perturb(f, -0.5, seed=1)
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        NoisyData(lambda d: f.coeffs[:d], f.dim, -0.5, seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,8 @@ def test_window_validation():
         _window([1.0, 2.0], k_n=2, k_sec=1, bound=1.0)  # wrong length
     with pytest.raises(ValueError):
         _window([1.0, 2.0, 3.0], k_n=2, k_sec=1, bound=-1.0)
+    with pytest.raises(ValueError, match="k_n and k_sec must be positive"):
+        _window([1.0], k_n=0, k_sec=1, bound=1.0)
 
 
 def test_one_far_iterate_rejects_every_earlier_candidate():
