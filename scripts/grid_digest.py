@@ -8,8 +8,8 @@ the acceptance-test parameters; the run at delta = 2^-e uses noise seed
 Each line holds the algorithm, problem, exponent, levels, budgets, stop
 index and info_count, and two sha256 digests: ``res=`` over the hex of every
 residual norm, and ``sol=`` over the hex of rel_error, abs_error, exact_norm
-and rhs_norm and the solution's bytes. A change that moves only residual
-bits shows in ``res=`` alone.
+and rhs_norm and the bytes of the dense solution. A change that moves only
+residual bits shows in ``res=`` alone.
 ``--noise-dim`` sets the dimension the noise and the error live in (default
 2^20); a length that is not a power of two, such as 1000003, exercises the
 error's pairwise split points away from the level windows.
@@ -40,7 +40,7 @@ def digests(report) -> tuple:
     res = hashlib.sha256(_hexes(report.residual_norms))
     sol = hashlib.sha256(_hexes((report.rel_error, report.abs_error,
                                  report.exact_norm, report.rhs_norm)))
-    sol.update(report.solution.coeffs.tobytes())
+    sol.update(report.solution.dense().tobytes())
     return res.hexdigest(), sol.hexdigest()
 
 

@@ -5,11 +5,12 @@ Runs one driver on one problem at delta = 2^-e with the acceptance-grid
 parameters (nu-method 1.5, tau = 1.01 + sqrt(13/8), seed 0, noise_dim 2^20)
 twice in one process: cold, before the process keeps anything, and warm,
 after the first run has left its kept values (the noise norm, the closed
-forms' norms and the right-hand side's head). For each run it prints the
-seconds, the peak of the memory ``tracemalloc`` traces during the run, the
-bytes of the report's solution, and the traced memory still allocated once
-the report is dropped (what the process keeps, counted from the start of
-the cold run). The runs are timed with tracing on.
+forms' sums of squares, the level windows of its data and the method's
+coefficient table). For each run it prints the seconds, the peak of the
+memory ``tracemalloc`` traces during the run, the bytes of the report's
+solution (its support indices and values), and the traced memory still
+allocated once the report is dropped (what the process keeps, counted from
+the start of the cold run). The runs are timed with tracing on.
 
     PYTHONPATH=src python scripts/peak_memory.py --problem p2 --algorithm 1 --delta-exp 20
 """
@@ -44,13 +45,13 @@ def main() -> int:
         report = runner(problem, spec, p)
         seconds = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1] - before
-        solution = report.solution.coeffs.nbytes
+        solution = report.solution.indices.nbytes + report.solution.values.nbytes
         levels, stop = report.levels, report.stop_index
         del report
         kept = tracemalloc.get_traced_memory()[0]
         print(f"{label} a{args.algorithm} {args.problem} e{args.delta_exp} "
               f"levels={list(levels)} stop={stop} seconds={seconds:.3f} "
-              f"peak_mib={peak / MIB:.1f} solution_mib={solution / MIB:.1f} "
+              f"peak_mib={peak / MIB:.1f} solution_kib={solution / 1024:.1f} "
               f"kept_mib={kept / MIB:.2f}")
     tracemalloc.stop()
     return 0

@@ -281,10 +281,10 @@ def _params(args, delta: float, **fields) -> RunParams:
                      r=args.r, **fields)
 
 
-def _config_tokens(path, args: argparse.Namespace) -> list:
+def _config_tokens(path, parser: argparse.ArgumentParser) -> list:
     """A flat key-value file -- one `key = value` (or `key: value`, split
     at the first `=` or `:`) per line, '#' comments, keys named like the
-    long flags of ``run`` in ``args`` -- as ``--key=value`` tokens; a
+    long flags of ``parser`` (``run``'s) -- as ``--key=value`` tokens; a
     boolean flag becomes ``--key`` when true and is dropped when false."""
     values = {}
     with open(path) as fh:
@@ -297,14 +297,15 @@ def _config_tokens(path, args: argparse.Namespace) -> list:
                 raise ConfigError(f"{path}:{lineno}: expected `key = value`")
             key, raw = parts
             values[key.strip().replace("_", "-")] = raw.strip()
+    flags = {s[2:]: a for a in parser._actions
+             for s in a.option_strings if s.startswith("--")}
     tokens = []
     for key, raw in values.items():
-        attr = key.replace("-", "_")
-        # a file cannot name another (the command line's --config wins),
-        # and ``handler`` is the subcommand's function, not a flag
-        if attr in ("config", "handler") or not hasattr(args, attr):
+        action = flags.get(key)
+        # --config: the command line's would win; --help: it would exit
+        if action is None or action.dest in ("config", "help"):
             raise ConfigError(f"{path}: unknown config key {key!r}")
-        if not isinstance(getattr(args, attr), bool):
+        if action.nargs != 0:
             tokens.append(f"--{key}={raw}")
         elif raw.lower() in ("true", "yes", "on"):
             tokens.append(f"--{key}")
@@ -338,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--r", type=float, default=RunParams.r)
 
     run = sub.add_parser("run", parents=[shared], help="run one delta grid and emit CSV")
-    run.set_defaults(handler=_cmd_run)
+    run.set_defaults(handler=_cmd_run, parser=run)
     run.add_argument("--config", help="key-value config file (flags override)")
     run.add_argument("--problem", default="p1", choices=("p1", "p2"))
     run.add_argument("--algorithm", type=int, default=1, choices=(1, 2))
@@ -470,7 +471,7 @@ def main(argv=None) -> int:
             # the file's values go ahead of the command line; argparse keeps
             # the last occurrence, so a flag given there wins
             at = argv.index(args.command) + 1
-            tokens = _config_tokens(args.config, args)
+            tokens = _config_tokens(args.config, args.parser)
             args = parser.parse_args(argv[:at] + tokens + argv[at:])
         return args.handler(args)
     except ConfigError as exc:

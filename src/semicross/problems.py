@@ -41,12 +41,13 @@ range (``Problem.coeff_range``).
 
 Kept values. What a process keeps between runs lives here, each value
 behind a bounded cache reset by ``cache_clear()``: the noise norm per (seed,
-dim), the right-hand side's head per problem (up to the longest window
-read), each closed form's ``_pairwise_sumsq`` per (problem, rhs, dim), and,
+dim), each closed form's ``_pairwise_sumsq`` per (problem, rhs, dim), and,
 read-only in ``_windows`` (at most 1 MiB, oldest out first), each level
 window of a run's data per (problem, noise_dim, delta, seed, dim, rows).
 A serial ``cli.run_grid`` draws noise norms in threads and in the calling
-thread, which reads them all. No exact-solution coefficient outlives its run.
+thread, which reads them all. No closed-form coefficient outlives the window
+draw or the run that evaluated it: after a p2 discrepancy run at delta 2^-20
+(level 12) the process keeps 7.2 MiB, most of it ``methods``' step table.
 """
 
 from __future__ import annotations
@@ -161,23 +162,6 @@ def _pairwise_sumsq(n: int, leaf, nonzero: float = math.inf, chain_to: int = 128
     return total, tuple(reversed(chain))
 
 
-class _Head:
-    """The first entries of a sequence, grown on demand: ``fill(lo, hi)``
-    returns entries lo..hi-1 as a new array, and a growth asks it for the
-    new range only. Calling the head with d returns entries 0..d-1,
-    read-only."""
-
-    def __init__(self, fill):
-        self.fill = fill
-        self.v = np.empty(0)
-
-    def __call__(self, d: int) -> np.ndarray:
-        if self.v.size < d:
-            self.v = np.concatenate([self.v, self.fill(self.v.size, d)])
-            self.v.flags.writeable = False
-        return self.v[:d]
-
-
 @functools.lru_cache(maxsize=1024)
 def _noise_norm(seed: int, dim: int) -> np.float64:
     """||g|| of the noise draw of ``seed`` at ``dim``, streamed from a
@@ -210,14 +194,16 @@ class NoisyData:
 
     The direction g is standard normal in the span of the first ``dim``
     basis elements (basis-isotropic), drawn deterministically from
-    ``seed``; ``rhs(d)`` returns coefficients 1..d of f for d <= dim. The
-    norm of g depends only on (seed, dim), so it is kept per process
-    (``_noise_norm``). Of the draw only the seed is kept: each window is
-    drawn again from it, in chunks of at most |rows| + ``_LEAF``
-    coefficients (chunked draws concatenate to the single draw). Given a
-    ``key``, as ``_noisy_data`` passes (problem, dim, delta, seed), windows
-    are kept read-only in ``_windows`` (at most 1 MiB) under it, their dim
-    and rows, so runs on the same data draw each window once per process.
+    ``seed``; ``rhs(lo, hi)`` returns coefficients lo+1..hi of f for
+    0 <= lo < hi <= dim, and is asked only for the chunk being drawn, so
+    nothing of f is held past it. The norm of g depends only on (seed,
+    dim), so it is kept per process (``_noise_norm``). Of the draw only the
+    seed is kept: each window is drawn again from it, in chunks of at most
+    |rows| + ``_LEAF`` coefficients (chunked draws concatenate to the
+    single draw). Given a ``key``, as ``_noisy_data`` passes (problem, dim,
+    delta, seed), windows are kept read-only in ``_windows`` (at most
+    1 MiB) under it, their dim and rows, so runs on the same data draw each
+    window once per process.
     """
 
     def __init__(self, rhs, dim: int, delta: float, seed: int, key=None):
@@ -243,7 +229,7 @@ class NoisyData:
 
     def _draw(self, dim: int, rows: np.ndarray):
         rng, live, pos = np.random.default_rng(self.seed), min(dim, self.dim), 0
-        rhs, out = self.rhs(live), np.zeros(rows.size)
+        out = np.zeros(rows.size)
         before = rows - np.arange(rows.size)  # off-row entries before each row
 
         def draw(end: int) -> np.ndarray:
@@ -252,7 +238,7 @@ class NoisyData:
             lo, pos, stop = pos, end, min(end, live)
             v = np.zeros(end - lo)
             np.multiply(rng.standard_normal(stop - lo), self.scale, out=v[:stop - lo])
-            v[:stop - lo] += rhs[lo:stop]
+            v[:stop - lo] += self.rhs(lo, stop)
             i, j = rows.searchsorted((lo, end))
             out[i:j] = v[rows[i:j] - lo]
             return np.delete(v, rows[i:j] - lo) if i < j else v
@@ -339,14 +325,6 @@ def get_problem(pid: str, scaled: bool = True,
     return Problem(pid, scaled, normalize)
 
 
-@functools.lru_cache(maxsize=8)
-def _closed_form(problem: Problem) -> _Head:
-    """The kept head of ``problem``'s right-hand side, grown with the
-    windows the runs read; the bound holds every shipped problem variant,
-    so sweeps that alternate problems evict nothing."""
-    return _Head(functools.partial(problem.coeff_range, rhs=True))
-
-
 @functools.lru_cache(maxsize=64)
 def _sumsq(problem: Problem, rhs: bool, dim: int):
     """``_pairwise_sumsq`` of coefficients 1..dim of the right-hand side or
@@ -355,25 +333,27 @@ def _sumsq(problem: Problem, rhs: bool, dim: int):
 
 
 def _noisy_data(problem: Problem, dim: int, delta: float, seed: int):
-    """A run's ``NoisyData`` at ``dim`` and ||f||, both read from the kept
-    right-hand side."""
+    """A run's ``NoisyData`` at ``dim``, evaluating the right-hand side's
+    closed form per drawn chunk, and ||f|| from its kept sum of squares."""
     f_norm = float(np.sqrt(_sumsq(problem, True, dim)[0]))
-    key = (problem, dim, delta, seed)
-    return NoisyData(_closed_form(problem), dim, delta, seed, key), f_norm
+    rhs = functools.partial(problem.coeff_range, rhs=True)
+    return NoisyData(rhs, dim, delta, seed, (problem, dim, delta, seed)), f_norm
 
 
-def _error_norms(problem: Problem, x: np.ndarray, dim: int):
+def _error_norms(problem: Problem, cols: np.ndarray, x: np.ndarray, dim: int):
     """(||x - x†||, ||x†||) over coefficients 1..dim of the exact solution
-    x†, x zero-extended: the floats of the np.sum norms of the full-length
-    arrays. Past x the difference is -x†, so the squares are summed on the
+    x†, where x holds the values at the sorted 0-based ``cols`` and is zero
+    elsewhere: the floats of the np.sum norms of the full-length arrays.
+    Past cols the difference is -x†, so the squares are summed on the
     smallest split of the ``_pairwise_sumsq`` chain of x† at ``dim`` that
-    holds x, and the kept tail sums beyond it are added innermost first;
+    holds cols, and the kept tail sums beyond it are added innermost first;
     only that head of x† is evaluated, and none is kept."""
     total, tails = _sumsq(problem, False, dim)
-    kept = [(m, s) for m, s in tails if m >= x.size]
-    # x† - x squares to the bits of x - x†
+    last = int(cols.max(initial=-1))  # cols is empty on a zero operator
+    kept = [(m, s) for m, s in tails if m > last]
+    # x† - x squares to the bits of x - x†, and x† - 0.0 is x† off cols
     diff = problem.coeff_range(0, kept[-1][0] if kept else dim, rhs=False)
-    diff[:x.size] -= x
+    diff[cols] -= x
     diff *= diff
     sq = np.sum(diff)
     for _, s in reversed(kept):

@@ -1045,6 +1045,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     ("nu = abc", "argument --nu: invalid float value: 'abc'"),
     ("jobs = 1", "unknown config key 'jobs'"),
     ("handler = 1", "unknown config key 'handler'"),
+    ("command = x", "unknown config key 'command'"),
+    ("help = true", "unknown config key 'help'"),
     ("no-scaling", "bad.cfg:1: expected `key = value`"),
 ])
 def test_config_file_values_pass_the_flag_checks(tmp_path, capsys, line, message):

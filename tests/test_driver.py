@@ -72,7 +72,7 @@ def test_run_params_take_numpy_integers():
     a, b = (run_balancing(get_problem("p1"), NU32, q)
             for q in (p, params(2.0 ** -5, seed=3, k_abs_max=1000)))
     assert a.residual_norms == b.residual_norms and a.rel_error == b.rel_error
-    assert np.array_equal(a.solution.coeffs, b.solution.coeffs)
+    assert np.array_equal(a.solution.dense(), b.solution.dense())
 
 
 def test_run_params_reject_a_negative_seed_and_a_level_rule_past_the_floats():
@@ -283,7 +283,15 @@ def test_discrepancy_run_report_consistency():
     assert report.info_count == gamma_count(report.final_level)
     assert report.residual_norms[-1] <= p.tau * p.delta
     assert all(r > p.tau * p.delta for r in report.residual_norms[:-1])
-    assert report.solution.dim == 1 << (2 * report.final_level)
+    sol = report.solution
+    assert sol.dim == 1 << (2 * report.final_level)
+    # the stop iterate on the final level's support columns, read-only
+    cols = assemble(get_problem("p1").fresh_source(), report.final_level).support()[1]
+    assert np.array_equal(sol.indices, cols) and sol.values.shape == cols.shape
+    assert not sol.indices.flags.writeable and not sol.values.flags.writeable
+    dense = sol.dense()
+    assert dense.flags.writeable and not np.delete(dense, cols).any()
+    assert dense[cols].tobytes() == sol.values.tobytes()
     assert 0 < report.rel_error < 1
     d = report.diagnostics
     assert d["mu"] == 1.2
@@ -331,7 +339,7 @@ def test_zero_operator_balancing_stops_immediately():
     report = run_balancing(ZeroProblem(), NU32, params(0.25, noise_dim=64))
     # all iterates are zero, so every index is admissible and K = min = 1
     assert report.stop_index == 1
-    assert np.all(report.solution.coeffs == 0.0)
+    assert np.all(report.solution.dense() == 0.0)
 
 
 def test_runs_are_deterministic():
@@ -342,11 +350,11 @@ def test_runs_are_deterministic():
     assert a.stop_index == b.stop_index
     assert a.residual_norms == b.residual_norms
     assert a.rel_error == b.rel_error
-    assert np.array_equal(a.solution.coeffs, b.solution.coeffs)
+    assert np.array_equal(a.solution.dense(), b.solution.dense())
     c = run_balancing(get_problem("p2"), NU32, p, mu=0.2)
     d = run_balancing(get_problem("p2"), NU32, p, mu=0.2)
     assert c.stop_index == d.stop_index
-    assert np.array_equal(c.solution.coeffs, d.solution.coeffs)
+    assert np.array_equal(c.solution.dense(), d.solution.dense())
 
 
 def test_seed_changes_noise_but_not_structure():
@@ -354,29 +362,27 @@ def test_seed_changes_noise_but_not_structure():
     p2 = params(2.0 ** -6, seed=2)
     a = run_discrepancy(get_problem("p1"), NU32, p1)
     b = run_discrepancy(get_problem("p1"), NU32, p2)
-    assert not np.array_equal(a.solution.coeffs, b.solution.coeffs)
+    assert not np.array_equal(a.solution.dense(), b.solution.dense())
 
 
 def _assert_same_report(a, b):
     for field in dataclasses.fields(a):
         x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, CoeffVec):
-            x, y = x.coeffs.tobytes(), y.coeffs.tobytes()
+        if isinstance(x, driver.Solution):
+            x, y = x.dense().tobytes(), y.dense().tobytes()
         assert x == y, field.name
 
 
 def _drop_closed_forms():
-    """Drop the kept closed forms and the windows drawn from them."""
-    problems._closed_form.cache_clear()
+    """Drop the kept closed-form norms and the windows drawn from them."""
     problems._sumsq.cache_clear()
     problems._windows.cache_clear()
 
 
 def _counted_ranges(monkeypatch) -> list:
     """Record (pid, rhs, start, stop) of every closed-form range the
-    problems evaluate from now on; the kept closed forms are dropped first
-    and must be dropped again by the caller, since they hold the counting
-    method."""
+    problems evaluate from now on; the kept norms and windows are dropped
+    first, so that each is evaluated afresh."""
     real, calls = problems.Problem.coeff_range, []
 
     def counting(self, start, stop, rhs):
@@ -401,10 +407,13 @@ def _support_split(problem, report, noise_dim) -> int:
 
 def _assert_evaluated_once(calls, problem, noise_dim, reports):
     """Each coefficient of ``problem``'s closed forms was evaluated once for
-    the norm at noise_dim; each right-hand-side coefficient once more for the
-    kept head, and each exact-solution one once more per run of ``reports``
-    up to that run's support split; and no more."""
-    heads = {True: [problems._closed_form(problem).v.size],
+    the norm at noise_dim; each right-hand-side coefficient once more per
+    level window of ``reports`` that holds it, the windows of one (delta,
+    seed, level) counted once, since a window is drawn once per process;
+    each exact-solution one once more per run up to that run's support
+    split; and no more."""
+    windows = {(r.delta, r.seed, n) for r in reports for n in r.levels}
+    heads = {True: [min(4 ** n, noise_dim) for _, _, n in windows],
              False: [_support_split(problem, r, noise_dim) for r in reports]}
     for rhs, ends in heads.items():
         want = np.zeros(max(noise_dim, *ends), dtype=int)
@@ -419,10 +428,9 @@ def _assert_evaluated_once(calls, problem, noise_dim, reports):
 
 
 def test_closed_forms_are_computed_once_per_problem(monkeypatch):
-    # the norms and the head of the rhs are kept between runs of one
-    # problem: a later run evaluates only the rhs range its window adds and
-    # the exact solution up to its support split, and reusing them changes
-    # no report
+    # the norms are kept between runs of one problem: a run evaluates the
+    # rhs only over the windows it draws and the exact solution up to its
+    # support split, and reusing the norms changes no report
     runs = [(2.0 ** -5, 1), (2.0 ** -7, 2)]
     calls = _counted_ranges(monkeypatch)
     reused = [run_discrepancy(get_problem("p1"), NU32, params(d, seed=s))
@@ -436,9 +444,10 @@ def test_closed_forms_are_computed_once_per_problem(monkeypatch):
 
 
 def test_sweeps_evaluate_each_closed_form_coefficient_once(monkeypatch):
-    # sweeps alternate problems (p1, p2, p1); no norm and no rhs head is
-    # evicted, so each is evaluated once per process, and each run reads
-    # the exact solution up to its support split alone
+    # sweeps alternate problems (p1, p2, p1); no norm and no window is
+    # evicted, so each norm is evaluated once per process and each window's
+    # rhs once, which the balancing sweep shares with the discrepancy sweep
+    # on p1, and each run reads the exact solution up to its support split
     calls = _counted_ranges(monkeypatch)
     reports = {"p1": [], "p2": []}
     for runner, pid in ((run_discrepancy, "p1"), (run_discrepancy, "p2"),
@@ -498,7 +507,7 @@ def test_abs_error_is_the_norm_of_the_difference():
             problem = get_problem(pid)
             r = runner(problem, NU32, params(2.0 ** -e, seed=e, noise_dim=noise_dim))
             exact = problem.exact(max(r.solution.dim, noise_dim))
-            assert r.abs_error == norm(r.solution - exact)
+            assert r.abs_error == norm(CoeffVec(r.solution.dense()) - exact)
             assert r.rel_error == r.abs_error / norm(exact)
             dims.append(r.solution.dim)
         assert min(dims) < noise_dim
@@ -532,12 +541,15 @@ def test_window_sum_with_tail_sums_is_numpys_full_sum(n):
         for w in (1, 7, 256, 4096, 2 ** 16, n):
             if w > n:
                 continue
-            x = rng.standard_normal(w)
-            diff = -exact
-            diff[:w] += x
-            full = np.sqrt(np.sum(diff * diff))
-            got = problems._error_norms(problem, x, n)
-            assert (got[0].hex(), got[1].hex()) == (full.hex(), exact_norm.hex()), (pid, w)
+            # the support as a run's: every index up to w, or every third
+            for cols in (np.arange(w), np.arange(w - 1, -1, -3)[::-1].copy()):
+                x = rng.standard_normal(cols.size)
+                diff = -exact
+                diff[cols] += x
+                full = np.sqrt(np.sum(diff * diff))
+                got = problems._error_norms(problem, cols, x, n)
+                assert (got[0].hex(), got[1].hex()) == (full.hex(), exact_norm.hex()), \
+                    (pid, w, cols.size)
 
 
 def test_warm_run_reads_the_exact_solution_up_to_its_support_split(monkeypatch):
@@ -581,8 +593,8 @@ def test_warm_run_allocates_nothing_of_noise_dim_length():
 
 def test_warm_run_holds_nothing_of_window_length():
     # p2 at delta 2^-13 runs levels 6-9, windows of up to 2^18 coefficients
-    # (2 MiB each): each level streams its window, so past the report's
-    # solution (written into the last window) the run stays under 1 MiB
+    # (2 MiB each): each level streams its window, and the report holds the
+    # solution on its 2^9 support columns, so the run stays under 1 MiB
     p = params(2.0 ** -13, noise_dim=2 ** 20)
     problem = get_problem("p2")
     cold = run_discrepancy(problem, NU32, p)
@@ -595,7 +607,29 @@ def test_warm_run_holds_nothing_of_window_length():
         tracemalloc.stop()
     _assert_same_report(cold, warm)
     assert warm.levels == (6, 7, 8, 9)
-    assert peak < warm.solution.coeffs.nbytes + 2 ** 20, peak
+    assert peak < 2 ** 20, peak
+
+
+def test_a_level_10_run_holds_nothing_of_window_length():
+    # p2 at delta 2^-15 runs levels 7-10, up to a 2^20-coefficient window
+    # (8 MiB as one array): cold, with nothing kept, and warm, drawing its
+    # windows again, the run and its report stay under 4 MiB
+    problem, p = get_problem("p2"), params(2.0 ** -15, noise_dim=2 ** 20)
+    _drop_closed_forms()
+    problems._noise_norm.cache_clear()
+    _coefficients.cache_clear()
+    reports = []
+    for _ in ("cold", "warm"):
+        problems._windows.cache_clear()
+        tracemalloc.start()
+        try:
+            reports.append(run_discrepancy(problem, NU32, p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, peak
+    _assert_same_report(*reports)
+    assert reports[0].levels == (7, 8, 9, 10)
 
 
 def test_cold_run_allocates_nothing_of_noise_dim_length():
@@ -646,7 +680,7 @@ from semicross import RunParams, get_problem, nu_method, run_discrepancy
 p = RunParams(delta=2.0 ** -13, tau=1.01 + math.sqrt(13 / 8), seed=9)
 r = run_discrepancy(get_problem("p2"), nu_method(1.5), p)
 h = hashlib.sha256(",".join(x.hex() for x in r.residual_norms).encode())
-h.update(r.solution.coeffs.tobytes())
+h.update(r.solution.dense().tobytes())
 print(r.levels, r.stop_index, h.hexdigest())
 """
 
@@ -874,7 +908,7 @@ def test_shipped_runs_never_gather_and_bincount(monkeypatch):
     after = [runner(problem, NU32, params(2.0 ** -8)) for runner, problem in runs]
     for old, new in zip(before, after):
         assert new.residual_norms == old.residual_norms
-        assert np.array_equal(new.solution.coeffs, old.solution.coeffs)
+        assert np.array_equal(new.solution.dense(), old.solution.dense())
 
 
 def test_support_kernel_residual_when_off_support_data_is_tiny():
@@ -912,7 +946,7 @@ def test_shared_loop_matches_full_length_reference_off_diagonal(algorithm):
     assert (report.final_level, report.stop_index) == (n, stop)
     assert len(report.residual_norms) == len(residuals)
     assert np.allclose(report.residual_norms, residuals, rtol=1e-12, atol=0.0)
-    assert _relative_gap(report.solution.coeffs, solution.coeffs) <= 1e-12
+    assert _relative_gap(report.solution.dense(), solution.coeffs) <= 1e-12
 
 
 def test_nonfinite_residual_raises():

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import tracemalloc
@@ -268,7 +269,7 @@ def test_noisy_data_head_is_the_window_of_perturb(cold):
     full = perturb(f, 0.1, seed=3).coeffs  # leaves the seed's norm kept
     if cold:
         problems._noise_norm.cache_clear()
-    data = NoisyData(lambda d: f.coeffs[:d], f.dim, 0.1, seed=3)
+    data = NoisyData(lambda lo, hi: f.coeffs[lo:hi], f.dim, 0.1, seed=3)
     for d in (1, 3, 4, 1024, 4096, 5000, 6000):
         expect = np.zeros(d)
         expect[:min(d, f.dim)] = full[:d]
@@ -284,7 +285,7 @@ def test_perturb_is_the_window_with_every_index_a_row(pid, dim, seed):
     # perturb draws f_delta in one piece; NoisyData draws the same bytes
     # in chunks around its rows
     f, _ = _pair(pid, dim)
-    data = NoisyData(lambda d: f.coeffs[:d], dim, 0.1, seed)
+    data = NoisyData(lambda lo, hi: f.coeffs[lo:hi], dim, 0.1, seed)
     expect = data.window(dim, np.arange(dim))[0]
     assert perturb(f, 0.1, seed).coeffs.tobytes() == expect.tobytes()
 
@@ -338,7 +339,7 @@ def test_window_is_the_pair_of_the_full_window(kind, dim, noise_dim, monkeypatch
             return self.rng.standard_normal(size)
 
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
-    data = NoisyData(lambda d: f.coeffs[:d], noise_dim, 0.25, seed=7)
+    data = NoisyData(lambda lo, hi: f.coeffs[lo:hi], noise_dim, 0.25, seed=7)
     sizes.clear()  # a cold noise norm streams its own draw
     gc.collect()
     tracemalloc.start()
@@ -360,7 +361,7 @@ def test_window_is_the_pair_of_the_full_window(kind, dim, noise_dim, monkeypatch
 @pytest.mark.parametrize("seed", [0, 9001])
 def test_streamed_noise_norm_is_the_norm_of_the_full_draw(seed, dim):
     problems._noise_norm.cache_clear()
-    data = NoisyData(np.zeros, dim, 1.0, seed)
+    data = NoisyData(lambda lo, hi: np.zeros(hi - lo), dim, 1.0, seed)
     g = np.random.default_rng(seed).standard_normal(dim)
     g_norm = np.sqrt(np.sum(g * g))
     assert problems._noise_norm(seed, dim).hex() == g_norm.hex()
@@ -391,7 +392,8 @@ def test_a_kept_window_is_read_only_and_equals_a_fresh_draw():
     assert again[0] is f_r and again[1] == off2
     assert not f_r.flags.writeable
     # data built directly is drawn afresh, and writable as drawn
-    fresh = NoisyData(problems._closed_form(problem), 5000, 0.01, 7).window(2 ** 12, rows)
+    rhs = functools.partial(problem.coeff_range, rhs=True)
+    fresh = NoisyData(rhs, 5000, 0.01, 7).window(2 ** 12, rows)
     assert fresh[0].flags.writeable
     assert fresh[0].tobytes() == f_r.tobytes() and fresh[1] == off2 > 0.0
     # each part of the key makes its own window
@@ -408,7 +410,7 @@ def test_zero_delta_returns_data_unchanged():
     with pytest.raises(ValueError):
         perturb(f, -0.5, seed=1)
     with pytest.raises(ValueError, match="delta must be nonnegative"):
-        NoisyData(lambda d: f.coeffs[:d], f.dim, -0.5, seed=1)
+        NoisyData(lambda lo, hi: f.coeffs[lo:hi], f.dim, -0.5, seed=1)
 
 
 # ---------------------------------------------------------------------------
