@@ -204,6 +204,8 @@ def rate_fit(pairs) -> float:
     v = np.array([p[1] for p in pairs], dtype=float)
     if not (np.all((0 < d) & (d < np.inf)) and np.all((0 < v) & (v < np.inf))):
         raise ValueError("rate_fit needs positive finite deltas and values")
+    if np.unique(d).size < 2:
+        raise ValueError("rate_fit needs at least 2 distinct deltas")
     return float(np.polyfit(np.log(d), np.log(v), 1)[0])
 
 
@@ -286,17 +288,21 @@ def _config_tokens(path, parser: argparse.ArgumentParser) -> list:
     at the first `=` or `:`) per line, '#' comments, keys named like the
     long flags of ``parser`` (``run``'s) -- as ``--key=value`` tokens; a
     boolean flag becomes ``--key`` when true and is dropped when false."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = re.split("[=:]", body, maxsplit=1)
-            if len(parts) < 2:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`")
-            key, raw = parts
-            values[key.strip().replace("_", "-")] = raw.strip()
+    for lineno, line in enumerate(lines, 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = re.split("[=:]", body, maxsplit=1)
+        if len(parts) < 2:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`")
+        key, raw = parts
+        values[key.strip().replace("_", "-")] = raw.strip()
     flags = {s[2:]: a for a in parser._actions
              for s in a.option_strings if s.startswith("--")}
     tokens = []

@@ -36,8 +36,7 @@ import numpy as np
 
 from .coeffs import CoeffVec
 from .hypercross import _block_products, assemble, refine
-from .methods import (MethodSpec, NumericalDegeneracyError, _advance,
-                      _coefficients)
+from .methods import MethodSpec, NumericalDegeneracyError, _advance, _upto
 from .problems import NoisyData, Problem, _error_norms, _noisy_data
 from .stopping import BalancingWindow, balancing_stop_index
 
@@ -307,13 +306,13 @@ class _SupportKernel:
     as ||f||^2 - ||f_R||^2, which cancels) in numpy's pairwise order: a
     BLAS dot product of that length rounds differently with its threads.
 
-    A step reads its coefficients from the method's table
-    (``methods._coefficients``), advances through ``methods._advance`` and
-    makes the two block products ``hypercross._block_products`` hands the
-    level: one elementwise multiply each when the block is diagonal (every
-    level of the shipped Green operator), a gather, scale and bincount
-    otherwise, to the same bits. Past those it makes only numpy calls and
-    one ``math.sqrt``.
+    A step reads its coefficients from ``spec.table``, bound once per level
+    and grown by ``methods._upto``, advances through ``methods._advance``
+    and makes the two block products ``hypercross._block_products`` hands
+    the level: one elementwise multiply each when the block is diagonal
+    (every level of the shipped Green operator), a gather, scale and
+    bincount otherwise, to the same bits. Past those it makes only numpy
+    calls and one ``math.sqrt``.
     """
 
     def __init__(self, op, data: NoisyData, residuals: list, cap: int):
@@ -333,13 +332,12 @@ class _SupportKernel:
         residual norm ``NumericalDegeneracyError``."""
         forward, adjoint, f, off2 = self.forward, self.adjoint, self.data, self.off2
         residuals, cap = self.residuals, self.cap
-        table = _coefficients(spec)
-        mu = two_omega = ()
+        mu, two_omega = spec.table
         x = x_prev = np.zeros(self.cols.size)
         r = f
         for k in range(m + 1):
             if k == len(mu):
-                mu, two_omega = table.upto(k)
+                _upto(spec, k)
             update = adjoint(r)
             out = None if window is None or not k else window[k - 1]
             x_prev, x = x, _advance(mu[k], two_omega[k], x, x_prev, update, out)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -75,6 +75,11 @@ class MethodSpec:
     kappa_mu / (k+1)^mu for 0 < mu <= qualification, and ``kappa2`` is
     kappa_mu at mu = 2 (meaningful when the qualification is >= 2; it feeds
     the admissibility threshold of the discrepancy-principle driver).
+
+    ``table`` (no constructor argument) holds the step coefficients mu_k =
+    (1 - alpha_k) omega_k - 1 and 2 omega_k, k = 0, 1, ..., as two lists of
+    ``np.float64`` scalars (which scale arrays faster than Python floats),
+    grown by ``_upto``; it lives exactly as long as the spec.
     """
 
     name: str
@@ -84,6 +89,8 @@ class MethodSpec:
     kappa2: float
     kappa_mu: Callable[[float], float]
     qualification: float
+    table: tuple = field(default_factory=lambda: ([], []), init=False,
+                         repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -119,8 +126,8 @@ def nu_method(nu: float) -> MethodSpec:
 
     Constants: kappa0 = 1; kappa_mu is the constant max(1, (2 nu)!) with the
     factorial read as Gamma(2 nu + 1) for non-integer 2 nu; qualification
-    2 nu. One nu gives one (kept) spec, so the runs of a sweep share its
-    coefficient table.
+    2 nu. One nu gives one spec, kept in this function's bounded cache, so
+    the runs of a sweep share its step table ``spec.table``.
     """
     a = 2.0 * nu - 0.5
     b = -0.5
@@ -176,47 +183,27 @@ def _omega(spec: MethodSpec, k: int, alpha_k: float, omega_prev: float) -> float
     return 1.0 / den
 
 
-class _Coefficients:
-    """The step coefficients of one method, mu_k = (1 - alpha_k) omega_k - 1
-    and 2 omega_k for k = 0, 1, ..., as two lists of ``np.float64`` scalars
-    (a numpy scalar scales an array faster than a Python float does).
-
-    The lists grow one step at a time, up to the step asked for and no
-    further, so ``spec.alpha`` and ``spec.beta`` are evaluated once per k
+def _upto(spec: MethodSpec, k: int):
+    """``spec.table``, grown one step at a time to hold the entries 0..k and
+    no further, so ``spec.alpha`` and ``spec.beta`` are evaluated once per k
     and a failure (a degenerate denominator, or a user-defined ``alpha``
-    that ends) is raised at its own step.
-    """
-
-    def __init__(self, spec: MethodSpec):
-        self.spec = spec
-        self.mu = []
-        self.two_omega = []
-        self._omega = 0.0  # omega of the last entry
-
-    def upto(self, k: int):
-        """``(mu, two_omega)``, holding at least the entries 0..k."""
-        spec, mu, two_omega = self.spec, self.mu, self.two_omega
-        for n in range(len(mu), k + 1):
-            alpha_n = spec.alpha(n)
-            omega_n = _omega(spec, n, alpha_n, self._omega)
-            mu.append(np.float64((1.0 - alpha_n) * omega_n - 1.0))
-            two_omega.append(np.float64(2.0 * omega_n))
-            self._omega = omega_n
-        return mu, two_omega
-
-
-@functools.lru_cache(maxsize=16)
-def _coefficients(spec: MethodSpec) -> _Coefficients:
-    """The kept coefficient table of ``spec``; ``init_state``/``step``, the
-    drivers' support kernel and the polynomials all read their steps from it."""
-    return _Coefficients(spec)
+    that ends) is raised at its own step. The last omega is read back
+    exactly, as half the stored 2 omega."""
+    mu, two_omega = spec.table
+    omega = float(two_omega[-1]) / 2.0 if two_omega else 0.0
+    for n in range(len(mu), k + 1):
+        alpha_n = spec.alpha(n)
+        omega = _omega(spec, n, alpha_n, omega)
+        mu.append(np.float64((1.0 - alpha_n) * omega - 1.0))
+        two_omega.append(np.float64(2.0 * omega))
+    return mu, two_omega
 
 
 def _advance(mu_k: float, two_omega_k: float, x_curr: np.ndarray,
              x_prev: np.ndarray, update: np.ndarray, out=None) -> np.ndarray:
     """Step k of the two-step recursion on raw arrays: x_k from x_{k-1} =
     ``x_curr``, x_{k-2} = ``x_prev``, ``update`` = A*(f - A x_{k-1}), which
-    it overwrites, and the step's entries of the method's coefficient table.
+    it overwrites, and the step's entries of the method's ``spec.table``.
     The in-place update keeps the order of (x_{k-1} + mu_k (x_{k-1} -
     x_{k-2})) + 2 omega_k update, so every bit is that of the written-out
     expression. At k = 0 with zero ``x_curr``/``x_prev`` this is x_0 =
@@ -237,7 +224,7 @@ def init_state(op, rhs: CoeffVec, spec: MethodSpec) -> IterState:
             f"rhs dimension {rhs.dim} exceeds operator dimension {op.dim}"
         )
     zero = CoeffVec.zeros(op.dim)
-    mu, two_omega = _coefficients(spec).upto(0)
+    mu, two_omega = _upto(spec, 0)
     x0 = _advance(mu[0], two_omega[0], zero.coeffs, zero.coeffs,
                   np.array(op.apply_adjoint(rhs).coeffs))
     return IterState(k=0, x_curr=CoeffVec._wrap(x0), x_prev=zero,
@@ -255,7 +242,7 @@ def step(state: IterState, op, rhs: CoeffVec, spec: MethodSpec,
         ax_curr = op.apply(state.x_curr)
     update = op.apply_adjoint(rhs - ax_curr)
     k = state.k + 1
-    mu, two_omega = _coefficients(spec).upto(k)
+    mu, two_omega = _upto(spec, k)
     x_new = _advance(mu[k], two_omega[k], state.x_curr.coeffs,
                      state.x_prev.coeffs, np.array(update.coeffs))
     return IterState(k=k, x_curr=CoeffVec._wrap(x_new), x_prev=state.x_curr,
@@ -274,7 +261,7 @@ def _stepped(spec: MethodSpec, k_max: int, lam, filter_: bool):
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if np.any(lam < 0.0) or np.any(lam > 1.0):
         raise ValueError("lam must lie in [0, 1]")
-    mu, two_omega = _coefficients(spec).upto(k_max - 1)
+    mu, two_omega = _upto(spec, k_max - 1)
     p_prev = p = np.full_like(lam, 0.0 if filter_ else 1.0)
     yield p
     for k in range(k_max):

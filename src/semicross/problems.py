@@ -47,7 +47,8 @@ window of a run's data per (problem, noise_dim, delta, seed, dim, rows).
 A serial ``cli.run_grid`` draws noise norms in threads and in the calling
 thread, which reads them all. No closed-form coefficient outlives the window
 draw or the run that evaluated it: after a p2 discrepancy run at delta 2^-20
-(level 12) the process keeps 7.2 MiB, most of it ``methods``' step table.
+(level 12) the process keeps 7.2 MiB, most of it the step table on the
+spec that ``methods.nu_method`` keeps.
 """
 
 from __future__ import annotations

@@ -96,6 +96,8 @@ def test_rate_fit_validation():
         rate_fit([(0.1, 1.0), (0.05, -0.5), (0.02, 0.1)])
     with pytest.raises(ValueError):
         rate_fit([(0.1, 1.0), (math.inf, 0.5), (0.02, 0.1)])
+    with pytest.raises(ValueError, match="2 distinct deltas"):
+        rate_fit([(0.0625, 0.1), (0.0625, 0.2), (0.0625, 0.3)])
 
 
 def test_table_shaped_data_recovers_expected_slope():
@@ -752,11 +754,14 @@ _RATES_ROWS = (
                              *_RATES_ROWS[1:]]),
     (",".join(CSV_COLUMNS), [_RATES_ROWS[0].replace("0.03125", "nan"),
                              *_RATES_ROWS[1:]]),
+    # good rows at one delta: no slope against log delta
+    (",".join(CSV_COLUMNS), [f"1,1.5,0.0625,5,20,{k},0.1,0.2,6144,{k}"
+                             for k in (11, 12, 13)]),
     # a header-only file without the grid columns, and an empty file
     ("algorithm,nu,delta", []),
     ("", []),
 ], ids=["missing-column", "non-numeric", "zero-error", "negative-delta",
-        "nan-delta", "header-only", "empty"])
+        "nan-delta", "one-delta", "header-only", "empty"])
 def test_rates_on_a_malformed_csv_is_a_configuration_error(header, rows, tmp_path,
                                                           capfd):
     path = tmp_path / "bad.csv"
@@ -1055,6 +1060,15 @@ def test_config_file_values_pass_the_flag_checks(tmp_path, capsys, line, message
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert message in err and err.count("configuration error:") == 1
+
+
+def test_config_file_that_is_not_utf8_is_a_configuration_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"delta-max = 0.0625\nproblem = p\xff\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("configuration error:")
+    assert err.count("\n") == 1 and str(cfg) in err and "UTF-8" in err
 
 
 def test_config_line_splits_at_its_first_separator(tmp_path):

@@ -26,8 +26,8 @@ from semicross.driver import (
 )
 from semicross.hypercross import (DiagonalSource, _is_diagonal, _product, assemble,
                                   gamma_count, refine)
-from semicross.methods import (NumericalDegeneracyError, _advance, _coefficients,
-                               init_state, nu_method, step)
+from semicross.methods import (NumericalDegeneracyError, _advance, _upto, init_state,
+                               nu_method, step)
 from semicross.problems import get_problem, green_operator, perturb
 from semicross.stopping import BalancingWindow, balancing_stop_index
 
@@ -617,13 +617,13 @@ def test_a_level_10_run_holds_nothing_of_window_length():
     problem, p = get_problem("p2"), params(2.0 ** -15, noise_dim=2 ** 20)
     _drop_closed_forms()
     problems._noise_norm.cache_clear()
-    _coefficients.cache_clear()
+    spec = dataclasses.replace(NU32)  # a fresh spec, whose step table is empty
     reports = []
     for _ in ("cold", "warm"):
         problems._windows.cache_clear()
         tracemalloc.start()
         try:
-            reports.append(run_discrepancy(problem, NU32, p))
+            reports.append(run_discrepancy(problem, spec, p))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -830,11 +830,10 @@ def _product_reference(op, data, spec):
     f = data[rows]
     off = np.delete(data, rows)
     off2 = float(np.sum(off * off))
-    table = _coefficients(spec)
     x = x_prev = np.zeros(cols.size)
     r = f
     for k in itertools.count():
-        mu, two_omega = table.upto(k)
+        mu, two_omega = _upto(spec, k)
         update = _product(ci, ri, op.vals, r, cols.size)
         x_prev, x = x, _advance(mu[k], two_omega[k], x, x_prev, update)
         r = f - _product(ri, ci, op.vals, x, rows.size)

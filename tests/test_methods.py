@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from semicross.methods import (
     residual_profile,
     residual_value,
     step,
-    _coefficients,
+    _upto,
 )
 
 from helpers import DiagonalOperator, HeldData, ZeroOperator, cheb4_residual, norm
@@ -111,7 +113,7 @@ def test_coefficient_table_is_the_omega_chain(nu):
     # past K_9 = 14,122, the largest budget of the acceptance grid
     spec = nu_method(nu)
     k_max = 15_000
-    mu, two_omega = _coefficients(spec).upto(k_max)
+    mu, two_omega = _upto(spec, k_max)
     omega = 0.0
     chain_mu, chain_two = [], []
     for k in range(k_max + 1):
@@ -121,6 +123,26 @@ def test_coefficient_table_is_the_omega_chain(nu):
     assert all(type(v) is np.float64 for v in mu + two_omega)
     assert np.array_equal(mu[:k_max + 1], chain_mu)
     assert np.array_equal(two_omega[:k_max + 1], chain_two)
+
+
+def test_a_spec_keeps_its_own_table_and_only_for_its_lifetime():
+    base = nu_method(1.5)
+    spec = dataclasses.replace(base, alpha=lambda k: base.alpha(k))
+    # the table is no field of the spec's value
+    assert dataclasses.replace(base) == base
+    assert hash(dataclasses.replace(base)) == hash(base)
+    assert "table" not in repr(base)
+    p = driver.RunParams(delta=2.0 ** -6, tau=2.5, noise_dim=2 ** 12)
+    driver.run_discrepancy(get_problem("p1"), spec, p)
+    mu, two_omega = spec.table
+    assert 1 < len(mu) == len(two_omega)
+    assert mu is not base.table[0]
+    assert np.array_equal(mu, _upto(base, len(mu) - 1)[0][:len(mu)])
+    # nothing in the package keeps the spec once its caller drops it
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
 
 
 def _degenerate_at_7() -> MethodSpec:
