@@ -10,7 +10,9 @@ coefficient table). For each run it prints the seconds, the peak of the
 memory ``tracemalloc`` traces during the run, the bytes of the report's
 solution (its support indices and values), and the traced memory still
 allocated once the report is dropped (what the process keeps, counted from
-the start of the cold run). The runs are timed with tracing on.
+the start of the cold run), with the part of it allocated in each module of
+the package, by the line that made it (``kept_kib_by_module``). The runs are
+timed with tracing on.
 
     PYTHONPATH=src python scripts/peak_memory.py --problem p2 --algorithm 1 --delta-exp 20
 """
@@ -20,11 +22,24 @@ import math
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
+import semicross
 from semicross import RunParams, get_problem, nu_method, run_balancing, run_discrepancy
 
 TAU = 1.01 + math.sqrt(13.0 / 8.0)
 MIB = 2.0 ** 20
+
+
+def _kept_by_module() -> str:
+    """``module:KiB`` of the traced memory the package's modules allocated
+    and the process still holds, by module name."""
+    package = Path(semicross.__file__).parent
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, str(package / "*"))])
+    kept = sorted((Path(stat.traceback[0].filename).stem, stat.size)
+                  for stat in snapshot.statistics("filename"))
+    return ",".join(f"{name}:{size / 1024:.1f}" for name, size in kept)
 
 
 def main() -> int:
@@ -52,7 +67,7 @@ def main() -> int:
         print(f"{label} a{args.algorithm} {args.problem} e{args.delta_exp} "
               f"levels={list(levels)} stop={stop} seconds={seconds:.3f} "
               f"peak_mib={peak / MIB:.1f} solution_kib={solution / 1024:.1f} "
-              f"kept_mib={kept / MIB:.2f}")
+              f"kept_mib={kept / MIB:.2f} kept_kib_by_module={_kept_by_module()}")
     tracemalloc.stop()
     return 0
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoeffVec
-from .hypercross import _block_products, assemble, refine
+from .hypercross import assemble, refine
 from .methods import MethodSpec, NumericalDegeneracyError, _advance, _upto
 from .problems import NoisyData, Problem, _error_norms, _noisy_data
 from .stopping import BalancingWindow, balancing_stop_index
@@ -299,8 +299,8 @@ class _SupportKernel:
     Only the nonzero rows R and nonzero columns C of the level-n matrix take
     part: every iterate vanishes off C, and off R the residual is the data
     itself. The iteration therefore runs on length-|C| arrays with the block
-    A[R][:, C] (the entries at their ``op.support()`` positions, whose
-    products equal the full ones bit for bit), and the residual norm is
+    A[R][:, C], whose products ``op.block()`` hands over (equal to the full
+    ones bit for bit), and the residual norm is
     sqrt(||A_RC x - f_R||^2 + off2), where off2 = sum over i not in R of
     f_i^2 is streamed from the off-R entries by ``NoisyData.window`` (not
     as ||f||^2 - ||f_R||^2, which cancels) in numpy's pairwise order: a
@@ -308,18 +308,15 @@ class _SupportKernel:
 
     A step reads its coefficients from ``spec.table``, bound once per level
     and grown by ``methods._upto``, advances through ``methods._advance``
-    and makes the two block products ``hypercross._block_products`` hands
-    the level: one elementwise multiply each when the block is diagonal
-    (every level of the shipped Green operator), a gather, scale and
-    bincount otherwise, to the same bits. Past those it makes only numpy
-    calls and one ``math.sqrt``.
+    and makes the two block products of ``op.block()``: one elementwise
+    multiply each when the block is diagonal (every level of the shipped
+    Green operator), a gather, scale and bincount otherwise, to the same
+    bits. Past those it makes only numpy calls and one ``math.sqrt``.
     """
 
     def __init__(self, op, data: NoisyData, residuals: list, cap: int):
         """Read ``data`` on the level window: f_delta on R and off2."""
-        rows, self.cols, ri, ci = op.support()
-        self.forward, self.adjoint = _block_products(ri, ci, op.vals,
-                                                     rows.size, self.cols.size)
+        rows, self.cols, self.forward, self.adjoint = op.block()
         self.data, self.off2 = data.window(op.dim, rows)
         self.level, self.residuals, self.cap = op.level, residuals, cap
 

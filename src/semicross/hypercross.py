@@ -22,7 +22,7 @@ so the total number of evaluations after reaching level n is 2^{2n}(n+1) no
 matter how many refinement steps were taken; the operator stores the
 nonzero entries alone, sorted row-major, and every product with it reads
 them through ``_product``, except on a diagonal support block, which
-``_block_products`` multiplies elementwise.
+``GalerkinOperator.block`` multiplies elementwise.
 """
 
 from __future__ import annotations
@@ -159,40 +159,12 @@ def _product(out_idx: np.ndarray, in_idx: np.ndarray, vals: np.ndarray,
     over the entries e; each component sums its terms in entry order. The
     gathered inputs are scaled in place, so the one temporary is the
     length-nnz term array. Diagonal support blocks skip it
-    (``_block_products``)."""
+    (``GalerkinOperator.block``)."""
     if not vals.size:  # bincount counts in int64 when given no entries
         return np.zeros(size)
     terms = x[in_idx]
     terms *= vals
     return np.bincount(out_idx, terms, minlength=size)
-
-
-def _is_diagonal(ri: np.ndarray, ci: np.ndarray) -> bool:
-    """Whether the support block with entry positions ``ri`` in R and ``ci``
-    in C (``GalerkinOperator.support``) is diagonal: entry e is the only
-    one of row R[e] and of column C[e], so ri = ci = 0..nnz-1."""
-    return np.array_equal(ri, ci) and np.array_equal(ri, np.arange(ri.size))
-
-
-def _block_products(ri: np.ndarray, ci: np.ndarray, vals: np.ndarray,
-                    m: int, q: int):
-    """The two products of the support block B = A[R][:, C], |R| = m and
-    |C| = q, as ``(forward, adjoint)``: x -> B x and r -> B^T r.
-
-    A diagonal block (``_is_diagonal``; every level of the shipped Green
-    operator) multiplies elementwise, ``vals * v``. Each output of it
-    has the one term vals[e] v[e], which ``_product`` adds to bincount's
-    0.0, and 0.0 + t is t but for the sign of a zero. The kernel's iterates
-    and residual norms never see that sign (the norm squares the residual,
-    and the update is added onto iterates whose zeros are all +0), so they
-    are bit for bit those of ``_product``. Any other block goes through
-    ``_product``.
-    """
-    if _is_diagonal(ri, ci):
-        scale = functools.partial(np.multiply, vals)
-        return scale, scale
-    return (functools.partial(_product, ri, ci, vals, size=m),
-            functools.partial(_product, ci, ri, vals, size=q))
 
 
 class GalerkinOperator:
@@ -223,19 +195,33 @@ class GalerkinOperator:
         iterate of the two-step recursion lives in their span."""
         return np.unique(self.cols)
 
-    def support(self):
-        """``(R, C, ri, ci)``: the sorted 0-based nonzero rows R and nonzero
-        columns C, and each entry's position in R and in C.
+    def block(self):
+        """``(R, C, forward, adjoint)``: the sorted 0-based nonzero rows R and
+        nonzero columns C, and the two products of the block B = A[R][:, C],
+        x -> B x on length-|C| and r -> B^T r on length-|R| arrays.
 
-        ``_product`` sums each output in entry order, so over the positions
-        (the block A[R][:, C]) it adds the same terms in the same order as
-        over the full dimension: the two agree bit for bit on R (resp. C).
-        When ri and ci both are 0..nnz-1 the block is diagonal, and
-        ``_block_products`` steps it elementwise to the same bits.
+        They run ``_product`` over each entry's position in R and in C. It
+        sums each output in entry order, so it adds the same terms in the
+        same order as over the full dimension: the products agree bit for
+        bit with ``apply`` on R (resp. ``apply_adjoint`` on C).
+
+        A diagonal block (both positions 0..nnz-1; every level of the
+        shipped Green operator) multiplies elementwise instead, ``vals * v``.
+        Each output of it has the one term vals[e] v[e], which ``_product``
+        adds to bincount's 0.0, and 0.0 + t is t but for the sign of a zero.
+        The driver's iterates and residual norms never see that sign (the
+        norm squares the residual, and the update is added onto iterates
+        whose zeros are all +0), so they are bit for bit those of
+        ``_product``.
         """
         rows, ri = np.unique(self.rows - 1, return_inverse=True)
         cols, ci = np.unique(self.cols - 1, return_inverse=True)
-        return rows, cols, ri, ci
+        if np.array_equal(ri, ci) and np.array_equal(ri, np.arange(ri.size)):
+            scale = functools.partial(np.multiply, self.vals)
+            return rows, cols, scale, scale
+        return (rows, cols,
+                functools.partial(_product, ri, ci, self.vals, size=rows.size),
+                functools.partial(_product, ci, ri, self.vals, size=cols.size))
 
     def apply(self, v: CoeffVec) -> CoeffVec:
         if v.dim > self.dim:

@@ -19,6 +19,14 @@ def gamma_pairs(n: int) -> np.ndarray:
     return np.column_stack([np.repeat(rows, widths), cols])
 
 
+def entry_positions(op):
+    """Oracle: ``(R, C, ri, ci)``, the sorted 0-based nonzero rows R and
+    columns C of an operator, and each entry's position in R and in C."""
+    rows, ri = np.unique(op.rows - 1, return_inverse=True)
+    cols, ci = np.unique(op.cols - 1, return_inverse=True)
+    return rows, cols, ri, ci
+
+
 def norm(v: CoeffVec) -> float:
     """The coefficient-space norm sqrt((v, v)), summed pairwise as
     ``np.sum`` sums, which is how the drivers sum their error norms."""

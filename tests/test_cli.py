@@ -3,6 +3,7 @@ import concurrent.futures
 import contextlib
 import csv
 import dataclasses
+import importlib.util
 import io
 import math
 import os
@@ -415,6 +416,52 @@ def test_run_tables_rejects_bad_arguments_before_making_anything(tmp_path):
     done = run_tables("--jobs", "2")
     assert done.returncode != 0 and "--jobs" in done.stderr
     assert not outdir.exists()
+
+
+def _run_tables_module():
+    """scripts/run_tables.py loaded as a module, so a test can patch it."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_tables.py"
+    spec = importlib.util.spec_from_file_location("run_tables", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("error,code", [
+    ("ValueError: no row of this sweep ran", cli.EXIT_ROW),
+    ("cap:levels: level cap n_max=1 exceeded", cli.EXIT_CAP),
+], ids=["row", "cap"])
+def test_run_tables_exits_as_run_does_when_rows_fail(tmp_path, monkeypatch, capsys,
+                                                      error, code):
+    # each sweep yields one failed row: its fit is skipped, and the exit code
+    # is that of ``semicross run`` for the same row
+    run_tables = _run_tables_module()
+
+    def one_failed_row(grid):
+        yield dict(dict.fromkeys(CSV_COLUMNS, 0), algorithm=grid.algorithm,
+                   delta=grid.deltas[0], rel_error=math.nan, error=error)
+
+    monkeypatch.setattr(run_tables, "iter_rows", one_failed_row)
+    monkeypatch.setattr(sys, "argv", ["run_tables.py", "--outdir", str(tmp_path)])
+    assert run_tables.main() == code
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1  # the header, no fit
+    assert err.splitlines() == [f"alg{a}/{pid}: 1 failed rows ({error})"
+                                for a in (1, 2) for pid in ("p1", "p2")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "alg1_p1.csv", "alg1_p2.csv", "alg2_p1.csv", "alg2_p2.csv"]
+
+
+def test_run_tables_reports_an_unwritable_outdir_in_one_line(tmp_path, monkeypatch,
+                                                             capsys):
+    run_tables = _run_tables_module()
+    (tmp_path / "file").write_text("")
+    outdir = tmp_path / "file" / "out"
+    monkeypatch.setattr(sys, "argv", ["run_tables.py", "--outdir", str(outdir)])
+    assert run_tables.main() == cli.EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("i/o error:") and len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

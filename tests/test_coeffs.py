@@ -45,3 +45,21 @@ def test_rejects_empty_and_nonfinite():
         CoeffVec([1.0, np.inf])
     with pytest.raises(ValueError):
         CoeffVec.zeros(0)
+
+
+def test_scaling_and_negation_make_new_vectors():
+    v = CoeffVec([1.0, -2.5, 0.0])
+    for w in (2.0 * v, v * 2.0, v * 2):
+        assert isinstance(w, CoeffVec) and w.coeffs.tolist() == [2.0, -5.0, 0.0]
+        assert not w.coeffs.flags.writeable
+    neg = -v
+    assert neg.coeffs.tobytes() == np.array([-1.0, 2.5, -0.0]).tobytes()
+    assert not neg.coeffs.flags.writeable
+    assert v.coeffs.tolist() == [1.0, -2.5, 0.0]
+
+
+def test_repr_shows_the_dim_and_at_most_four_coefficients():
+    assert repr(CoeffVec([1.0, -2.5, 1 / 3])) == (
+        "CoeffVec(dim=3, [ 1.       -2.5       0.333333])")
+    assert repr(CoeffVec([1.0, -2.5, 1 / 3, 4.0, 5.0])) == (
+        "CoeffVec(dim=5, [ 1.       -2.5       0.333333  4.      ], ...)")

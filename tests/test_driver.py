@@ -24,14 +24,14 @@ from semicross.driver import (
     run_discrepancy,
     theoretical_constants,
 )
-from semicross.hypercross import (DiagonalSource, _is_diagonal, _product, assemble,
-                                  gamma_count, refine)
+from semicross.hypercross import DiagonalSource, _product, assemble, gamma_count, refine
 from semicross.methods import (NumericalDegeneracyError, _advance, _upto, init_state,
                                nu_method, step)
 from semicross.problems import get_problem, green_operator, perturb
 from semicross.stopping import BalancingWindow, balancing_stop_index
 
-from helpers import EDGE_RUNS, BandSource, BlockSource, HeldData, SwapSource, norm
+from helpers import (EDGE_RUNS, BandSource, BlockSource, HeldData, SwapSource,
+                     entry_positions, norm)
 
 TAU_REF = 1.01 + math.sqrt(13.0 / 8.0)
 NU32 = nu_method(1.5)
@@ -286,7 +286,7 @@ def test_discrepancy_run_report_consistency():
     sol = report.solution
     assert sol.dim == 1 << (2 * report.final_level)
     # the stop iterate on the final level's support columns, read-only
-    cols = assemble(get_problem("p1").fresh_source(), report.final_level).support()[1]
+    cols = assemble(get_problem("p1").fresh_source(), report.final_level).block()[1]
     assert np.array_equal(sol.indices, cols) and sol.values.shape == cols.shape
     assert not sol.indices.flags.writeable and not sol.values.flags.writeable
     dense = sol.dense()
@@ -398,7 +398,7 @@ def _support_split(problem, report, noise_dim) -> int:
     """The head of the exact solution a run's error reads: the smallest split
     of its ``_pairwise_sumsq`` chain that holds the final level's support
     columns."""
-    cols = assemble(problem.fresh_source(), report.final_level).support()[1]
+    cols = assemble(problem.fresh_source(), report.final_level).block()[1]
     dim = max(report.solution.dim, noise_dim)
     splits = [m for m, _ in problems._sumsq(problem, False, dim)[1]
               if m > cols[-1]]
@@ -569,7 +569,7 @@ def test_warm_run_reads_the_exact_solution_up_to_its_support_split(monkeypatch):
     warm = run_discrepancy(problem, NU32, p)
     monkeypatch.undo()
     _assert_same_report(cold, warm)
-    cols = assemble(problem.fresh_source(), warm.final_level).support()[1]
+    cols = assemble(problem.fresh_source(), warm.final_level).block()[1]
     assert (warm.final_level, cols[-1] + 1) == (10, 2 ** 10)
     assert [(start, stop) for rhs, start, stop in calls if not rhs] == [(0, 2 ** 10)]
 
@@ -781,6 +781,19 @@ def test_balancing_window_restriction_matches_full_storage():
     assert (n, stop) == (report.final_level, report.stop_index)
 
 
+def test_window_copies_the_head_and_zero_extends_past_the_data():
+    # the reference window of a full-length f_delta: a copy of its first dim
+    # coefficients, zero-extended when dim is longer than the data
+    f = CoeffVec([1.0, -2.0, 3.0, 0.5])
+    for dim, expect in [(2, [1.0, -2.0]), (4, [1.0, -2.0, 3.0, 0.5]),
+                        (6, [1.0, -2.0, 3.0, 0.5, 0.0, 0.0])]:
+        w = driver._window(f, dim)
+        assert w.coeffs.tolist() == expect
+        assert not np.shares_memory(w.coeffs, f.coeffs)
+        assert not w.coeffs.flags.writeable
+    assert f.coeffs.tolist() == [1.0, -2.0, 3.0, 0.5]
+
+
 # ---------------------------------------------------------------------------
 # support kernel and shared level loop
 # ---------------------------------------------------------------------------
@@ -806,7 +819,7 @@ def _assert_kernel_matches_full_length_iteration(op, seed):
 @pytest.mark.parametrize("n", [3, 4])
 def test_support_kernel_matches_full_length_iteration(n):
     op = assemble(BandSource(), n)
-    rows, cols, _, _ = op.support()
+    rows, cols, _, _ = op.block()
     # R != C, and neither is a leading block
     assert not np.array_equal(rows, cols)
     assert rows[0] > 0 and cols[0] > 0
@@ -818,15 +831,23 @@ def test_support_kernel_sums_in_entry_order(n):
     # three or more terms per output, so a kernel that summed them in any
     # other order than the full-length products would differ in the bits
     op = assemble(BlockSource(), n)
-    _, _, ri, ci = op.support()
+    _, _, ri, ci = entry_positions(op)
     assert min(np.bincount(ri)) >= 3 and min(np.bincount(ci)) >= 3
     _assert_kernel_matches_full_length_iteration(op, n)
+
+
+def _products_of(op):
+    """The functions the two products of ``op.block()`` call, and whether
+    they are one callable: ``np.multiply`` for a diagonal block, else
+    ``_product``."""
+    _, _, forward, adjoint = op.block()
+    return forward.func, adjoint.func, forward is adjoint
 
 
 def _product_reference(op, data, spec):
     """The support kernel's loop with both block products made through
     ``hypercross._product``: yields (x_k on C, residual norm)."""
-    rows, cols, ri, ci = op.support()
+    rows, cols, ri, ci = entry_positions(op)
     f = data[rows]
     off = np.delete(data, rows)
     off2 = float(np.sum(off * off))
@@ -855,8 +876,9 @@ _DIAGONAL_SOURCES = {
 @pytest.mark.parametrize("source", sorted(_DIAGONAL_SOURCES))
 def test_diagonal_block_steps_bit_for_bit_as_through_product(source, n):
     op = assemble(_DIAGONAL_SOURCES[source](), n)
-    rows, cols, ri, ci = op.support()
-    assert _is_diagonal(ri, ci)
+    rows, cols, ri, ci = entry_positions(op)
+    assert np.array_equal(ri, ci) and np.array_equal(ri, np.arange(ri.size))
+    assert _products_of(op) == (np.multiply, np.multiply, True)
     if source == "gappy" and n > 1:
         assert rows.size < 1 << n and rows[-1] >= rows.size
     data = np.random.default_rng(n).standard_normal(op.dim)
@@ -873,9 +895,10 @@ def test_diagonal_block_steps_bit_for_bit_as_through_product(source, n):
 def test_permutation_block_takes_the_product_path(n):
     # one entry per row and column, but not in the order of R and C
     op = assemble(SwapSource(), n)
-    _, _, ri, ci = op.support()
+    _, _, ri, ci = entry_positions(op)
     assert np.array_equal(np.bincount(ri), np.ones(ri.size))
     assert np.array_equal(np.bincount(ci), np.ones(ci.size))
+    assert _products_of(op) == (_product, _product, False)
     _assert_kernel_matches_full_length_iteration(op, n)
 
 
@@ -885,14 +908,14 @@ def test_shipped_problems_step_elementwise(pid, scaled):
     # every level the runs reach has a diagonal block
     src = get_problem(pid, scaled=scaled).fresh_source()
     for n in range(1, 10):
-        assert _is_diagonal(*assemble(src, n).support()[2:])
+        assert _products_of(assemble(src, n)) == (np.multiply, np.multiply, True)
 
 
 @pytest.mark.parametrize("source", [BandSource, BlockSource, SwapSource])
 def test_off_diagonal_blocks_are_not_classed_diagonal(source):
     # from level 3 on, each of these blocks holds two entries or more
     for n in range(3, 7):
-        assert not _is_diagonal(*assemble(source(), n).support()[2:])
+        assert _products_of(assemble(source(), n)) == (_product, _product, False)
 
 
 def test_shipped_runs_never_gather_and_bincount(monkeypatch):
@@ -914,7 +937,7 @@ def test_support_kernel_residual_when_off_support_data_is_tiny():
     # data almost entirely on the row support R: ||f_R||^2 - ... would
     # cancel, the off-support energy summed directly does not
     op = assemble(BandSource(), 4)
-    rows, cols, _, _ = op.support()
+    rows, cols, _, _ = op.block()
     rng = np.random.default_rng(7)
     x_true = np.zeros(op.dim)
     x_true[cols] = rng.standard_normal(cols.size)

@@ -8,7 +8,6 @@ from semicross.coeffs import CoeffVec
 from semicross.hypercross import (
     DiagonalSource,
     GalerkinInfoSource,
-    _product,
     _rectangles,
     assemble,
     discretization_bounds,
@@ -270,9 +269,11 @@ def test_products_sum_each_output_in_entry_order(n):
     atx = op.apply_adjoint(CoeffVec(x)).coeffs
     assert np.array_equal(ax, csr @ x)
     assert np.array_equal(atx, csr.T.tocsr() @ x)
-    rows, cols, ri, ci = op.support()
-    assert np.array_equal(_product(ri, ci, op.vals, x[cols], rows.size), ax[rows])
-    assert np.array_equal(_product(ci, ri, op.vals, x[rows], cols.size), atx[cols])
+    rows, cols, forward, adjoint = op.block()
+    assert np.array_equal(rows, np.unique(op.rows) - 1)
+    assert np.array_equal(cols, np.unique(op.cols) - 1)
+    assert np.array_equal(forward(x[cols]), ax[rows])
+    assert np.array_equal(adjoint(x[rows]), atx[cols])
 
 
 def test_apply_zero_extends_shorter_vectors():

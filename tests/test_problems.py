@@ -301,7 +301,7 @@ def _window_rows(kind: str, dim: int) -> np.ndarray:
         return np.arange(3, dim, 7)
     n = min((dim.bit_length() - 1) // 2, 6)
     source = BandSource() if kind == "band" else BlockSource()
-    return assemble(source, n).support()[0]
+    return assemble(source, n).block()[0]
 
 
 @pytest.mark.parametrize("dim,noise_dim", [
