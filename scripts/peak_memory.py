@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Print the time and the traced memory of one adaptive run, cold and warm.
 
-Runs one driver on one problem at delta = 2^-e with the acceptance-grid
-parameters (nu-method 1.5, tau = 1.01 + sqrt(13/8), seed 0, noise_dim 2^20)
-twice in one process: cold, before the process keeps anything, and warm,
-after the first run has left its kept values (the noise norm, the closed
-forms' sums of squares, the level windows of its data and the method's
-coefficient table). For each run it prints the seconds, the peak of the
+Runs one sweep of the acceptance grid (``semicross.cli.acceptance_grids``,
+seed 0, noise_dim 2^20) at delta = 2^-e twice in one process: cold, before
+the process keeps anything, and warm, after the first run has left its kept
+values (the noise norm, the closed forms' sums of squares and the level
+windows of its data). For each run it prints the seconds, the peak of the
 memory ``tracemalloc`` traces during the run, the bytes of the report's
 solution (its support indices and values), and the traced memory still
 allocated once the report is dropped (what the process keeps, counted from
@@ -18,16 +17,16 @@ timed with tracing on.
 """
 
 import argparse
-import math
+import dataclasses
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 import semicross
-from semicross import RunParams, get_problem, nu_method, run_balancing, run_discrepancy
+from semicross import get_problem, nu_method, run_balancing, run_discrepancy
+from semicross.cli import acceptance_grids
 
-TAU = 1.01 + math.sqrt(13.0 / 8.0)
 MIB = 2.0 ** 20
 
 
@@ -49,9 +48,11 @@ def main() -> int:
     ap.add_argument("--delta-exp", type=int, default=16,
                     help="run at delta = 2^-E")
     args = ap.parse_args()
+    grid, = (g for g in acceptance_grids()
+             if (g.algorithm, g.problem_id) == (args.algorithm, args.problem))
     runner = run_discrepancy if args.algorithm == 1 else run_balancing
-    problem, spec = get_problem(args.problem), nu_method(1.5)
-    p = RunParams(delta=2.0 ** -args.delta_exp, tau=TAU)
+    problem, spec = get_problem(args.problem), nu_method(grid.nu)
+    p = dataclasses.replace(grid.params, delta=2.0 ** -args.delta_exp)
     tracemalloc.start()
     for label in ("cold", "warm"):
         tracemalloc.reset_peak()

@@ -10,17 +10,12 @@ configuration error and 3 on an i/o error.
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-from semicross.cli import (EXIT_CAP, EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_ROW,
-                           ExperimentGrid, emit_csv, iter_rows, rate_fit)
-from semicross.driver import ConfigError, RunParams
-
-TAU = 1.01 + math.sqrt(13.0 / 8.0)
-DELTAS = tuple(2.0 ** -e for e in range(4, 14))
-MU = {"p1": 1.2, "p2": 0.2}
+from semicross.cli import (EXIT_CONFIG, EXIT_IO, acceptance_grids, emit_csv, exit_code,
+                           iter_rows, rate_fit)
+from semicross.driver import ConfigError
 
 
 def main() -> int:
@@ -30,11 +25,7 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
-        params = RunParams(delta=DELTAS[0], rho=1.0, gamma=0.5, tau=TAU,
-                           r=2.0, k_sec=20, seed=args.seed)
-        grids = [ExperimentGrid(problem_id=pid, algorithm=algorithm, nu=1.5,
-                                deltas=DELTAS, params=params, mu=MU[pid])
-                 for algorithm in (1, 2) for pid in ("p1", "p2")]
+        grids = acceptance_grids(args.seed)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -57,16 +48,14 @@ def main() -> int:
                 continue
             pairs_err = [(r["delta"], r["rel_error"]) for r in rows]
             pairs_k = [(r["delta"], float(r["K"])) for r in rows]
-            mu = MU[pid]
+            mu = grid.mu
             print(f"alg{algorithm}/{pid} -> {path.name:14s} "
                   f"{rate_fit(pairs_err):+10.3f} {mu / (mu + 1):+8.3f} "
                   f"{rate_fit(pairs_k):+10.3f} {-1 / (mu + 1):+8.3f}")
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    if any(r["error"].startswith("cap:") for r in failed):
-        return EXIT_CAP
-    return EXIT_ROW if failed else EXIT_OK
+    return exit_code(failed)
 
 
 if __name__ == "__main__":

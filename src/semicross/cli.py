@@ -41,7 +41,8 @@ from .hypercross import export_gamma, gamma_count
 from .methods import nu_method
 from .problems import _noise_norm, get_problem
 
-__all__ = ["ExperimentGrid", "iter_rows", "run_grid", "rate_fit", "emit_csv", "main"]
+__all__ = ["ExperimentGrid", "iter_rows", "run_grid", "rate_fit", "emit_csv", "main",
+           "acceptance_grids", "exit_code"]
 
 CSV_COLUMNS = (
     "algorithm", "nu", "delta", "n", "K_n", "K",
@@ -50,6 +51,10 @@ CSV_COLUMNS = (
 
 #: default diagnostic smoothness per problem
 DEFAULT_MU = {"p1": 1.2, "p2": 0.2}
+#: the acceptance grid (``acceptance_grids``): tau just above the nu = 3/2
+#: threshold, and delta = 2^-4 .. 2^-13
+ACCEPTANCE_TAU = 1.01 + math.sqrt(13.0 / 8.0)
+ACCEPTANCE_DELTAS = tuple(2.0 ** -e for e in range(4, 14))
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -193,6 +198,26 @@ def run_grid(grid: ExperimentGrid, jobs: int = 1) -> list:
     if jobs != 1:
         raise ConfigError(f"rows run in one process: jobs must be 1, got {jobs}")
     return list(iter_rows(grid))
+
+
+def acceptance_grids(seed: int = 0, **fields) -> list:
+    """The four sweeps of the acceptance grid: both drivers (discrepancy
+    first) on p1 then p2, the nu = 3/2 method, rho 1, gamma 1/2, r 2, k_sec
+    20, and noise seed ``seed`` + e - 4 at delta 2^-e; ``fields`` go to
+    ``RunParams``."""
+    params = RunParams(delta=ACCEPTANCE_DELTAS[0], rho=1.0, gamma=0.5,
+                       tau=ACCEPTANCE_TAU, r=2.0, k_sec=20, seed=seed, **fields)
+    return [ExperimentGrid(problem_id=pid, algorithm=algorithm, nu=1.5,
+                           deltas=ACCEPTANCE_DELTAS, params=params, mu=DEFAULT_MU[pid])
+            for algorithm in (1, 2) for pid in ("p1", "p2")]
+
+
+def exit_code(failed) -> int:
+    """The exit code of a run with the ``failed`` rows: 2 if one hit a
+    safety cap, else 4 if there are any, else 0."""
+    if any(row["error"].startswith("cap:") for row in failed):
+        return EXIT_CAP
+    return EXIT_ROW if failed else EXIT_OK
 
 
 def rate_fit(pairs) -> float:
@@ -409,9 +434,7 @@ def _cmd_run(args) -> int:
     failed = [row for row in rows if row["error"] is not None]
     for row in failed:
         print(f"row delta={row['delta']:g} failed: {row['error']}", file=sys.stderr)
-    if any(row["error"].startswith("cap:") for row in failed):
-        return EXIT_CAP
-    return EXIT_ROW if failed else EXIT_OK
+    return exit_code(failed)
 
 
 def _cmd_rates(args) -> int:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .coeffs import CoeffVec
 from .hypercross import assemble, refine
-from .methods import MethodSpec, NumericalDegeneracyError, _advance, _upto
+from .methods import MethodSpec, NumericalDegeneracyError, _advance
 from .problems import NoisyData, Problem, _error_norms, _noisy_data
 from .stopping import BalancingWindow, balancing_stop_index
 
@@ -306,9 +306,9 @@ class _SupportKernel:
     as ||f||^2 - ||f_R||^2, which cancels) in numpy's pairwise order: a
     BLAS dot product of that length rounds differently with its threads.
 
-    A step reads its coefficients from ``spec.table``, bound once per level
-    and grown by ``methods._upto``, advances through ``methods._advance``
-    and makes the two block products of ``op.block()``: one elementwise
+    A level asks ``spec.steps(m)`` for its step coefficients once, before
+    its first step; a step advances through ``methods._advance`` with its
+    entries and makes the two block products of ``op.block()``: one elementwise
     multiply each when the block is diagonal (every level of the shipped
     Green operator), a gather, scale and bincount otherwise, to the same
     bits. Past those it makes only numpy calls and one ``math.sqrt``.
@@ -329,15 +329,12 @@ class _SupportKernel:
         residual norm ``NumericalDegeneracyError``."""
         forward, adjoint, f, off2 = self.forward, self.adjoint, self.data, self.off2
         residuals, cap = self.residuals, self.cap
-        mu, two_omega = spec.table
         x = x_prev = np.zeros(self.cols.size)
         r = f
-        for k in range(m + 1):
-            if k == len(mu):
-                _upto(spec, k)
+        for k, (mu_k, two_omega_k) in enumerate(zip(*spec.steps(m))):
             update = adjoint(r)
             out = None if window is None or not k else window[k - 1]
-            x_prev, x = x, _advance(mu[k], two_omega[k], x, x_prev, update, out)
+            x_prev, x = x, _advance(mu_k, two_omega_k, x, x_prev, update, out)
             r = forward(x)
             np.subtract(f, r, out=r)
             if k:

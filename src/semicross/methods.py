@@ -1,21 +1,13 @@
-"""Semiiterative two-step regularization methods from monic orthogonal
-polynomials.
+"""Semiiterative two-step regularization methods.
 
-A method is generated by the recursion coefficients ``alpha_k``, ``beta_k``
-of a family of monic polynomials orthogonal on [-1, 1],
-
-    P_{k+1}(x) = (x - alpha_k) P_k(x) - beta_k P_{k-1}(x),
-    P_0(x) = 1,  P_1(x) = x - alpha_0,  beta_k > 0,
-
-and runs the two-step iteration for an operator equation A x = f,
+A method is its step coefficients mu_k and 2 omega_k, k = 0, 1, ...
+(``MethodSpec``), and runs the two-step iteration for A x = f,
 
     x_0 = 2 omega_0 A* f,   x_{-1} = 0,
-    x_k = x_{k-1} + ((1 - alpha_k) omega_k - 1)(x_{k-1} - x_{k-2})
-               + 2 omega_k A*(f - A x_{k-1}),          k >= 1,
+    x_k = x_{k-1} + mu_k (x_{k-1} - x_{k-2}) + 2 omega_k A*(f - A x_{k-1}).
 
-with omega_0 = 1/(1 - alpha_0) and omega_k = 1/(1 - alpha_k -
-beta_k omega_{k-1}).  Writing the iterate spectrally, x_k = g(A*A) A* f
-where the filter polynomial g of the step-k iterate satisfies
+For coefficients from a monic recurrence P_k orthogonal on [-1, 1], the
+step-k iterate is x_k = g(A*A) A* f with the filter polynomial g of
 
     1 - lam * g(lam) = P_{k+1}(1 - 2 lam) / P_{k+1}(1),
 
@@ -29,68 +21,64 @@ and data g_i reads
     step-k iterate component i == filter_value(spec, k + 1, sigma_i**2)
                                   * sigma_i * g_i.
 
-The nu-methods use the monic Jacobi family with parameters
-(2 nu - 1/2, -1/2); their qualification is 2 nu.
+The nu-methods come from the monic Jacobi family with parameters
+(2 nu - 1/2, -1/2), whose coefficients have a product form
+(``nu_method``); their qualification is 2 nu.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .coeffs import CoeffVec
 
-__all__ = [
-    "MethodSpec",
-    "IterState",
-    "NumericalDegeneracyError",
-    "nu_method",
-    "omega_next",
-    "init_state",
-    "step",
-    "residual_value",
-    "residual_profile",
-    "filter_value",
-]
+__all__ = ["MethodSpec", "IterState", "NumericalDegeneracyError", "nu_method",
+           "init_state", "step", "residual_value", "residual_profile", "filter_value"]
 
-#: omega recursion denominators smaller than this signal a degenerate method
-_DEGENERACY_EPS = 1e-14
+#: the entries of a nu-method's coefficients built with its spec (4 KiB);
+#: a level whose budget is below this reads them without building any
+_HEAD = 256
 
 
 class NumericalDegeneracyError(ArithmeticError):
-    """The omega recursion hit a (near-)zero denominator."""
+    """A method's coefficients or a run's residual norm left the finite
+    floats."""
 
 
 @dataclass(frozen=True)
 class MethodSpec:
     """A semiiterative method and its regularization constants.
 
-    ``alpha``/``beta`` generate the monic three-term recurrence; ``kappa0``
-    bounds the residual polynomials on [0, 1], ``kappa_mu(mu)`` is the
-    constant in the saturation bound |lam^(mu/2) r_k(lam)| <=
+    ``steps(m)`` returns the step coefficients for k = 0..m as two float64
+    arrays of length m + 1, mu_k and 2 omega_k: step k, which makes x_k,
+    reads entry k of each (step 0 makes x_0 = 2 omega_0 A* f, where mu_0
+    multiplies a zero difference). Entries must not depend on m, and
+    the arrays may be read-only. A level of a run asks for all its entries
+    before its first step, so a ``steps`` that raises stops the level there.
+    For a monic recurrence P_{k+1}(x) = (x - alpha_k) P_k(x) - beta_k
+    P_{k-1}(x), P_0 = 1, P_1(x) = x - alpha_0, beta_k > 0, they are
+
+        omega_0 = 1/(1 - alpha_0),
+        omega_k = 1/(1 - alpha_k - beta_k omega_{k-1}),   k >= 1,
+        mu_k = (1 - alpha_k) omega_k - 1.
+
+    ``kappa0`` bounds the residual polynomials on [0, 1], ``kappa_mu(mu)``
+    is the constant in the saturation bound |lam^(mu/2) r_k(lam)| <=
     kappa_mu / (k+1)^mu for 0 < mu <= qualification, and ``kappa2`` is
     kappa_mu at mu = 2 (meaningful when the qualification is >= 2; it feeds
     the admissibility threshold of the discrepancy-principle driver).
-
-    ``table`` (no constructor argument) holds the step coefficients mu_k =
-    (1 - alpha_k) omega_k - 1 and 2 omega_k, k = 0, 1, ..., as two lists of
-    ``np.float64`` scalars (which scale arrays faster than Python floats),
-    grown by ``_upto``; it lives exactly as long as the spec.
     """
 
     name: str
-    alpha: Callable[[int], float]
-    beta: Callable[[int], float]
+    steps: Callable[[int], tuple]
     kappa0: float
     kappa2: float
     kappa_mu: Callable[[float], float]
     qualification: float
-    table: tuple = field(default_factory=lambda: ([], []), init=False,
-                         repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -99,111 +87,69 @@ class IterState:
 
     ``k`` counts completed steps; ``x_curr`` is the step-k iterate and
     ``x_prev`` the step-(k-1) one (the zero vector right after
-    initialization, realizing x_{-1} = 0); ``omega`` is omega_k.
+    initialization, realizing x_{-1} = 0).
     """
 
     k: int
     x_curr: CoeffVec
     x_prev: CoeffVec
-    omega: float
 
 
-@functools.lru_cache(maxsize=16)
+def _nu_steps(nu: float, m: int):
+    """mu_k and 2 omega_k of the nu-method for k = 0..m, each the quotient
+    of two products of factors; the products are exact for 4 nu an integer
+    and k up to about 30,000, so each entry is then correctly rounded."""
+    k = np.arange(m + 1, dtype=float)
+    odd = 2.0 * k + (2.0 * nu + 1.0)  # 2k + 2 nu + 1
+    den = (k + 2.0 * nu) * (2.0 * k + (4.0 * nu + 1.0))
+    two_omega = 4.0 * odd * (k + nu) / den
+    num = (2.0 * k - 1.0) * k * odd
+    den *= odd - 2.0
+    # mu_0 = 0, where the product is 0/0 at nu = 1/2
+    return np.divide(num, den, out=np.zeros(m + 1), where=k > 0), two_omega
+
+
 def nu_method(nu: float) -> MethodSpec:
     """The nu-method: monic Jacobi polynomials with parameters
-    (2 nu - 1/2, -1/2).
+    (2 nu - 1/2, -1/2), with the step coefficients in product form (Engl,
+    Hanke and Neubauer, Regularization of Inverse Problems, 1996, (6.24);
+    Hanke, Numer. Math. 1991), shifted to this module's index:
 
-    Closed-form recursion coefficients in the Jacobi parameters (a, b):
+        2 omega_k = 4 (2k + 2nu + 1)(k + nu) / ((k + 2nu)(2k + 4nu + 1)),
+        mu_k = k (2k - 1)(2k + 2nu + 1)
+               / ((k + 2nu)(2k + 4nu + 1)(2k + 2nu - 1)),   mu_0 = 0,
 
-        alpha_0 = (b - a)/(a + b + 2),
-        alpha_k = (b^2 - a^2)/((2k+a+b)(2k+a+b+2)),       k >= 1,
-        beta_k  = 4k(k+a)(k+b)(k+a+b)
-                  / ((2k+a+b)^2 (2k+a+b+1)(2k+a+b-1)),    k >= 1.
-
-    The k = 0 case is split out because the generic alpha formula is 0/0
-    when a + b = 0 (nu = 1/2, the Chebyshev method, where the family
-    degenerates to alpha_k = 0, beta_k = 1/4 for k >= 1).
+    so 2 omega_0 = (4 nu + 2)/(4 nu + 1). The spec holds entries 0..255,
+    read-only, and ``steps(m)`` returns views of them for m < 256; a larger
+    m builds its arrays on the call, and nothing of them is kept.
 
     Constants: kappa0 = 1; kappa_mu is the constant max(1, (2 nu)!) with the
     factorial read as Gamma(2 nu + 1) for non-integer 2 nu; qualification
-    2 nu. One nu gives one spec, kept in this function's bounded cache, so
-    the runs of a sweep share its step table ``spec.table``.
+    2 nu.
     """
-    a = 2.0 * nu - 0.5
-    b = -0.5
-    # a > b: nu > 0, and not so small that a rounds to b (beta(1) would
-    # divide by zero); nu <= 85: Gamma(2 nu + 1) stays a float
-    if not (a > b and nu <= 85.0):
+    # nu > 0, and not so small that the Jacobi parameter 2 nu - 1/2 rounds
+    # to -1/2; nu <= 85: Gamma(2 nu + 1) stays a float
+    if not (2.0 * nu - 0.5 > -0.5 and nu <= 85.0):
         raise ValueError(f"nu must lie in (0, 85] with 2 nu - 1/2 > -1/2, got {nu}")
+    head = _nu_steps(nu, _HEAD - 1)
+    for part in head:
+        part.flags.writeable = False
 
-    def alpha(k: int) -> float:
-        if k == 0:
-            return (b - a) / (a + b + 2.0)
-        s = 2.0 * k + a + b
-        return (b * b - a * a) / (s * (s + 2.0))
-
-    def beta(k: int) -> float:
-        if k < 1:
-            raise ValueError("beta is defined for k >= 1")
-        s = 2.0 * k + a + b
-        return 4.0 * k * (k + a) * (k + b) * (k + a + b) / (
-            s * s * (s + 1.0) * (s - 1.0)
-        )
+    def steps(m: int):
+        if m < _HEAD:
+            return head[0][:m + 1], head[1][:m + 1]
+        return _nu_steps(nu, m)
 
     kap = max(1.0, math.gamma(2.0 * nu + 1.0))
-    return MethodSpec(
-        name=f"nu-{nu:g}",
-        alpha=alpha,
-        beta=beta,
-        kappa0=1.0,
-        kappa2=kap,
-        kappa_mu=lambda mu, _kap=kap: _kap,
-        qualification=2.0 * nu,
-    )
-
-
-def omega_next(spec: MethodSpec, k: int, omega_prev: float) -> float:
-    """Advance the omega recursion: omega_0 = 1/(1 - alpha_0), then
-    omega_k = 1/(1 - alpha_k - beta_k omega_{k-1}).
-
-    ``omega_prev`` is ignored for k == 0.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return _omega(spec, k, spec.alpha(k), omega_prev)
-
-
-def _omega(spec: MethodSpec, k: int, alpha_k: float, omega_prev: float) -> float:
-    """``omega_next`` with alpha_k given."""
-    den = 1.0 - alpha_k if k == 0 else 1.0 - alpha_k - spec.beta(k) * omega_prev
-    if abs(den) < _DEGENERACY_EPS:
-        raise NumericalDegeneracyError(
-            f"omega recursion denominator {den:.3e} at k={k} ({spec.name})"
-        )
-    return 1.0 / den
-
-
-def _upto(spec: MethodSpec, k: int):
-    """``spec.table``, grown one step at a time to hold the entries 0..k and
-    no further, so ``spec.alpha`` and ``spec.beta`` are evaluated once per k
-    and a failure (a degenerate denominator, or a user-defined ``alpha``
-    that ends) is raised at its own step. The last omega is read back
-    exactly, as half the stored 2 omega."""
-    mu, two_omega = spec.table
-    omega = float(two_omega[-1]) / 2.0 if two_omega else 0.0
-    for n in range(len(mu), k + 1):
-        alpha_n = spec.alpha(n)
-        omega = _omega(spec, n, alpha_n, omega)
-        mu.append(np.float64((1.0 - alpha_n) * omega - 1.0))
-        two_omega.append(np.float64(2.0 * omega))
-    return mu, two_omega
+    return MethodSpec(name=f"nu-{nu:g}", steps=steps, kappa0=1.0, kappa2=kap,
+                      kappa_mu=lambda mu: kap, qualification=2.0 * nu)
 
 
 def _advance(mu_k: float, two_omega_k: float, x_curr: np.ndarray,
              x_prev: np.ndarray, update: np.ndarray, out=None) -> np.ndarray:
     """Step k of the two-step recursion on raw arrays: x_k from x_{k-1} =
     ``x_curr``, x_{k-2} = ``x_prev``, ``update`` = A*(f - A x_{k-1}), which
-    it overwrites, and the step's entries of the method's ``spec.table``.
+    it overwrites, and the step's coefficients mu_k and 2 omega_k.
     The in-place update keeps the order of (x_{k-1} + mu_k (x_{k-1} -
     x_{k-2})) + 2 omega_k update, so every bit is that of the written-out
     expression. At k = 0 with zero ``x_curr``/``x_prev`` this is x_0 =
@@ -224,11 +170,10 @@ def init_state(op, rhs: CoeffVec, spec: MethodSpec) -> IterState:
             f"rhs dimension {rhs.dim} exceeds operator dimension {op.dim}"
         )
     zero = CoeffVec.zeros(op.dim)
-    mu, two_omega = _upto(spec, 0)
+    mu, two_omega = spec.steps(0)
     x0 = _advance(mu[0], two_omega[0], zero.coeffs, zero.coeffs,
                   np.array(op.apply_adjoint(rhs).coeffs))
-    return IterState(k=0, x_curr=CoeffVec._wrap(x0), x_prev=zero,
-                     omega=float(two_omega[0]) / 2.0)
+    return IterState(k=0, x_curr=CoeffVec._wrap(x0), x_prev=zero)
 
 
 def step(state: IterState, op, rhs: CoeffVec, spec: MethodSpec,
@@ -242,11 +187,10 @@ def step(state: IterState, op, rhs: CoeffVec, spec: MethodSpec,
         ax_curr = op.apply(state.x_curr)
     update = op.apply_adjoint(rhs - ax_curr)
     k = state.k + 1
-    mu, two_omega = _upto(spec, k)
+    mu, two_omega = spec.steps(k)
     x_new = _advance(mu[k], two_omega[k], state.x_curr.coeffs,
                      state.x_prev.coeffs, np.array(update.coeffs))
-    return IterState(k=k, x_curr=CoeffVec._wrap(x_new), x_prev=state.x_curr,
-                     omega=float(two_omega[k]) / 2.0)
+    return IterState(k=k, x_curr=CoeffVec._wrap(x_new), x_prev=state.x_curr)
 
 
 def _stepped(spec: MethodSpec, k_max: int, lam, filter_: bool):
@@ -261,12 +205,11 @@ def _stepped(spec: MethodSpec, k_max: int, lam, filter_: bool):
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if np.any(lam < 0.0) or np.any(lam > 1.0):
         raise ValueError("lam must lie in [0, 1]")
-    mu, two_omega = _upto(spec, k_max - 1)
     p_prev = p = np.full_like(lam, 0.0 if filter_ else 1.0)
     yield p
-    for k in range(k_max):
+    for mu_k, two_omega_k in zip(*spec.steps(k_max - 1)) if k_max else ():
         update = 1.0 - lam * p if filter_ else -lam * p
-        p_prev, p = p, _advance(mu[k], two_omega[k], p, p_prev, update)
+        p_prev, p = p, _advance(mu_k, two_omega_k, p, p_prev, update)
         yield p
 
 

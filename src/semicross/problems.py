@@ -47,8 +47,8 @@ window of a run's data per (problem, noise_dim, delta, seed, dim, rows).
 A serial ``cli.run_grid`` draws noise norms in threads and in the calling
 thread, which reads them all. No closed-form coefficient outlives the window
 draw or the run that evaluated it: after a p2 discrepancy run at delta 2^-20
-(level 12) the process keeps 7.2 MiB, most of it the step table on the
-spec that ``methods.nu_method`` keeps.
+(level 12) the process keeps 0.86 MiB, 131 KiB of it in this module (the
+level windows and the kept norms).
 """
 
 from __future__ import annotations
@@ -101,27 +101,28 @@ def _cos_half_pi(kk: np.ndarray) -> np.ndarray:
     return np.where((kk & 2) == 0, 1.0, -1.0)
 
 
-def _exact_solution_coeffs(pid: str, kk: np.ndarray) -> np.ndarray:
-    # the per-monomial antiderivative reduction of the quartic collapses to
-    # this cancellation-free form (the 1/a and 1/a^3 terms drop out because
-    # the function and its second derivative vanish at both endpoints);
-    # summing the monomial integrals numerically instead loses ~8 digits of
-    # relative accuracy at k ~ 4000
-    a = np.pi * kk.astype(float)
-    if pid == "p1":
-        return -3.0 * _SQRT2 * 2.0 * (72.0 * a ** 2 - 720.0) / a ** 5
-    return -2.0 * _SQRT2 * _cos_half_pi(kk) / a
+#: the closed forms by (problem, rhs): the power of a and the factor of
+#: ``_closed_form``; the quartic's reduction collapses to p1's
+#: cancellation-free form (the 1/a and 1/a^3 terms drop out because it and
+#: its second derivative vanish at both endpoints), where summing the
+#: monomial integrals numerically loses ~8 digits at k ~ 4000
+_FORMS = {("p1", False): (5, -3.0 * _SQRT2 * 2.0), ("p1", True): (7, 3.0 * _SQRT2 * 2.0),
+          ("p2", False): (1, -2.0 * _SQRT2), ("p2", True): (3, 2.0 * _SQRT2)}
 
 
-def _rhs_coeffs(pid: str, kk: np.ndarray, scaled: bool) -> np.ndarray:
-    a = np.pi * kk.astype(float)
+def _closed_form(pid: str, kk: np.ndarray, power: int, factor: float) -> np.ndarray:
+    """factor (72 a^2 - 720)/a^power (p1) or factor cos(pi k / 2)/a^power
+    (p2) at a = pi k, one in-place pass per operation in the written order."""
+    a = kk * np.pi
     if pid == "p1":
-        # closed form of -3 t^3 (1-t)^3; cross-validated against
-        # lambda_k * solution coefficients
-        raw = -3.0 * _SQRT2 * 2.0 * (720.0 - 72.0 * a ** 2) / a ** 7
+        v = np.square(a)
+        v *= 72.0
+        v -= 720.0
     else:
-        raw = 2.0 * _SQRT2 * _cos_half_pi(kk) / a ** 3
-    return raw * np.pi ** 2 if scaled else raw
+        v = _cos_half_pi(kk)
+    v *= factor
+    v /= np.power(a, power, out=a)
+    return v
 
 
 #: leaves of at most 2^13 float64 entries (64 KiB) stay below glibc's
@@ -312,10 +313,12 @@ class Problem:
         # the nonzero parity only: odd k for p1 (where 1 - (-1)^k is exactly
         # 2), even k for p2
         first = start + 1 + (start + (pid == "p2")) % 2
-        kk = np.arange(first, stop + 1, 2, dtype=np.int64)
-        v = _rhs_coeffs(pid, kk, scaled) if rhs else _exact_solution_coeffs(pid, kk)
+        v = _closed_form(pid, np.arange(first, stop + 1, 2, dtype=np.int64),
+                         *_FORMS[pid, rhs])
+        if rhs and scaled:
+            v *= np.pi ** 2
         if self.normalize:
-            v = v * (_UNIT_FACTOR[pid] if scaled else _UNIT_FACTOR[pid] * np.pi ** 2)
+            v *= _UNIT_FACTOR[pid] if scaled else _UNIT_FACTOR[pid] * np.pi ** 2
         out = np.zeros(stop - start)
         out[first - start - 1::2] = v
         return out

@@ -1,10 +1,13 @@
 """Shared test fixtures: tiny operators and reference oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import strategies as st
 
 from semicross.coeffs import CoeffVec
 from semicross.hypercross import GalerkinInfoSource
+from semicross.methods import NumericalDegeneracyError
 from semicross.problems import green_operator
 
 
@@ -107,6 +110,62 @@ class HashSource(GalerkinInfoSource):
         mixed = (rows.astype(np.int64) * 2654435761 + cols.astype(np.int64) * 40503
                  + self.salt) % 1000003
         return (mixed.astype(float) / 1000003.0) - 0.5
+
+
+def recurrence_steps(alpha, beta):
+    """Oracle: a ``MethodSpec.steps`` for the monic recurrence with
+    coefficients ``alpha(k)`` and ``beta(k)``, by the omega recursion
+
+        omega_0 = 1/(1 - alpha_0),
+        omega_k = 1/(1 - alpha_k - beta_k omega_{k-1}),   k >= 1,
+        mu_k = (1 - alpha_k) omega_k - 1,
+
+    run in the number type that ``alpha`` and ``beta`` return (fractions
+    give exact values, rounded once into the float64 arrays). A denominator
+    below 1e-14 in size raises ``NumericalDegeneracyError`` naming its k;
+    ``alpha`` and ``beta`` run once per k of each call."""
+
+    def steps(m: int):
+        mu, two_omega, omega = [], [], 0
+        for k in range(m + 1):
+            alpha_k = alpha(k)
+            den = 1 - alpha_k if k == 0 else 1 - alpha_k - beta(k) * omega
+            if abs(den) < 1e-14:
+                raise NumericalDegeneracyError(
+                    f"omega recursion denominator {float(den):.3e} at k={k}")
+            omega = 1 / den
+            mu.append((1 - alpha_k) * omega - 1)
+            two_omega.append(2 * omega)
+        return np.array(mu, dtype=float), np.array(two_omega, dtype=float)
+
+    return steps
+
+
+def jacobi_recurrence(nu, exact: bool = False):
+    """The nu-method's monic Jacobi recurrence, parameters (a, b) =
+    (2 nu - 1/2, -1/2): ``(alpha, beta)`` with
+
+        alpha_0 = (b - a)/(a + b + 2),
+        alpha_k = (b^2 - a^2)/((2k+a+b)(2k+a+b+2)),       k >= 1,
+        beta_k  = 4k(k+a)(k+b)(k+a+b)
+                  / ((2k+a+b)^2 (2k+a+b+1)(2k+a+b-1)),    k >= 1,
+
+    in floats, or in fractions with ``exact``. The k = 0 case is split out
+    because the generic alpha formula is 0/0 when a + b = 0 (nu = 1/2)."""
+    num = Fraction if exact else float
+    a, b = 2 * num(nu) - num(1) / 2, -num(1) / 2
+
+    def alpha(k: int):
+        if k == 0:
+            return (b - a) / (a + b + 2)
+        s = 2 * k + a + b
+        return (b * b - a * a) / (s * (s + 2))
+
+    def beta(k: int):
+        s = 2 * k + a + b
+        return 4 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1) * (s - 1))
+
+    return alpha, beta
 
 
 def cheb4_residual(k: int, lam):

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import os
 import subprocess
@@ -25,8 +24,8 @@ from semicross.driver import (
     theoretical_constants,
 )
 from semicross.hypercross import DiagonalSource, _product, assemble, gamma_count, refine
-from semicross.methods import (NumericalDegeneracyError, _advance, _upto, init_state,
-                               nu_method, step)
+from semicross.methods import (NumericalDegeneracyError, _advance, init_state, nu_method,
+                               step)
 from semicross.problems import get_problem, green_operator, perturb
 from semicross.stopping import BalancingWindow, balancing_stop_index
 
@@ -617,7 +616,7 @@ def test_a_level_10_run_holds_nothing_of_window_length():
     problem, p = get_problem("p2"), params(2.0 ** -15, noise_dim=2 ** 20)
     _drop_closed_forms()
     problems._noise_norm.cache_clear()
-    spec = dataclasses.replace(NU32)  # a fresh spec, whose step table is empty
+    spec = nu_method(1.5)  # a fresh spec, as a new process makes
     reports = []
     for _ in ("cold", "warm"):
         problems._windows.cache_clear()
@@ -844,17 +843,17 @@ def _products_of(op):
     return forward.func, adjoint.func, forward is adjoint
 
 
-def _product_reference(op, data, spec):
+def _product_reference(op, data, spec, m):
     """The support kernel's loop with both block products made through
-    ``hypercross._product``: yields (x_k on C, residual norm)."""
+    ``hypercross._product``: yields (x_k on C, residual norm), k = 1..m."""
     rows, cols, ri, ci = entry_positions(op)
     f = data[rows]
     off = np.delete(data, rows)
     off2 = float(np.sum(off * off))
     x = x_prev = np.zeros(cols.size)
     r = f
-    for k in itertools.count():
-        mu, two_omega = _upto(spec, k)
+    mu, two_omega = spec.steps(m)
+    for k in range(m + 1):
         update = _product(ci, ri, op.vals, r, cols.size)
         x_prev, x = x, _advance(mu[k], two_omega[k], x, x_prev, update)
         r = f - _product(ri, ci, op.vals, x, rows.size)
@@ -886,7 +885,8 @@ def test_diagonal_block_steps_bit_for_bit_as_through_product(source, n):
     data[rows[::4]] = 0.0
     data[rows[1::4]] = -0.0
     kernel = driver._SupportKernel(op, HeldData(data), [], 10 ** 6)
-    pairs = zip(kernel.iterates(NU32, 300), _product_reference(op, data, NU32))
+    pairs = zip(kernel.iterates(NU32, 300), _product_reference(op, data, NU32, 300),
+                strict=True)
     for (_, x, res), (x_ref, res_ref) in pairs:
         assert np.array_equal(x, x_ref) and res == res_ref
 

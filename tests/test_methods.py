@@ -1,16 +1,17 @@
-import collections
 import dataclasses
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import binom
 
-from semicross import driver, get_problem
+from semicross import driver, get_problem, methods
 from semicross.coeffs import CoeffVec
 from semicross.hypercross import assemble
 from semicross.methods import (
@@ -19,18 +20,18 @@ from semicross.methods import (
     filter_value,
     init_state,
     nu_method,
-    omega_next,
     residual_profile,
     residual_value,
     step,
-    _upto,
 )
 
-from helpers import DiagonalOperator, HeldData, ZeroOperator, cheb4_residual, norm
+from helpers import (DiagonalOperator, HeldData, ZeroOperator, cheb4_residual,
+                     jacobi_recurrence, norm, recurrence_steps)
 
 NU_HALF = nu_method(0.5)
 NU_ONE = nu_method(1.0)
 NU_32 = nu_method(1.5)
+TAU_REF = 1.01 + math.sqrt(13.0 / 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -53,11 +54,18 @@ def test_rejects_nu_whose_recursion_leaves_the_floats(nu):
 
 
 def test_chebyshev_recursion_coefficients():
-    # monic fourth-kind Chebyshev closed form
-    assert NU_HALF.alpha(0) == pytest.approx(-0.5, abs=1e-15)
+    # monic fourth-kind Chebyshev closed form, and the steps it gives:
+    # 2 omega_k = 4 (2k + 1)/(2k + 3), mu_k = (2k - 1)/(2k + 3) for k >= 1
+    alpha, beta = jacobi_recurrence(0.5)
+    assert alpha(0) == pytest.approx(-0.5, abs=1e-15)
     for k in range(1, 8):
-        assert NU_HALF.alpha(k) == pytest.approx(0.0, abs=1e-15)
-        assert NU_HALF.beta(k) == pytest.approx(0.25, abs=1e-15)
+        assert alpha(k) == pytest.approx(0.0, abs=1e-15)
+        assert beta(k) == pytest.approx(0.25, abs=1e-15)
+    mu, two_omega = NU_HALF.steps(7)
+    k = np.arange(8.0)
+    assert np.array_equal(two_omega, 4.0 * (2.0 * k + 1.0) / (2.0 * k + 3.0))
+    assert mu[0] == 0.0
+    assert np.array_equal(mu[1:], ((2.0 * k - 1.0) / (2.0 * k + 3.0))[1:])
 
 
 def test_qualifications_and_constants():
@@ -73,10 +81,10 @@ def test_qualifications_and_constants():
 
 
 def test_beta_positive():
-    for spec in (NU_HALF, NU_ONE, NU_32, nu_method(0.75)):
-        assert all(spec.beta(k) > 0 for k in range(1, 50))
-    with pytest.raises(ValueError, match="k >= 1"):
-        NU_32.beta(0)
+    # the nu-methods' recurrence, which the oracle specs below are built on
+    for nu in (0.5, 1.0, 1.5, 0.75):
+        _, beta = jacobi_recurrence(nu, exact=True)
+        assert all(beta(k) > 0 for k in range(1, 50))
 
 
 # ---------------------------------------------------------------------------
@@ -84,60 +92,89 @@ def test_beta_positive():
 # ---------------------------------------------------------------------------
 
 def test_omega_values_chebyshev():
-    w0 = omega_next(NU_HALF, 0, 0.0)
-    assert w0 == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert omega_next(NU_HALF, 1, w0) == pytest.approx(6.0 / 5.0, rel=1e-15)
-    with pytest.raises(ValueError, match="k must be >= 0"):
-        omega_next(NU_32, -1, 0.0)
+    _, two_omega = NU_HALF.steps(1)
+    assert two_omega[0] / 2.0 == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert two_omega[1] / 2.0 == pytest.approx(6.0 / 5.0, rel=1e-15)
 
 
 def test_omega_is_one_for_zero_alpha0():
-    spec = MethodSpec("flat", lambda k: 0.0, lambda k: 0.25, 1.0, 1.0,
-                      lambda mu: 1.0, 2.0)
-    assert omega_next(spec, 0, 0.0) == 1.0
+    spec = MethodSpec("flat", recurrence_steps(lambda k: 0.0, lambda k: 0.25),
+                      1.0, 1.0, lambda mu: 1.0, 2.0)
+    assert spec.steps(0)[1][0] == 2.0
 
 
 def test_omega_degeneracy_detected():
-    spec = MethodSpec("bad", lambda k: 1.0, lambda k: 0.25, 1.0, 1.0,
-                      lambda mu: 1.0, 2.0)
-    with pytest.raises(NumericalDegeneracyError):
-        omega_next(spec, 0, 0.0)
+    spec = MethodSpec("bad", recurrence_steps(lambda k: 1.0, lambda k: 0.25),
+                      1.0, 1.0, lambda mu: 1.0, 2.0)
+    with pytest.raises(NumericalDegeneracyError, match="k=0"):
+        spec.steps(0)
 
 
 # ---------------------------------------------------------------------------
-# coefficient table
+# step coefficients
 # ---------------------------------------------------------------------------
+
+#: the nu whose product form is exact before its one division, and the k
+#: at which it is pinned
+_EXACT_NU = (0.25, 0.5, 0.75, 1.0, 1.5, 2.5, 4.0)
+_PINNED_K = (*range(300), *range(300, 20_001, 97))
+
+
+def _ulps(value: float, exact: Fraction) -> float:
+    """|value - exact| in units in the last place of ``exact``'s float."""
+    return float(abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact))))
+
+
+@pytest.mark.parametrize("nu", _EXACT_NU)
+def test_steps_are_the_product_form_within_half_an_ulp(nu):
+    # past K_9 = 14,122, the largest budget of the acceptance grid
+    mu, two_omega = nu_method(nu).steps(20_000)
+    assert mu.dtype == two_omega.dtype == np.float64
+    assert mu.shape == two_omega.shape == (20_001,)
+    n = Fraction(nu)
+    for k in _PINNED_K:
+        two_omega_k = 4 * (2 * k + 2 * n + 1) * (k + n) / ((k + 2 * n) * (2 * k + 4 * n + 1))
+        assert _ulps(two_omega[k], two_omega_k) <= 0.5, k
+        if k == 0:
+            assert mu[0] == 0.0
+            continue
+        mu_k = k * (2 * k - 1) * (2 * k + 2 * n + 1) / (
+            (k + 2 * n) * (2 * k + 4 * n + 1) * (2 * k + 2 * n - 1))
+        assert _ulps(mu[k], mu_k) <= 0.5, k
+
 
 @pytest.mark.parametrize("nu", [0.25, 0.5, 1.5])
 def test_coefficient_table_is_the_omega_chain(nu):
-    # past K_9 = 14,122, the largest budget of the acceptance grid
-    spec = nu_method(nu)
-    k_max = 15_000
-    mu, two_omega = _upto(spec, k_max)
-    omega = 0.0
-    chain_mu, chain_two = [], []
-    for k in range(k_max + 1):
-        omega = omega_next(spec, k, omega)
-        chain_mu.append((1.0 - spec.alpha(k)) * omega - 1.0)
-        chain_two.append(2.0 * omega)
-    assert all(type(v) is np.float64 for v in mu + two_omega)
-    assert np.array_equal(mu[:k_max + 1], chain_mu)
-    assert np.array_equal(two_omega[:k_max + 1], chain_two)
+    # the omega recursion on the Jacobi recurrence, run in exact rationals
+    # and rounded once, gives the product form's bits
+    exact = recurrence_steps(*jacobi_recurrence(nu, exact=True))(500)
+    for chain, product in zip(exact, nu_method(nu).steps(500), strict=True):
+        assert np.array_equal(chain, product)
+
+
+def test_steps_agree_on_shared_entries_and_the_head_is_read_only():
+    # below 256 entries the spec serves views of its head; above, it builds
+    # the arrays on the call, to the same bits
+    runs = [NU_32.steps(m) for m in (255, 256, 1000)]
+    for (mu_a, two_a), (mu_b, two_b) in itertools.combinations(runs, 2):
+        assert np.array_equal(mu_a, mu_b[:mu_a.size])
+        assert np.array_equal(two_a, two_b[:two_a.size])
+    head = runs[0]
+    for part, whole in zip(NU_32.steps(10), head):
+        assert part.size == 11 and np.shares_memory(part, whole)
+    for part in head:
+        assert not part.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 1.0
 
 
 def test_a_spec_keeps_its_own_table_and_only_for_its_lifetime():
-    base = nu_method(1.5)
-    spec = dataclasses.replace(base, alpha=lambda k: base.alpha(k))
-    # the table is no field of the spec's value
-    assert dataclasses.replace(base) == base
-    assert hash(dataclasses.replace(base)) == hash(base)
-    assert "table" not in repr(base)
+    spec = nu_method(1.5)
+    # no cache: each call makes a spec with a head of its own
+    assert spec is not NU_32
+    assert not np.shares_memory(spec.steps(10)[0], NU_32.steps(10)[0])
     p = driver.RunParams(delta=2.0 ** -6, tau=2.5, noise_dim=2 ** 12)
     driver.run_discrepancy(get_problem("p1"), spec, p)
-    mu, two_omega = spec.table
-    assert 1 < len(mu) == len(two_omega)
-    assert mu is not base.table[0]
-    assert np.array_equal(mu, _upto(base, len(mu) - 1)[0][:len(mu)])
     # nothing in the package keeps the spec once its caller drops it
     ref = weakref.ref(spec)
     del spec
@@ -145,27 +182,40 @@ def test_a_spec_keeps_its_own_table_and_only_for_its_lifetime():
     assert ref() is None
 
 
+def test_a_run_leaves_nothing_in_methods():
+    # with the report and a fresh spec dropped, ``methods`` holds nothing of
+    # a p2 discrepancy run at delta 2^-12: no table, no head, no cache
+    p = driver.RunParams(delta=2.0 ** -12, tau=TAU_REF)
+    tracemalloc.start()
+    try:
+        spec = nu_method(1.5)
+        report = driver.run_discrepancy(get_problem("p2"), spec, p)
+        assert report.levels[-1] >= 8
+        del report, spec
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    kept = snapshot.filter_traces([tracemalloc.Filter(True, methods.__file__)])
+    assert sum(stat.size for stat in kept.statistics("filename")) < 8 * 1024
+
+
 def _degenerate_at_7() -> MethodSpec:
-    """The nu = 3/2 method with alpha_7 moved so that the omega denominator
-    of step 7 is zero."""
-    base = nu_method(1.5)
-    omega = 0.0
-    for k in range(7):
-        omega = omega_next(base, k, omega)
-    alpha_7 = 1.0 - base.beta(7) * omega
-    spec = dataclasses.replace(
-        base, alpha=lambda k: alpha_7 if k == 7 else base.alpha(k))
-    with pytest.raises(NumericalDegeneracyError, match="k=7"):
-        omega_next(spec, 7, omega)
-    return spec
+    """The nu = 3/2 method by its recurrence, with alpha_7 moved so that
+    the omega denominator of step 7 is zero."""
+    alpha, beta = jacobi_recurrence(1.5)
+    omega_6 = recurrence_steps(alpha, beta)(6)[1][6] / 2.0
+    alpha_7 = 1.0 - beta(7) * omega_6
+    steps = recurrence_steps(lambda k: alpha_7 if k == 7 else alpha(k), beta)
+    return dataclasses.replace(NU_32, steps=steps)
 
 
 def _alpha_ends_at_7() -> MethodSpec:
-    """The nu = 3/2 method with ``alpha`` read from a table of steps 0..6,
-    so that asking for alpha_7 raises IndexError."""
-    base = nu_method(1.5)
-    table = [base.alpha(k) for k in range(7)]
-    return dataclasses.replace(base, alpha=table.__getitem__)
+    """The nu = 3/2 method by its recurrence, with ``alpha`` read from a
+    table of steps 0..6, so that asking for alpha_7 raises IndexError."""
+    alpha, beta = jacobi_recurrence(1.5)
+    table = [alpha(k) for k in range(7)]
+    return dataclasses.replace(NU_32, steps=recurrence_steps(table.__getitem__, beta))
 
 
 @pytest.mark.parametrize("make_spec, error, match", [
@@ -174,6 +224,9 @@ def _alpha_ends_at_7() -> MethodSpec:
 ])
 def test_degenerate_step_raises_only_when_asked_for(make_spec, error, match):
     spec = make_spec()
+    assert len(spec.steps(6)[0]) == 7
+    with pytest.raises(error, match=match):
+        spec.steps(7)
     op = DiagonalOperator([0.9, 0.5, 0.1])
     rhs = CoeffVec([1.0, 1.0, 1.0])
     state = init_state(op, rhs, spec)
@@ -181,37 +234,40 @@ def test_degenerate_step_raises_only_when_asked_for(make_spec, error, match):
         state = step(state, op, rhs, spec)
     with pytest.raises(error, match=match):
         step(state, op, rhs, spec)
-    # the support kernel reads the same table
+    # a level of the support kernel asks for its coefficients before its
+    # first step, so a level of 7 steps raises before it makes any
     kernel = driver._SupportKernel(assemble(get_problem("p1").fresh_source(), 3),
                                    HeldData(np.ones(64)), [], 10 ** 6)
-    steps = kernel.iterates(spec, 7)
-    assert len(list(itertools.islice(steps, 6))) == 6
+    assert len(list(kernel.iterates(spec, 6))) == 6
     with pytest.raises(error, match=match):
-        next(steps)
-    # a run whose levels all stop before step 7 never meets it
-    p = driver.RunParams(delta=2.0 ** -4, tau=5.0, noise_dim=2 ** 14)
+        next(kernel.iterates(spec, 7))
+    assert len(kernel.residuals) == 6
+    # a run whose levels all ask for fewer coefficients never meets it: at
+    # delta 2^-3 the first level's budget is 1, at 2^-4 it is 7
+    p = driver.RunParams(delta=2.0 ** -3, tau=5.0, noise_dim=2 ** 14)
     report = driver.run_discrepancy(get_problem("p1"), spec, p)
-    assert len(report.residual_norms) < 7
+    assert max(report.budgets) < 7
     with pytest.raises(error, match=match):
         driver.run_discrepancy(get_problem("p1"), spec,
-                               dataclasses.replace(p, tau=2.5))
+                               dataclasses.replace(p, delta=2.0 ** -4))
 
 
-def test_alpha_is_evaluated_once_per_step_across_levels():
-    base = nu_method(1.5)
-    calls = collections.Counter()
+def test_a_level_asks_for_its_coefficients_once():
+    calls = []
 
-    def alpha(k):
-        calls[k] += 1
-        return base.alpha(k)
+    def steps(m):
+        calls.append(m)
+        return NU_32.steps(m)
 
-    spec = dataclasses.replace(base, alpha=alpha)
+    spec = dataclasses.replace(NU_32, steps=steps)
     p = driver.RunParams(delta=2.0 ** -8, tau=2.5, noise_dim=2 ** 14)
     report = driver.run_balancing(get_problem("p1"), spec, p)
     assert len(report.levels) > 1
-    # the table grows to the last step asked for and no further
-    assert calls.keys() == set(range(max(report.budgets) + p.k_sec + 1))
-    assert max(calls.values()) == 1
+    # one call per level that steps, for its K_n + k_sec entries
+    assert calls == [k_n + p.k_sec for k_n in report.budgets if k_n >= 1]
+    calls.clear()
+    report = driver.run_discrepancy(get_problem("p1"), spec, p)
+    assert calls == [k_n for k_n in report.budgets if k_n >= 1]
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +286,7 @@ def test_init_state_identity_example():
     op = DiagonalOperator([1.0])
     state = init_state(op, CoeffVec([1.0]), NU_HALF)
     assert state.x_curr.coeffs[0] == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert state.omega == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert state.x_curr.coeffs[0] == NU_HALF.steps(0)[1][0]  # 2 omega_0 f
 
 
 def test_init_state_dimension_mismatch():
@@ -418,8 +474,10 @@ def test_filter_at_zero_is_exact(nu, k):
 
 
 def test_polynomials_at_zero_take_the_first_step_exactly():
-    for spec in (NU_HALF, NU_ONE, NU_32, nu_method(0.25)):
-        assert filter_value(spec, 1, 0.0) == 2.0 * omega_next(spec, 0, 0.0)
+    # g_1(0) = 2 omega_0 = (4 nu + 2)/(4 nu + 1), correctly rounded
+    for nu in (0.5, 1.0, 1.5, 0.25):
+        spec = nu_method(nu)
+        assert filter_value(spec, 1, 0.0) == (4.0 * nu + 2.0) / (4.0 * nu + 1.0)
         for k in (0, 1, 7, 50, 200):
             assert residual_value(spec, k, 0.0) == 1.0
 
@@ -452,8 +510,8 @@ def test_interface_admits_larger_kappa0_methods():
     # methods through evaluation and iteration unchanged
     dilated = MethodSpec(
         name="dilated",
-        alpha=lambda k: -0.5 if k == 0 else 0.0,
-        beta=lambda k: 0.55 if k == 1 else 0.25,
+        steps=recurrence_steps(lambda k: -0.5 if k == 0 else 0.0,
+                               lambda k: 0.55 if k == 1 else 0.25),
         kappa0=1.5,
         kappa2=2.0,
         kappa_mu=lambda mu: 2.0,
