@@ -12,8 +12,8 @@ residual norm, and ``sol=`` over the hex of rel_error, abs_error, exact_norm
 and rhs_norm and the bytes of the dense solution. A change that moves only
 residual bits shows in ``res=`` alone.
 ``--noise-dim`` sets the dimension the noise and the error live in (default
-2^20); a length that is not a power of two, such as 1000003, exercises the
-error's pairwise split points away from the level windows.
+2^20); a length that is not a power of two, such as 1000003, cuts the last
+block of each sum of squares short, away from the level windows.
 
 Compare a change with its parent checkout (about 10 s per side):
 

@@ -303,8 +303,9 @@ class _SupportKernel:
     ones bit for bit), and the residual norm is
     sqrt(||A_RC x - f_R||^2 + off2), where off2 = sum over i not in R of
     f_i^2 is streamed from the off-R entries by ``NoisyData.window`` (not
-    as ||f||^2 - ||f_R||^2, which cancels) in numpy's pairwise order: a
-    BLAS dot product of that length rounds differently with its threads.
+    as ||f||^2 - ||f_R||^2, which cancels) in the block order of
+    ``problems._block_sumsq``: a BLAS dot product of that length rounds
+    differently with its threads.
 
     A level asks ``spec.steps(m)`` for its step coefficients once, before
     its first step; a step advances through ``methods._advance`` with its

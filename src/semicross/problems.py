@@ -39,9 +39,18 @@ vanish for p1 (symmetry about t = 1/2), odd-k ones for p2 (antisymmetry);
 the closed forms are evaluated on the nonzero parity only, over any index
 range (``Problem.coeff_range``).
 
+Sums of squares. The noise norm, a window's data off its rows, the closed
+forms' norms and the error are each the ``_block_sumsq`` order's: np.sum
+over leaves of at most 2^13 entries, added in order within the blocks
+[0, b), [b, 2b), [2b, 4b), ..., and math.fsum over the blocks; b is 2^13
+for the noise and 128 for the closed forms, so that the error evaluates x†
+on the blocks that hold the support alone. The bits depend on the values,
+that order and np.sum's summation of a leaf, which numpy does not pick
+per CPU.
+
 Kept values. What a process keeps between runs lives here, each value
 behind a bounded cache reset by ``cache_clear()``: the noise norm per (seed,
-dim), each closed form's ``_pairwise_sumsq`` per (problem, rhs, dim), and,
+dim), each closed form's block sums per (problem, rhs, dim), and,
 read-only in ``_windows`` (at most 1 MiB, oldest out first), each level
 window of a run's data per (problem, noise_dim, delta, seed, dim, rows).
 A serial ``cli.run_grid`` draws noise norms in threads and in the calling
@@ -112,65 +121,60 @@ _FORMS = {("p1", False): (5, -3.0 * _SQRT2 * 2.0), ("p1", True): (7, 3.0 * _SQRT
 
 def _closed_form(pid: str, kk: np.ndarray, power: int, factor: float) -> np.ndarray:
     """factor (72 a^2 - 720)/a^power (p1) or factor cos(pi k / 2)/a^power
-    (p2) at a = pi k, one in-place pass per operation in the written order."""
+    (p2) at a = pi k, one pass per operation in the written order; the odd
+    power is a (a^2) (a^2) ..., multiplied from the left, whose bits numpy
+    does not pick per CPU as it does for np.power's."""
     a = kk * np.pi
+    a2 = a * a
     if pid == "p1":
-        v = np.square(a)
-        v *= 72.0
+        v = a2 * 72.0
         v -= 720.0
     else:
         v = _cos_half_pi(kk)
     v *= factor
-    v /= np.power(a, power, out=a)
+    for _ in range(power // 2):
+        a *= a2
+    v /= a
     return v
 
 
 #: leaves of at most 2^13 float64 entries (64 KiB) stay below glibc's
 #: default mmap threshold of 128 KiB, so a streamed sum faults no fresh pages
 _LEAF = 2 ** 13
+#: the first block of the closed forms' sums: the error evaluates x† only on
+#: the blocks that hold the support, 2^n columns at level n
+_HEAD = 128
 
 
-def _pairwise_sumsq(n: int, leaf, nonzero: float = math.inf, chain_to: int = 128):
-    """np.sum(v * v) of a float64 array v of length ``n`` that is never
-    held: ``leaf(lo, hi)`` returns v[lo:hi] and is called on consecutive
-    segments of at most ``_LEAF`` entries in ascending order; v[nonzero:] is
-    zero, and no subtree that starts there is asked for (each adds +0.0).
+def _block_sumsq(n: int, leaf, first: int = _LEAF) -> list:
+    """The block sums of squares of a float64 array v of length ``n`` that
+    is never held: ``leaf(lo, hi)`` returns v[lo:hi] and is called on
+    consecutive segments of at most ``_LEAF`` entries in ascending order.
 
-    Above 128 entries numpy sums a contiguous float64 array as
-    ``sum(a[:m]) + sum(a[m:n])`` with m = n//2 rounded down to a multiple of
-    8 (pairwise summation). The segments follow that tree, so the total is
-    the same float. Returns ``(total, chain)`` where the chain ((m_1, s_1),
-    (m_2, s_2), ...) walks the leftmost path of the tree, outermost first,
-    down to ``chain_to`` entries: s_i is the sum over [m_i, m_{i-1}) (m_0 =
-    n), and np.sum(v * v) is np.sum(v[:m_j] ** 2) + s_j + ... + s_1, added
-    in that order.
+    The blocks are [0, b), [b, 2b), [2b, 4b), ... with b = ``first``, cut at
+    n, and each is cut into leaves of ``_LEAF`` entries from its start. A
+    block's sum is 0.0 plus the np.sum(w * w) of each of its leaves w, in
+    order. The sum of squares of v is the math.fsum of the block sums.
     """
-    chain = []
-
-    def part(lo: int, hi: int):
-        if lo >= nonzero:
-            return 0.0
-        if hi - lo > _LEAF or (lo == 0 and hi > chain_to):
-            mid = lo + (hi - lo) // 2 - (hi - lo) // 2 % 8
-            head, tail = part(lo, mid), part(mid, hi)
-            if lo == 0:
-                chain.append((mid, tail))
-            return head + tail
-        v = leaf(lo, hi)
-        return np.sum(v * v)
-
-    total = part(0, n)
-    del part  # the recursive closure is a cycle that would keep ``leaf``
-    return total, tuple(reversed(chain))
+    sums, lo, hi = [], 0, min(first, n)
+    while lo < n:
+        s = 0.0
+        for at in range(lo, hi, _LEAF):
+            w = leaf(at, min(at + _LEAF, hi))
+            s += np.sum(w * w)
+        sums.append(s)
+        lo, hi = hi, min(2 * hi, n)
+    return sums
 
 
 @functools.lru_cache(maxsize=1024)
-def _noise_norm(seed: int, dim: int) -> np.float64:
-    """||g|| of the noise draw of ``seed`` at ``dim``, streamed from a
-    generator of its own; floats only, so the bound is generous: it covers
-    every noise realization of a large sweep."""
+def _noise_norm(seed: int, dim: int) -> float:
+    """||g|| of the noise draw of ``seed`` at ``dim``, streamed in the
+    leaves of ``_block_sumsq`` from a generator of its own; floats only, so
+    the bound is generous: it covers every noise realization of a large
+    sweep."""
     draw = np.random.default_rng(seed).standard_normal
-    g_norm = np.sqrt(_pairwise_sumsq(dim, lambda lo, hi: draw(hi - lo))[0])
+    g_norm = math.sqrt(math.fsum(_block_sumsq(dim, lambda lo, hi: draw(hi - lo))))
     if g_norm == 0.0:  # pragma: no cover - essentially impossible
         raise ArithmeticError("degenerate noise draw")
     return g_norm
@@ -201,11 +205,11 @@ class NoisyData:
     nothing of f is held past it. The norm of g depends only on (seed,
     dim), so it is kept per process (``_noise_norm``). Of the draw only the
     seed is kept: each window is drawn again from it, in chunks of at most
-    |rows| + ``_LEAF`` coefficients (chunked draws concatenate to the
-    single draw). Given a ``key``, as ``_noisy_data`` passes (problem, dim,
-    delta, seed), windows are kept read-only in ``_windows`` (at most
-    1 MiB) under it, their dim and rows, so runs on the same data draw each
-    window once per process.
+    ``_LEAF`` coefficients (chunked draws concatenate to the single draw).
+    Given a ``key``, as ``_noisy_data`` passes (problem, dim, delta, seed),
+    windows are kept read-only in ``_windows`` (at most 1 MiB) under it,
+    their dim and rows, so runs on the same data draw each window once per
+    process.
     """
 
     def __init__(self, rhs, dim: int, delta: float, seed: int, key=None):
@@ -217,9 +221,10 @@ class NoisyData:
 
     def window(self, dim: int, rows: np.ndarray):
         """``(f_delta[rows], off2)`` on coefficients 1..dim, zero past
-        ``self.dim``, at the sorted 0-based ``rows``; off2 is the float
-        np.sum(np.delete(f_delta, rows) ** 2). Drawn in ascending chunks, each
-        ending with a leaf of ``_pairwise_sumsq`` over the off-row entries."""
+        ``self.dim``, at the sorted 0-based ``rows``; off2 is the
+        ``_block_sumsq`` sum of squares of f_delta over coefficients
+        1..min(dim, self.dim) with the entries at rows set to zero. Drawn
+        in its leaves, in ascending order."""
         key = self.key and (self.key, dim, rows.size, rows.tobytes())
         if key in _windows:
             return _windows[key][0]
@@ -230,29 +235,19 @@ class NoisyData:
         return out, off2
 
     def _draw(self, dim: int, rows: np.ndarray):
-        rng, live, pos = np.random.default_rng(self.seed), min(dim, self.dim), 0
-        out = np.zeros(rows.size)
-        before = rows - np.arange(rows.size)  # off-row entries before each row
+        rng, out = np.random.default_rng(self.seed), np.zeros(rows.size)
 
-        def draw(end: int) -> np.ndarray:
-            # coefficients pos+1..end less those at rows, which go to out
-            nonlocal pos
-            lo, pos, stop = pos, end, min(end, live)
-            v = np.zeros(end - lo)
-            np.multiply(rng.standard_normal(stop - lo), self.scale, out=v[:stop - lo])
-            v[:stop - lo] += self.rhs(lo, stop)
-            i, j = rows.searchsorted((lo, end))
+        def leaf(lo: int, hi: int) -> np.ndarray:
+            # coefficients lo+1..hi; those at rows go to out and are zeroed
+            v = rng.standard_normal(hi - lo)
+            v *= self.scale
+            v += self.rhs(lo, hi)
+            i, j = rows.searchsorted((lo, hi))
             out[i:j] = v[rows[i:j] - lo]
-            return np.delete(v, rows[i:j] - lo) if i < j else v
+            v[rows[i:j] - lo] = 0.0
+            return v
 
-        # off-row entry k is coefficient k + (rows before it) + 1
-        off2, _ = _pairwise_sumsq(
-            dim - rows.size,
-            lambda lo, hi: draw(hi + int(before.searchsorted(hi - 1, "right"))),
-            nonzero=live - int(rows.searchsorted(live)), chain_to=_LEAF)
-        if pos < live:  # the rows past the last off-row entry drawn
-            draw(live)
-        return out, float(off2)
+        return out, math.fsum(_block_sumsq(min(dim, self.dim), leaf))
 
 
 def perturb(f: CoeffVec, delta: float, seed: int) -> CoeffVec:
@@ -330,16 +325,16 @@ def get_problem(pid: str, scaled: bool = True,
 
 
 @functools.lru_cache(maxsize=64)
-def _sumsq(problem: Problem, rhs: bool, dim: int):
-    """``_pairwise_sumsq`` of coefficients 1..dim of the right-hand side or
-    exact solution: their sum of squares and its chain, kept as floats."""
-    return _pairwise_sumsq(dim, functools.partial(problem.coeff_range, rhs=rhs))
+def _sumsq(problem: Problem, rhs: bool, dim: int) -> tuple:
+    """The ``_block_sumsq`` block sums of coefficients 1..dim of the
+    right-hand side or exact solution, first block ``_HEAD``, kept as floats."""
+    return tuple(_block_sumsq(dim, functools.partial(problem.coeff_range, rhs=rhs), _HEAD))
 
 
 def _noisy_data(problem: Problem, dim: int, delta: float, seed: int):
     """A run's ``NoisyData`` at ``dim``, evaluating the right-hand side's
-    closed form per drawn chunk, and ||f|| from its kept sum of squares."""
-    f_norm = float(np.sqrt(_sumsq(problem, True, dim)[0]))
+    closed form per drawn chunk, and ||f|| from its kept block sums."""
+    f_norm = math.sqrt(math.fsum(_sumsq(problem, True, dim)))
     rhs = functools.partial(problem.coeff_range, rhs=True)
     return NoisyData(rhs, dim, delta, seed, (problem, dim, delta, seed)), f_norm
 
@@ -347,19 +342,15 @@ def _noisy_data(problem: Problem, dim: int, delta: float, seed: int):
 def _error_norms(problem: Problem, cols: np.ndarray, x: np.ndarray, dim: int):
     """(||x - x†||, ||x†||) over coefficients 1..dim of the exact solution
     x†, where x holds the values at the sorted 0-based ``cols`` and is zero
-    elsewhere: the floats of the np.sum norms of the full-length arrays.
-    Past cols the difference is -x†, so the squares are summed on the
-    smallest split of the ``_pairwise_sumsq`` chain of x† at ``dim`` that
-    holds cols, and the kept tail sums beyond it are added innermost first;
-    only that head of x† is evaluated, and none is kept."""
-    total, tails = _sumsq(problem, False, dim)
-    last = int(cols.max(initial=-1))  # cols is empty on a zero operator
-    kept = [(m, s) for m, s in tails if m > last]
+    elsewhere: the square roots of the ``_block_sumsq`` sums (first block
+    ``_HEAD``) of the full-length arrays. Past the block that holds the last
+    of cols the difference is -x†, whose block sums ``_sumsq`` keeps, so x†
+    is evaluated only on the blocks up to it, and none of it is kept."""
+    sums = _sumsq(problem, False, dim)
+    # blocks end at _HEAD 2^i; cols is empty on a zero operator
+    head = (int(cols.max(initial=0)) // _HEAD).bit_length() + 1
+    diff = problem.coeff_range(0, min(_HEAD << head - 1, dim), rhs=False)
     # x† - x squares to the bits of x - x†, and x† - 0.0 is x† off cols
-    diff = problem.coeff_range(0, kept[-1][0] if kept else dim, rhs=False)
     diff[cols] -= x
-    diff *= diff
-    sq = np.sum(diff)
-    for _, s in reversed(kept):
-        sq += s
-    return float(np.sqrt(sq)), float(np.sqrt(total))
+    err = _block_sumsq(diff.size, lambda lo, hi: diff[lo:hi], _HEAD)
+    return math.sqrt(math.fsum([*err, *sums[head:]])), math.sqrt(math.fsum(sums))

@@ -1,5 +1,6 @@
 """Shared test fixtures: tiny operators and reference oracles."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -31,9 +32,25 @@ def entry_positions(op):
 
 
 def norm(v: CoeffVec) -> float:
-    """The coefficient-space norm sqrt((v, v)), summed pairwise as
-    ``np.sum`` sums, which is how the drivers sum their error norms."""
+    """The coefficient-space norm sqrt((v, v)), summed by one ``np.sum``."""
     return float(np.sqrt(np.sum(v.coeffs * v.coeffs)))
+
+
+def block_sumsq(v: np.ndarray, first: int) -> float:
+    """Oracle: the sum of squares of the whole array ``v`` in the block
+    order of ``problems._block_sumsq``. The blocks are [0, b), [b, 2b),
+    [2b, 4b), ... with b = ``first``, cut at v.size; each block's sum is
+    0.0 plus np.sum(w * w) of its leaves w, the pieces of at most 2^13
+    entries from its start, in order; the total is math.fsum of the
+    block sums."""
+    ends = [min(first << i, v.size) for i in range(((v.size - 1) // first).bit_length() + 1)]
+    sums = []
+    for block in np.split(v, ends[:-1]):
+        s = 0.0
+        for w in np.split(block, range(2 ** 13, block.size, 2 ** 13)):
+            s += np.sum(w * w)
+        sums.append(s)
+    return math.fsum(sums)
 
 
 #: run parameters at the edges of what ``RunParams`` takes: delta, rho and

@@ -30,7 +30,7 @@ from semicross.problems import get_problem, green_operator, perturb
 from semicross.stopping import BalancingWindow, balancing_stop_index
 
 from helpers import (EDGE_RUNS, BandSource, BlockSource, HeldData, SwapSource,
-                     entry_positions, norm)
+                     block_sumsq, entry_positions, norm)
 
 TAU_REF = 1.01 + math.sqrt(13.0 / 8.0)
 NU32 = nu_method(1.5)
@@ -394,14 +394,15 @@ def _counted_ranges(monkeypatch) -> list:
 
 
 def _support_split(problem, report, noise_dim) -> int:
-    """The head of the exact solution a run's error reads: the smallest split
-    of its ``_pairwise_sumsq`` chain that holds the final level's support
-    columns."""
+    """The head of the exact solution a run's error reads: its blocks
+    [0, 128), [128, 256), [256, 512), ... up to the one that holds the last
+    of the final level's support columns, cut at the error's length."""
     cols = assemble(problem.fresh_source(), report.final_level).block()[1]
     dim = max(report.solution.dim, noise_dim)
-    splits = [m for m, _ in problems._sumsq(problem, False, dim)[1]
-              if m > cols[-1]]
-    return splits[-1] if splits else dim
+    end = problems._HEAD
+    while end <= cols[-1]:
+        end *= 2
+    return min(end, dim)
 
 
 def _assert_evaluated_once(calls, problem, noise_dim, reports):
@@ -495,9 +496,10 @@ def test_each_seed_is_drawn_in_full_once_per_process(monkeypatch):
 
 
 def test_abs_error_is_the_norm_of_the_difference():
-    # 10_003 is no power of two, so the error's pairwise head is not the
-    # window; at 3000 the level-7 window outgrows noise_dim and the error is
-    # summed over the window alone
+    # the norms are those of the full-length arrays in the block order;
+    # 10_003 is no power of two, so the error's last block is cut short; at
+    # 3000 the level-7 window outgrows noise_dim and the error is summed
+    # over the window alone
     for noise_dim in (2 ** 14, 10_003, 3000):
         dims = []
         for runner, pid, e in ((run_discrepancy, "p1", 5),
@@ -506,8 +508,10 @@ def test_abs_error_is_the_norm_of_the_difference():
             problem = get_problem(pid)
             r = runner(problem, NU32, params(2.0 ** -e, seed=e, noise_dim=noise_dim))
             exact = problem.exact(max(r.solution.dim, noise_dim))
-            assert r.abs_error == norm(CoeffVec(r.solution.dense()) - exact)
-            assert r.rel_error == r.abs_error / norm(exact)
+            diff = (CoeffVec(r.solution.dense()) - exact).coeffs
+            assert r.abs_error == math.sqrt(block_sumsq(diff, problems._HEAD))
+            assert r.rel_error == r.abs_error / math.sqrt(
+                block_sumsq(exact.coeffs, problems._HEAD))
             dims.append(r.solution.dim)
         assert min(dims) < noise_dim
     assert max(dims) > 3000
@@ -515,28 +519,29 @@ def test_abs_error_is_the_norm_of_the_difference():
 
 @pytest.mark.parametrize("n", [2 ** 20, 2 ** 18 + 3, 999_999, 1000, 129, 7])
 def test_window_sum_with_tail_sums_is_numpys_full_sum(n):
-    # pins numpy's pairwise split rule: the streamed sum of squares is np.sum
-    # of the full squares, and the error norms, summed on the smallest split
-    # that holds the iterate plus the chain's tail sums, are the np.sum
-    # norms over the full length, bit for bit
+    # pins the block order: the streamed sum of squares is, for either first
+    # block, that of the full array, and the error norms, summed on the
+    # blocks that hold the iterate plus the kept block sums past them, are
+    # the norms of the full-length arrays, bit for bit
     rng = np.random.default_rng(n)
     v = rng.standard_normal(n) * rng.uniform(0.0, 1e3, n)
-    segments = []
+    for first in (problems._HEAD, problems._LEAF):
+        segments = []
 
-    def leaf(lo, hi):
-        segments.append((lo, hi))
-        return v[lo:hi]
+        def leaf(lo, hi):
+            segments.append((lo, hi))
+            return v[lo:hi]
 
-    total, _ = problems._pairwise_sumsq(n, leaf)
-    assert total.hex() == np.sum(v * v).hex()
-    # consecutive segments of at most 2^13 entries, in ascending order
-    assert [lo for lo, _ in segments] == [0] + [hi for _, hi in segments[:-1]]
-    assert segments[-1][1] == n
-    assert max(hi - lo for lo, hi in segments) <= 2 ** 13
+        total = math.fsum(problems._block_sumsq(n, leaf, first))
+        assert total.hex() == block_sumsq(v, first).hex()
+        # consecutive segments of at most 2^13 entries, in ascending order
+        assert [lo for lo, _ in segments] == [0] + [hi for _, hi in segments[:-1]]
+        assert segments[-1][1] == n
+        assert max(hi - lo for lo, hi in segments) <= 2 ** 13
     for pid in ("p1", "p2"):
         problem = get_problem(pid)
         exact = problem.exact(n).coeffs
-        exact_norm = np.sqrt(np.sum(exact * exact))
+        exact_norm = math.sqrt(block_sumsq(exact, problems._HEAD))
         for w in (1, 7, 256, 4096, 2 ** 16, n):
             if w > n:
                 continue
@@ -545,7 +550,7 @@ def test_window_sum_with_tail_sums_is_numpys_full_sum(n):
                 x = rng.standard_normal(cols.size)
                 diff = -exact
                 diff[cols] += x
-                full = np.sqrt(np.sum(diff * diff))
+                full = math.sqrt(block_sumsq(diff, problems._HEAD))
                 got = problems._error_norms(problem, cols, x, n)
                 assert (got[0].hex(), got[1].hex()) == (full.hex(), exact_norm.hex()), \
                     (pid, w, cols.size)
@@ -554,8 +559,8 @@ def test_window_sum_with_tail_sums_is_numpys_full_sum(n):
 def test_warm_run_reads_the_exact_solution_up_to_its_support_split(monkeypatch):
     # p2 at delta 2^-16 stops at level 10: a window of 2^20 coefficients
     # whose support columns are 1..2^10. Past them the error's difference is
-    # -x†, whose squares the kept tail sums hold, so a warm run evaluates x†
-    # on the smallest split of the chain at 2^20 that holds 2^10 entries
+    # -x†, whose squares the kept block sums hold, so a warm run evaluates x†
+    # on the blocks [0, 128), [128, 256), [256, 512), [512, 1024) alone
     problem, p = get_problem("p2"), params(2.0 ** -16, noise_dim=2 ** 20)
     cold = run_discrepancy(problem, NU32, p)
     real, calls = problems.Problem.coeff_range, []
@@ -688,7 +693,8 @@ print(r.levels, r.stop_index, h.hexdigest())
 def test_a_row_is_bit_identical_under_one_and_two_blas_threads():
     # the a1/p2/e13 row of the acceptance grid reaches level 9, where the
     # off-support data holds 2^18 entries: a BLAS dot product of that length
-    # rounds differently with its thread count, numpy's pairwise sum does not
+    # rounds differently with its thread count, the block order's np.sum
+    # leaves do not
     src = os.path.dirname(os.path.dirname(driver.__file__))
     out = {
         threads: subprocess.run(

@@ -1,6 +1,10 @@
 import functools
 import gc
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,8 +22,8 @@ from semicross.problems import (
     perturb,
 )
 
-from helpers import (BandSource, BlockSource, green_spectrum, monomial_sine_coeffs,
-                     norm, smoothness_envelope)
+from helpers import (BandSource, BlockSource, block_sumsq, green_spectrum,
+                     monomial_sine_coeffs, norm, smoothness_envelope)
 
 SQRT2 = math.sqrt(2.0)
 #: operator scaling pi^2 and the unit-norm factors 1/||f|| of the shipped pairs
@@ -153,17 +157,20 @@ def test_symmetry_kills_alternate_coefficients():
 
 
 def _full_index_coeffs(pid, dim, scaled, normalize, rhs):
-    """The closed forms evaluated at every k = 1..dim, zeros included."""
+    """The closed forms evaluated at every k = 1..dim, zeros included; each
+    odd power of a is a (a^2) (a^2) ..., multiplied from the left, as the
+    problems compute it."""
     kk = np.arange(1, dim + 1, dtype=np.int64)
     a = np.pi * kk.astype(float)
+    a2 = a * a
     sgn = np.where(kk % 2 == 0, 1.0, -1.0)
     cos = np.choose(kk % 4, [1.0, 0.0, -1.0, 0.0])
     if pid == "p1" and rhs:
-        v = -3.0 * SQRT2 * (1.0 - sgn) * (720.0 - 72.0 * a ** 2) / a ** 7
+        v = -3.0 * SQRT2 * (1.0 - sgn) * (720.0 - 72.0 * a2) / (a * a2 * a2 * a2)
     elif pid == "p1":
-        v = -3.0 * SQRT2 * (1.0 - sgn) * (72.0 * a ** 2 - 720.0) / a ** 5
+        v = -3.0 * SQRT2 * (1.0 - sgn) * (72.0 * a2 - 720.0) / (a * a2 * a2)
     elif rhs:
-        v = 2.0 * SQRT2 * cos / a ** 3
+        v = 2.0 * SQRT2 * cos / (a * a2)
     else:
         v = -2.0 * SQRT2 * cos / a
     if rhs and scaled:
@@ -305,28 +312,29 @@ def _window_rows(kind: str, dim: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("dim,noise_dim", [
-    (64, 2 ** 14),          # the off-row entries fit in one leaf
+    (64, 2 ** 14),          # the window fits in one leaf
     (5003, 2 ** 14),        # lengths that are no multiple of 8
     (4 ** 8, 2 ** 14),      # many leaves, the window inside noise_dim
-    (4 ** 7, 3000),         # many leaves past noise_dim
-    (4 ** 7, 8256),         # on the diagonal, the first zero starts a leaf
-    (4 ** 7, 8257),         # ... and there the last nonzero entry does
+    (4 ** 7, 3000),         # the window runs past noise_dim
+    (4 ** 7, 8256),         # a second leaf of 64 entries, cut at noise_dim
+    (4 ** 7, 8257),         # ... and of 65
     (3001, 3000),           # one entry past noise_dim
     (4 ** 10, 1_000_003),   # 2^20 coefficients, 48573 past noise_dim
 ])
 @pytest.mark.parametrize("kind", ["diagonal", "strided", "band", "block"])
 def test_window_is_the_pair_of_the_full_window(kind, dim, noise_dim, monkeypatch):
     # the streamed pair is, bit for bit, what the full window gives: its
-    # entries at the rows and np.sum of the squares of the rest. Each
-    # coefficient below noise_dim is drawn once, in ascending chunks of at
-    # most one leaf plus the rows among it, and none past noise_dim is
+    # entries at the rows and the block-order sum of squares of the window
+    # up to noise_dim with the rows zeroed. Each coefficient below noise_dim
+    # is drawn once, in ascending chunks of at most one leaf, and none past
+    # noise_dim is
     rows = _window_rows(kind, dim)
     assert rows.size and rows[-1] < dim
     f = get_problem("p1").rhs(noise_dim)
     g = np.random.default_rng(7).standard_normal(noise_dim)
     full = np.zeros(dim)
     live = min(dim, noise_dim)
-    full[:live] = (0.25 / np.sqrt(np.sum(g * g)) * g + f.coeffs)[:live]
+    full[:live] = (0.25 / math.sqrt(block_sumsq(g, problems._LEAF)) * g + f.coeffs)[:live]
     real, sizes = np.random.default_rng, []
 
     class CountingRng:
@@ -351,9 +359,10 @@ def test_window_is_the_pair_of_the_full_window(kind, dim, noise_dim, monkeypatch
     monkeypatch.undo()
     assert gc.collect() == 0  # no reference cycle keeps a chunk alive
     assert got.tobytes() == full[rows].tobytes()
-    assert off2.hex() == np.sum(np.delete(full, rows) ** 2).hex()
+    full[rows] = 0.0
+    assert off2.hex() == block_sumsq(full[:live], problems._LEAF).hex()
     assert sum(sizes) == live and min(sizes) > 0
-    assert max(sizes) <= problems._LEAF + rows.size
+    assert max(sizes) <= problems._LEAF
     assert peak < 4 * (problems._LEAF + rows.size) * 8, peak
 
 
@@ -363,9 +372,119 @@ def test_streamed_noise_norm_is_the_norm_of_the_full_draw(seed, dim):
     problems._noise_norm.cache_clear()
     data = NoisyData(lambda lo, hi: np.zeros(hi - lo), dim, 1.0, seed)
     g = np.random.default_rng(seed).standard_normal(dim)
-    g_norm = np.sqrt(np.sum(g * g))
+    g_norm = math.sqrt(block_sumsq(g, problems._LEAF))
     assert problems._noise_norm(seed, dim).hex() == g_norm.hex()
     assert data.scale.hex() == (1.0 / g_norm).hex()
+
+
+def _additions(n: int, first: int) -> int:
+    """The most rounded additions a square passes through in the block order
+    of ``problems._block_sumsq`` at length ``n`` and first block ``first``,
+    before the blocks' math.fsum: np.sum promises no order, so a leaf of m
+    squares is charged m - 1 additions, and a block of L leaves adds their
+    sums one after another to 0.0, L - 1 more (0.0 plus the first is exact)."""
+    d, lo, hi = 0, 0, min(first, n)
+    while lo < n:
+        leaves = -(-(hi - lo) // problems._LEAF)
+        d = max(d, min(hi - lo, problems._LEAF) - 1 + leaves - 1)
+        lo, hi = hi, min(2 * hi, n)
+    return d
+
+
+def _gamma(k: int) -> float:
+    u = 2.0 ** -53
+    return k * u / (1 - k * u)
+
+
+@pytest.mark.parametrize("dim", [7, 129, 3000, 1_000_003, 2 ** 20])
+def test_streamed_sums_are_within_their_error_bound_of_fsum(dim):
+    # A streamed sum S' adds the rounded squares t_i = fl(v_i^2) that
+    # F = math.fsum(v * v) adds exactly and rounds once, F = S (1 + e),
+    # |e| <= u = 2^-53, with S the exact sum of the t_i. A term passes
+    # through at most d = _additions(n, first) rounded additions before the
+    # blocks' math.fsum, which rounds their exact sum once, so
+    # S' = sum t_i (1 + theta_i), |theta_i| <= gamma_{d+1}, gamma_k =
+    # k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    # Algorithms, Lemma 3.1). The t_i are nonnegative, hence
+    # |S' - S| <= gamma_{d+1} S and
+    # |S' - F| <= (gamma_{d+1} + u) S <= gamma_{d+2} F / (1 - u) <= gamma_{d+3} F.
+    # A norm is the correctly rounded root of such a sum: sqrt(1 + x) lies
+    # within 1 +- |x|, and the two roots round once each, so a norm lies
+    # within (gamma_{d+3} + 4u) of fl(sqrt F).
+    u = 2.0 ** -53
+
+    def within(got, squares, first, root=False):
+        bound = _gamma(_additions(squares.size, first) + 3)
+        want = math.fsum(squares)
+        if root:
+            want, bound = math.sqrt(want), bound + 4 * u
+        assert abs(got - want) <= bound * want, (got, want, bound)
+
+    g = np.random.default_rng(dim).standard_normal(dim)
+    within(problems._noise_norm(dim, dim), g * g, problems._LEAF, root=True)
+    rows = np.arange(0, dim, 3)
+    for pid in PROBLEM_IDS:
+        problem = get_problem(pid)
+        for rhs in (True, False):
+            c = problem.coeff_range(0, dim, rhs)
+            within(math.fsum(problems._sumsq(problem, rhs, dim)), c * c, problems._HEAD)
+        f = problem.rhs(dim)
+        data = NoisyData(lambda lo, hi: f.coeffs[lo:hi], dim, 0.25, seed=dim)
+        off = perturb(f, 0.25, seed=dim).coeffs.copy()
+        off[rows] = 0.0
+        within(data.window(dim, rows)[1], off * off, problems._LEAF)
+        cols = np.arange(min(dim, 64))
+        x = np.random.default_rng(1).standard_normal(cols.size)
+        exact = problem.exact(dim).coeffs
+        diff = -exact
+        diff[cols] += x
+        error, exact_norm = problems._error_norms(problem, cols, x, dim)
+        within(error, diff * diff, problems._HEAD, root=True)
+        within(exact_norm, exact * exact, problems._HEAD, root=True)
+
+
+def _dispatched_features() -> list:
+    """The CPU features the running numpy picks code for at run time (its
+    baseline ones cannot be turned off)."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    return list(_multiarray_umath.__cpu_dispatch__)
+
+
+def _streamed_bits() -> list:
+    """Digests of the four closed forms, a noise norm, a window's off2 and
+    the error norms, at a dimension that is no power of two."""
+    dim, rows = 2 ** 16 + 3, np.arange(5, 2 ** 16, 7)
+    bits = []
+    for pid in PROBLEM_IDS:
+        problem = get_problem(pid)
+        bits += [problem.coeff_range(0, dim, rhs).tobytes() for rhs in (True, False)]
+        rhs = functools.partial(problem.coeff_range, rhs=True)
+        bits.append(np.float64(NoisyData(rhs, dim, 0.1, 5).window(dim, rows)[1]).tobytes())
+        x = np.random.default_rng(2).standard_normal(rows.size)
+        bits.append(np.array(problems._error_norms(problem, rows, x, dim)).tobytes())
+    bits.append(np.float64(problems._noise_norm(5, dim)).tobytes())
+    return [hashlib.sha256(b).hexdigest()[:16] for b in bits]
+
+
+def test_streamed_sums_do_not_depend_on_numpys_cpu_dispatch():
+    # numpy picks some loops per CPU (np.power took AVX-512 code at odd
+    # exponents); with every dispatched feature off, as on an older CPU, a
+    # new process computes the same bits
+    features = _dispatched_features()
+    if not features:
+        pytest.skip("this numpy dispatches no CPU features")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import test_problems as t; print(*t._streamed_bits(), sep='\\n')"],
+        check=True, capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=",".join(features),
+                 PYTHONPATH=os.pathsep.join(
+                     [os.path.join(os.path.dirname(tests), "src"), tests])))
+    assert out.stdout.split() == _streamed_bits()
 
 
 def test_kept_windows_stay_within_their_bound():
