@@ -307,12 +307,13 @@ class _SupportKernel:
     ``problems._block_sumsq``: a BLAS dot product of that length rounds
     differently with its threads.
 
-    A level asks ``spec.steps(m)`` for its step coefficients once, before
-    its first step; a step advances through ``methods._advance`` with its
-    entries and makes the two block products of ``op.block()``: one elementwise
-    multiply each when the block is diagonal (every level of the shipped
-    Green operator), a gather, scale and bincount otherwise, to the same
-    bits. Past those it makes only numpy calls and one ``math.sqrt``.
+    A level calls ``spec.steps()`` once and draws one pair of step
+    coefficients per step, none past its last; a step advances through
+    ``methods._advance`` with its pair and makes the two block products of
+    ``op.block()``: one elementwise multiply each when the block is diagonal
+    (every level of the shipped Green operator), a gather, scale and
+    bincount otherwise, to the same bits. Past those it makes only numpy
+    calls and one ``math.sqrt``.
     """
 
     def __init__(self, op, data: NoisyData, residuals: list, cap: int):
@@ -325,29 +326,31 @@ class _SupportKernel:
         """Yield (k, x_k restricted to C, ||A x_k - f||) for k = 1..m, each
         step computed only when it is asked for, into row k - 1 of
         ``window`` (m x |C|) if given; a yielded iterate is never written to
-        again. Each residual norm is appended to the run's ``residuals``; a
-        step past ``cap`` of them raises ``CapExceededError``, a non-finite
-        residual norm ``NumericalDegeneracyError``."""
+        again. Each residual norm is appended to the run's ``residuals``;
+        asking for a step past ``cap`` of them raises ``CapExceededError``,
+        a non-finite residual norm ``NumericalDegeneracyError``."""
         forward, adjoint, f, off2 = self.forward, self.adjoint, self.data, self.off2
-        residuals, cap = self.residuals, self.cap
+        residuals = self.residuals
+        last = min(m, self.cap - len(residuals))
         x = x_prev = np.zeros(self.cols.size)
         r = f
-        for k, (mu_k, two_omega_k) in enumerate(zip(*spec.steps(m))):
+        # the range first, so that no pair past step ``last`` is drawn
+        for k, (mu_k, two_omega_k) in zip(range(last + 1), spec.steps()):
             update = adjoint(r)
             out = None if window is None or not k else window[k - 1]
             x_prev, x = x, _advance(mu_k, two_omega_k, x, x_prev, update, out)
             r = forward(x)
             np.subtract(f, r, out=r)
             if k:
-                if len(residuals) >= cap:
-                    raise CapExceededError(
-                        "iterations", f"total iteration cap k_abs_max={cap} exceeded")
                 res = math.sqrt(float(r @ r) + off2)
                 if not math.isfinite(res):
                     raise NumericalDegeneracyError(
                         f"non-finite residual norm at level {self.level}, step {k}")
                 residuals.append(res)
                 yield k, x, res
+        if last < m:
+            raise CapExceededError(
+                "iterations", f"total iteration cap k_abs_max={self.cap} exceeded")
 
 
 def _diagnostics(spec: MethodSpec, p: RunParams, mu: float, levels) -> dict:
@@ -379,8 +382,9 @@ def _diagnostics(spec: MethodSpec, p: RunParams, mu: float, levels) -> dict:
 
 def _discrepancy_stop(kernel, k_n: int, p: RunParams, spec: MethodSpec):
     """First of the iterates 1..K_n whose residual norm is at most tau delta."""
+    bound = p.tau * p.delta
     for k, x, res in kernel.iterates(spec, k_n):
-        if res <= p.tau * p.delta:
+        if res <= bound:
             return k, x
     return None
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -38,11 +38,6 @@ from .coeffs import CoeffVec
 
 __all__ = ["MethodSpec", "IterState", "NumericalDegeneracyError", "nu_method",
            "init_state", "step", "residual_value", "residual_profile", "filter_value"]
-
-#: the entries of a nu-method's coefficients built with its spec (4 KiB);
-#: a level whose budget is below this reads them without building any
-_HEAD = 256
-
 
 class NumericalDegeneracyError(ArithmeticError):
     """A method's coefficients or a run's residual norm left the finite
@@ -53,14 +48,14 @@ class NumericalDegeneracyError(ArithmeticError):
 class MethodSpec:
     """A semiiterative method and its regularization constants.
 
-    ``steps(m)`` returns the step coefficients for k = 0..m as two float64
-    arrays of length m + 1, mu_k and 2 omega_k: step k, which makes x_k,
-    reads entry k of each (step 0 makes x_0 = 2 omega_0 A* f, where mu_0
-    multiplies a zero difference). Entries must not depend on m, and
-    the arrays may be read-only. A level of a run asks for all its entries
-    before its first step, so a ``steps`` that raises stops the level there.
-    For a monic recurrence P_{k+1}(x) = (x - alpha_k) P_k(x) - beta_k
-    P_{k-1}(x), P_0 = 1, P_1(x) = x - alpha_0, beta_k > 0, they are
+    ``steps(k=0)`` yields the step coefficients (mu_j, 2 omega_j) as
+    floats for j = k, k + 1, ...: step j, which makes x_j, reads pair j
+    (step 0 makes x_0 = 2 omega_0 A* f, where mu_0 multiplies a zero
+    difference). A pair must not depend on k. A level of a run draws one
+    pair per step and none past its last, so a ``steps`` that raises at
+    pair j stops the level at step j. For a monic recurrence P_{k+1}(x) =
+    (x - alpha_k) P_k(x) - beta_k P_{k-1}(x), P_0 = 1, P_1(x) = x -
+    alpha_0, beta_k > 0, they are
 
         omega_0 = 1/(1 - alpha_0),
         omega_k = 1/(1 - alpha_k - beta_k omega_{k-1}),   k >= 1,
@@ -74,7 +69,7 @@ class MethodSpec:
     """
 
     name: str
-    steps: Callable[[int], tuple]
+    steps: Callable[..., Iterator[tuple[float, float]]]
     kappa0: float
     kappa2: float
     kappa_mu: Callable[[float], float]
@@ -95,20 +90,6 @@ class IterState:
     x_prev: CoeffVec
 
 
-def _nu_steps(nu: float, m: int):
-    """mu_k and 2 omega_k of the nu-method for k = 0..m, each the quotient
-    of two products of factors; the products are exact for 4 nu an integer
-    and k up to about 30,000, so each entry is then correctly rounded."""
-    k = np.arange(m + 1, dtype=float)
-    odd = 2.0 * k + (2.0 * nu + 1.0)  # 2k + 2 nu + 1
-    den = (k + 2.0 * nu) * (2.0 * k + (4.0 * nu + 1.0))
-    two_omega = 4.0 * odd * (k + nu) / den
-    num = (2.0 * k - 1.0) * k * odd
-    den *= odd - 2.0
-    # mu_0 = 0, where the product is 0/0 at nu = 1/2
-    return np.divide(num, den, out=np.zeros(m + 1), where=k > 0), two_omega
-
-
 def nu_method(nu: float) -> MethodSpec:
     """The nu-method: monic Jacobi polynomials with parameters
     (2 nu - 1/2, -1/2), with the step coefficients in product form (Engl,
@@ -119,9 +100,10 @@ def nu_method(nu: float) -> MethodSpec:
         mu_k = k (2k - 1)(2k + 2nu + 1)
                / ((k + 2nu)(2k + 4nu + 1)(2k + 2nu - 1)),   mu_0 = 0,
 
-    so 2 omega_0 = (4 nu + 2)/(4 nu + 1). The spec holds entries 0..255,
-    read-only, and ``steps(m)`` returns views of them for m < 256; a larger
-    m builds its arrays on the call, and nothing of them is kept.
+    so 2 omega_0 = (4 nu + 2)/(4 nu + 1). ``steps(k)`` computes each pair
+    as it is drawn, from a float counter, with no table and no cache: the
+    two products of factors are exact for 4 nu an integer and k up to about
+    30,000, so each entry is then correctly rounded.
 
     Constants: kappa0 = 1; kappa_mu is the constant max(1, (2 nu)!) with the
     factorial read as Gamma(2 nu + 1) for non-integer 2 nu; qualification
@@ -131,14 +113,18 @@ def nu_method(nu: float) -> MethodSpec:
     # to -1/2; nu <= 85: Gamma(2 nu + 1) stays a float
     if not (2.0 * nu - 0.5 > -0.5 and nu <= 85.0):
         raise ValueError(f"nu must lie in (0, 85] with 2 nu - 1/2 > -1/2, got {nu}")
-    head = _nu_steps(nu, _HEAD - 1)
-    for part in head:
-        part.flags.writeable = False
+    two_nu, c_odd, c_den = 2.0 * nu, 2.0 * nu + 1.0, 4.0 * nu + 1.0
 
-    def steps(m: int):
-        if m < _HEAD:
-            return head[0][:m + 1], head[1][:m + 1]
-        return _nu_steps(nu, m)
+    def steps(k: int = 0):
+        k = float(k)
+        while True:
+            two_k = k + k
+            odd = two_k + c_odd  # 2k + 2 nu + 1
+            den = (k + two_nu) * (two_k + c_den)
+            # mu_0 = 0, where the product is 0/0 at nu = 1/2
+            mu = (two_k - 1.0) * k * odd / (den * (odd - 2.0)) if k else 0.0
+            yield mu, 4.0 * odd * (k + nu) / den
+            k += 1.0
 
     kap = max(1.0, math.gamma(2.0 * nu + 1.0))
     return MethodSpec(name=f"nu-{nu:g}", steps=steps, kappa0=1.0, kappa2=kap,
@@ -170,8 +156,8 @@ def init_state(op, rhs: CoeffVec, spec: MethodSpec) -> IterState:
             f"rhs dimension {rhs.dim} exceeds operator dimension {op.dim}"
         )
     zero = CoeffVec.zeros(op.dim)
-    mu, two_omega = spec.steps(0)
-    x0 = _advance(mu[0], two_omega[0], zero.coeffs, zero.coeffs,
+    mu_0, two_omega_0 = next(spec.steps(0))
+    x0 = _advance(mu_0, two_omega_0, zero.coeffs, zero.coeffs,
                   np.array(op.apply_adjoint(rhs).coeffs))
     return IterState(k=0, x_curr=CoeffVec._wrap(x0), x_prev=zero)
 
@@ -182,13 +168,15 @@ def step(state: IterState, op, rhs: CoeffVec, spec: MethodSpec,
 
     ``ax_curr`` may pass a precomputed A x_curr (a caller that took the
     residual of the previous iterate has it); omitted, it is recomputed.
+    The step draws its one pair of coefficients, ``next(spec.steps(k))``,
+    so a call costs the same at every k.
     """
     if ax_curr is None:
         ax_curr = op.apply(state.x_curr)
     update = op.apply_adjoint(rhs - ax_curr)
     k = state.k + 1
-    mu, two_omega = spec.steps(k)
-    x_new = _advance(mu[k], two_omega[k], state.x_curr.coeffs,
+    mu_k, two_omega_k = next(spec.steps(k))
+    x_new = _advance(mu_k, two_omega_k, state.x_curr.coeffs,
                      state.x_prev.coeffs, np.array(update.coeffs))
     return IterState(k=k, x_curr=CoeffVec._wrap(x_new), x_prev=state.x_curr)
 
@@ -207,7 +195,7 @@ def _stepped(spec: MethodSpec, k_max: int, lam, filter_: bool):
         raise ValueError("lam must lie in [0, 1]")
     p_prev = p = np.full_like(lam, 0.0 if filter_ else 1.0)
     yield p
-    for mu_k, two_omega_k in zip(*spec.steps(k_max - 1)) if k_max else ():
+    for _, (mu_k, two_omega_k) in zip(range(k_max), spec.steps()):
         update = 1.0 - lam * p if filter_ else -lam * p
         p_prev, p = p, _advance(mu_k, two_omega_k, p, p_prev, update)
         yield p

@@ -1,5 +1,6 @@
 """Shared test fixtures: tiny operators and reference oracles."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -138,22 +139,22 @@ def recurrence_steps(alpha, beta):
         mu_k = (1 - alpha_k) omega_k - 1,
 
     run in the number type that ``alpha`` and ``beta`` return (fractions
-    give exact values, rounded once into the float64 arrays). A denominator
-    below 1e-14 in size raises ``NumericalDegeneracyError`` naming its k;
-    ``alpha`` and ``beta`` run once per k of each call."""
+    give exact values, rounded once into the floats yielded). ``steps(k)``
+    runs the recursion from 0 and yields the pairs from k on; a denominator
+    below 1e-14 in size raises ``NumericalDegeneracyError`` when its pair
+    is drawn. ``alpha`` and ``beta`` run once per pair drawn or skipped."""
 
-    def steps(m: int):
-        mu, two_omega, omega = [], [], 0
-        for k in range(m + 1):
-            alpha_k = alpha(k)
-            den = 1 - alpha_k if k == 0 else 1 - alpha_k - beta(k) * omega
+    def steps(k: int = 0):
+        omega = 0
+        for j in itertools.count():
+            alpha_j = alpha(j)
+            den = 1 - alpha_j if j == 0 else 1 - alpha_j - beta(j) * omega
             if abs(den) < 1e-14:
                 raise NumericalDegeneracyError(
-                    f"omega recursion denominator {float(den):.3e} at k={k}")
+                    f"omega recursion denominator {float(den):.3e} at k={j}")
             omega = 1 / den
-            mu.append((1 - alpha_k) * omega - 1)
-            two_omega.append(2 * omega)
-        return np.array(mu, dtype=float), np.array(two_omega, dtype=float)
+            if j >= k:
+                yield float((1 - alpha_j) * omega - 1), float(2 * omega)
 
     return steps
 

@@ -614,6 +614,25 @@ def test_warm_run_holds_nothing_of_window_length():
     assert peak < 2 ** 20, peak
 
 
+def test_a_level_at_the_iteration_cap_that_stops_early_holds_no_coefficients():
+    # at rho = 1e-9 the first level's budget of 7,575,757 passes the cap, so
+    # the level may step 1,000,001 times, whose coefficients would take 8 MiB
+    # per array; it stops at step 1 and draws two pairs of them
+    p = params(2.0 ** -4, rho=1e-9, tau=5.0)
+    problem = get_problem("p1")
+    cold = run_discrepancy(problem, NU32, p)
+    assert (cold.budgets, cold.stop_index) == ((7_575_757,), 1)
+    assert max_iter_count(cold.final_level, p) > p.k_abs_max
+    tracemalloc.start()
+    try:
+        warm = run_discrepancy(problem, NU32, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_report(cold, warm)
+    assert peak < 2 ** 20, peak
+
+
 def test_a_level_10_run_holds_nothing_of_window_length():
     # p2 at delta 2^-15 runs levels 7-10, up to a 2^20-coefficient window
     # (8 MiB as one array): cold, with nothing kept, and warm, drawing its
@@ -858,10 +877,9 @@ def _product_reference(op, data, spec, m):
     off2 = float(np.sum(off * off))
     x = x_prev = np.zeros(cols.size)
     r = f
-    mu, two_omega = spec.steps(m)
-    for k in range(m + 1):
+    for k, (mu_k, two_omega_k) in zip(range(m + 1), spec.steps()):
         update = _product(ci, ri, op.vals, r, cols.size)
-        x_prev, x = x, _advance(mu[k], two_omega[k], x, x_prev, update)
+        x_prev, x = x, _advance(mu_k, two_omega_k, x, x_prev, update)
         r = f - _product(ri, ci, op.vals, x, rows.size)
         if k:
             yield x, math.sqrt(float(r @ r) + off2)

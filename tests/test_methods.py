@@ -34,6 +34,13 @@ NU_32 = nu_method(1.5)
 TAU_REF = 1.01 + math.sqrt(13.0 / 8.0)
 
 
+def _arrays(spec: MethodSpec, n: int, k: int = 0):
+    """mu_j and 2 omega_j for j = k..k + n - 1, drawn from ``spec.steps(k)``,
+    as two float64 arrays."""
+    mu, two_omega = zip(*itertools.islice(spec.steps(k), n))
+    return np.array(mu), np.array(two_omega)
+
+
 # ---------------------------------------------------------------------------
 # method construction
 # ---------------------------------------------------------------------------
@@ -61,7 +68,7 @@ def test_chebyshev_recursion_coefficients():
     for k in range(1, 8):
         assert alpha(k) == pytest.approx(0.0, abs=1e-15)
         assert beta(k) == pytest.approx(0.25, abs=1e-15)
-    mu, two_omega = NU_HALF.steps(7)
+    mu, two_omega = _arrays(NU_HALF, 8)
     k = np.arange(8.0)
     assert np.array_equal(two_omega, 4.0 * (2.0 * k + 1.0) / (2.0 * k + 3.0))
     assert mu[0] == 0.0
@@ -92,7 +99,7 @@ def test_beta_positive():
 # ---------------------------------------------------------------------------
 
 def test_omega_values_chebyshev():
-    _, two_omega = NU_HALF.steps(1)
+    _, two_omega = _arrays(NU_HALF, 2)
     assert two_omega[0] / 2.0 == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert two_omega[1] / 2.0 == pytest.approx(6.0 / 5.0, rel=1e-15)
 
@@ -100,14 +107,14 @@ def test_omega_values_chebyshev():
 def test_omega_is_one_for_zero_alpha0():
     spec = MethodSpec("flat", recurrence_steps(lambda k: 0.0, lambda k: 0.25),
                       1.0, 1.0, lambda mu: 1.0, 2.0)
-    assert spec.steps(0)[1][0] == 2.0
+    assert next(spec.steps())[1] == 2.0
 
 
 def test_omega_degeneracy_detected():
     spec = MethodSpec("bad", recurrence_steps(lambda k: 1.0, lambda k: 0.25),
                       1.0, 1.0, lambda mu: 1.0, 2.0)
     with pytest.raises(NumericalDegeneracyError, match="k=0"):
-        spec.steps(0)
+        next(spec.steps())
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +135,10 @@ def _ulps(value: float, exact: Fraction) -> float:
 @pytest.mark.parametrize("nu", _EXACT_NU)
 def test_steps_are_the_product_form_within_half_an_ulp(nu):
     # past K_9 = 14,122, the largest budget of the acceptance grid
-    mu, two_omega = nu_method(nu).steps(20_000)
-    assert mu.dtype == two_omega.dtype == np.float64
-    assert mu.shape == two_omega.shape == (20_001,)
+    pairs = list(itertools.islice(nu_method(nu).steps(), 20_001))
+    assert len(pairs) == 20_001
+    assert all(type(mu_k) is type(two_omega_k) is float for mu_k, two_omega_k in pairs)
+    mu, two_omega = zip(*pairs)
     n = Fraction(nu)
     for k in _PINNED_K:
         two_omega_k = 4 * (2 * k + 2 * n + 1) * (k + n) / ((k + 2 * n) * (2 * k + 4 * n + 1))
@@ -147,32 +155,47 @@ def test_steps_are_the_product_form_within_half_an_ulp(nu):
 def test_coefficient_table_is_the_omega_chain(nu):
     # the omega recursion on the Jacobi recurrence, run in exact rationals
     # and rounded once, gives the product form's bits
-    exact = recurrence_steps(*jacobi_recurrence(nu, exact=True))(500)
-    for chain, product in zip(exact, nu_method(nu).steps(500), strict=True):
+    exact = MethodSpec("chain", recurrence_steps(*jacobi_recurrence(nu, exact=True)),
+                       1.0, 1.0, lambda mu: 1.0, 2.0 * nu)
+    for chain, product in zip(_arrays(exact, 501), _arrays(nu_method(nu), 501)):
         assert np.array_equal(chain, product)
 
 
-def test_steps_agree_on_shared_entries_and_the_head_is_read_only():
-    # below 256 entries the spec serves views of its head; above, it builds
-    # the arrays on the call, to the same bits
-    runs = [NU_32.steps(m) for m in (255, 256, 1000)]
-    for (mu_a, two_a), (mu_b, two_b) in itertools.combinations(runs, 2):
-        assert np.array_equal(mu_a, mu_b[:mu_a.size])
-        assert np.array_equal(two_a, two_b[:two_a.size])
-    head = runs[0]
-    for part, whole in zip(NU_32.steps(10), head):
-        assert part.size == 11 and np.shares_memory(part, whole)
-    for part in head:
-        assert not part.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            part[0] = 1.0
+@pytest.mark.parametrize("nu", _EXACT_NU)
+def test_steps_from_k_continue_the_stream_bit_for_bit(nu):
+    spec = nu_method(nu)
+    whole = _arrays(spec, 20_300)
+    for k in (0, 1, 255, 256, 20_000):
+        for tail, part in zip(_arrays(spec, 300, k), whole):
+            assert tail.tobytes() == part[k:k + 300].tobytes(), k
+
+
+def test_step_draws_one_pair_at_any_k():
+    draws = []
+
+    def steps(k=0):
+        for pair in NU_32.steps(k):
+            draws.append(k)
+            yield pair
+
+    spec = dataclasses.replace(NU_32, steps=steps)
+    op = DiagonalOperator([0.9, 0.5, 0.1])
+    rhs = CoeffVec([1.0, 1.0, 1.0])
+    state = init_state(op, rhs, spec)
+    assert draws == [0]
+    draws.clear()
+    far = dataclasses.replace(state, k=9_999)
+    x = step(far, op, rhs, spec)
+    assert draws == [10_000]
+    assert x.k == 10_000
+    assert np.array_equal(x.x_curr.coeffs, step(far, op, rhs, NU_32).x_curr.coeffs)
 
 
 def test_a_spec_keeps_its_own_table_and_only_for_its_lifetime():
     spec = nu_method(1.5)
-    # no cache: each call makes a spec with a head of its own
-    assert spec is not NU_32
-    assert not np.shares_memory(spec.steps(10)[0], NU_32.steps(10)[0])
+    # no cache: each call makes a spec of its own, which draws the same pairs
+    assert spec is not NU_32 and spec.steps is not NU_32.steps
+    assert next(spec.steps(10)) == next(NU_32.steps(10))
     p = driver.RunParams(delta=2.0 ** -6, tau=2.5, noise_dim=2 ** 12)
     driver.run_discrepancy(get_problem("p1"), spec, p)
     # nothing in the package keeps the spec once its caller drops it
@@ -204,7 +227,7 @@ def _degenerate_at_7() -> MethodSpec:
     """The nu = 3/2 method by its recurrence, with alpha_7 moved so that
     the omega denominator of step 7 is zero."""
     alpha, beta = jacobi_recurrence(1.5)
-    omega_6 = recurrence_steps(alpha, beta)(6)[1][6] / 2.0
+    omega_6 = next(recurrence_steps(alpha, beta)(6))[1] / 2.0
     alpha_7 = 1.0 - beta(7) * omega_6
     steps = recurrence_steps(lambda k: alpha_7 if k == 7 else alpha(k), beta)
     return dataclasses.replace(NU_32, steps=steps)
@@ -224,9 +247,12 @@ def _alpha_ends_at_7() -> MethodSpec:
 ])
 def test_degenerate_step_raises_only_when_asked_for(make_spec, error, match):
     spec = make_spec()
-    assert len(spec.steps(6)[0]) == 7
+    pairs = spec.steps()
+    assert len(list(itertools.islice(pairs, 7))) == 7
     with pytest.raises(error, match=match):
-        spec.steps(7)
+        next(pairs)
+    with pytest.raises(error, match=match):
+        next(spec.steps(7))
     op = DiagonalOperator([0.9, 0.5, 0.1])
     rhs = CoeffVec([1.0, 1.0, 1.0])
     state = init_state(op, rhs, spec)
@@ -234,40 +260,54 @@ def test_degenerate_step_raises_only_when_asked_for(make_spec, error, match):
         state = step(state, op, rhs, spec)
     with pytest.raises(error, match=match):
         step(state, op, rhs, spec)
-    # a level of the support kernel asks for its coefficients before its
-    # first step, so a level of 7 steps raises before it makes any
+    # a level of the support kernel draws each step's pair as it makes the
+    # step, so a level of 7 steps yields 6 iterates and raises on the 7th
     kernel = driver._SupportKernel(assemble(get_problem("p1").fresh_source(), 3),
                                    HeldData(np.ones(64)), [], 10 ** 6)
     assert len(list(kernel.iterates(spec, 6))) == 6
+    iterates = kernel.iterates(spec, 7)
+    assert [k for k, _, _ in itertools.islice(iterates, 6)] == [1, 2, 3, 4, 5, 6]
     with pytest.raises(error, match=match):
-        next(kernel.iterates(spec, 7))
-    assert len(kernel.residuals) == 6
-    # a run whose levels all ask for fewer coefficients never meets it: at
-    # delta 2^-3 the first level's budget is 1, at 2^-4 it is 7
+        next(iterates)
+    assert len(kernel.residuals) == 12
+    # a run that makes no step 7 never meets it: at delta 2^-3 the first
+    # level's budget is 1; at 2^-4 it is 7, and the level stops at step 1
     p = driver.RunParams(delta=2.0 ** -3, tau=5.0, noise_dim=2 ** 14)
     report = driver.run_discrepancy(get_problem("p1"), spec, p)
     assert max(report.budgets) < 7
+    report = driver.run_discrepancy(get_problem("p1"), spec,
+                                    dataclasses.replace(p, delta=2.0 ** -4))
+    assert report.budgets == (7,) and report.stop_index < 7
+    # at 2^-5 the second level steps past 7
     with pytest.raises(error, match=match):
         driver.run_discrepancy(get_problem("p1"), spec,
-                               dataclasses.replace(p, delta=2.0 ** -4))
+                               dataclasses.replace(p, delta=2.0 ** -5))
 
 
 def test_a_level_asks_for_its_coefficients_once():
     calls = []
 
-    def steps(m):
-        calls.append(m)
-        return NU_32.steps(m)
+    def steps(k=0):
+        drawn = [k, 0]  # the first pair and how many were drawn
+        calls.append(drawn)
+        for pair in NU_32.steps(k):
+            drawn[1] += 1
+            yield pair
 
     spec = dataclasses.replace(NU_32, steps=steps)
     p = driver.RunParams(delta=2.0 ** -8, tau=2.5, noise_dim=2 ** 14)
     report = driver.run_balancing(get_problem("p1"), spec, p)
     assert len(report.levels) > 1
-    # one call per level that steps, for its K_n + k_sec entries
-    assert calls == [k_n + p.k_sec for k_n in report.budgets if k_n >= 1]
+    # one call per level that steps, from pair 0, which draws the pairs of
+    # steps 0..K_n + k_sec and none past them
+    assert calls == [[0, k_n + p.k_sec + 1] for k_n in report.budgets if k_n >= 1]
     calls.clear()
     report = driver.run_discrepancy(get_problem("p1"), spec, p)
-    assert calls == [k_n for k_n in report.budgets if k_n >= 1]
+    assert len(report.levels) > 1
+    # steps 0..K_n on each level that refines, 0..the stop index on the last
+    budgets = [k_n for k_n in report.budgets if k_n >= 1]
+    assert calls == [[0, k_n + 1] for k_n in budgets[:-1]] + [[0, report.stop_index + 1]]
+    assert report.stop_index < budgets[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +326,7 @@ def test_init_state_identity_example():
     op = DiagonalOperator([1.0])
     state = init_state(op, CoeffVec([1.0]), NU_HALF)
     assert state.x_curr.coeffs[0] == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert state.x_curr.coeffs[0] == NU_HALF.steps(0)[1][0]  # 2 omega_0 f
+    assert state.x_curr.coeffs[0] == next(NU_HALF.steps())[1]  # 2 omega_0 f
 
 
 def test_init_state_dimension_mismatch():
