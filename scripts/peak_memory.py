@@ -7,11 +7,11 @@ the process keeps anything, and warm, after the first run has left its kept
 values (the noise norm, the closed forms' sums of squares and the level
 windows of its data). For each run it prints the seconds, the peak of the
 memory ``tracemalloc`` traces during the run, the bytes of the report's
-solution (its support indices and values), and the traced memory still
-allocated once the report is dropped (what the process keeps, counted from
-the start of the cold run), with the part of it allocated in each module of
-the package, by the line that made it (``kept_kib_by_module``). The runs are
-timed with tracing on.
+solution (its support indices and values) and of its residual norms, and
+the traced memory still allocated once the report is dropped (what the
+process keeps, counted from the start of the cold run), with the part of it
+allocated in each module of the package, by the line that made it
+(``kept_kib_by_module``). The runs are timed with tracing on.
 
     PYTHONPATH=src python scripts/peak_memory.py --problem p2 --algorithm 1 --delta-exp 20
 """
@@ -62,12 +62,14 @@ def main() -> int:
         seconds = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1] - before
         solution = report.solution.indices.nbytes + report.solution.values.nbytes
+        residuals = report.residual_norms.nbytes
         levels, stop = report.levels, report.stop_index
         del report
         kept = tracemalloc.get_traced_memory()[0]
         print(f"{label} a{args.algorithm} {args.problem} e{args.delta_exp} "
               f"levels={list(levels)} stop={stop} seconds={seconds:.3f} "
               f"peak_mib={peak / MIB:.1f} solution_kib={solution / 1024:.1f} "
+              f"residuals_kib={residuals / 1024:.1f} "
               f"kept_mib={kept / MIB:.2f} kept_kib_by_module={_kept_by_module()}")
     tracemalloc.stop()
     return 0

@@ -39,7 +39,7 @@ from .driver import (
 )
 from .hypercross import export_gamma, gamma_count
 from .methods import nu_method
-from .problems import _noise_norm, get_problem
+from .problems import PROBLEM_IDS, _noise_norm, get_problem
 
 __all__ = ["ExperimentGrid", "iter_rows", "run_grid", "rate_fit", "emit_csv", "main",
            "acceptance_grids", "exit_code"]
@@ -372,10 +372,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", parents=[shared], help="run one delta grid and emit CSV")
     run.set_defaults(handler=_cmd_run, parser=run)
     run.add_argument("--config", help="key-value config file (flags override)")
-    run.add_argument("--problem", default="p1", choices=("p1", "p2"))
+    run.add_argument("--problem", default="p1", choices=PROBLEM_IDS)
     run.add_argument("--algorithm", type=int, default=1, choices=(1, 2))
-    run.add_argument("--delta-max", type=float, default=2.0 ** -4)
-    run.add_argument("--delta-min", type=float, default=2.0 ** -13)
+    run.add_argument("--delta-max", type=float, default=ACCEPTANCE_DELTAS[0])
+    run.add_argument("--delta-min", type=float, default=ACCEPTANCE_DELTAS[-1])
     run.add_argument("--ksec", type=int, default=RunParams.k_sec)
     run.add_argument("--seed", type=int, default=RunParams.seed)
     run.add_argument("--repeats", type=int, default=1,
@@ -481,7 +481,7 @@ def _cmd_constants(args) -> int:
     except ArithmeticError as exc:
         raise ConfigError(f"the constants leave the float range: {exc}") from None
     print(f"method {spec.name} qualification {spec.qualification:g} "
-          f"kappa0 {spec.kappa0:g} kappa2 {spec.kappa2:g}")
+          f"kappa0 {spec.kappa0:g} kappa2 {spec.kappa_mu(2.0):g}")
     print(f"tau {params.tau:.17g}")
     for key in ("tau_threshold", "c1", "c2", "c_alg1", "c_alg2", "k_opt",
                 "c3", "c4", "c5"):

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,41 +147,46 @@ class Solution:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunReport:
-    """Record of one adaptive run. ``solution`` is the stop iterate on the
-    final level's nonzero operator columns: on p1/p2 at level 12, 4,096
-    values (64 KiB) of 16,777,216 coefficients (128 MiB as ``dense()``)."""
+    """Record of one adaptive run with the ``RunParams`` it ran with.
+    ``solution`` is the stop iterate on the final level's nonzero operator
+    columns: on p1/p2 at level 12, 4,096 values (64 KiB) of 16,777,216
+    coefficients (128 MiB as ``dense()``). ``residual_norms`` is a read-only
+    float64 array, one norm per step of the run, across its levels.
+
+    Derived attributes: ``delta`` and ``seed`` (of ``params``),
+    ``final_level`` (the last of ``levels``), ``budgets`` (K_n per level),
+    ``total_iterations`` (the steps run) and ``rel_error`` (abs_error /
+    exact_norm, NaN for a zero exact solution)."""
 
     algorithm: int
     method: str
-    delta: float
-    rho: float
-    gamma: float
-    tau: float
-    r: float
-    k_sec: int
-    seed: int
+    params: RunParams
     levels: tuple
-    budgets: tuple
-    final_level: int
     stop_index: int
-    total_iterations: int
     solution: Solution
-    residual_norms: tuple
+    residual_norms: np.ndarray
     info_count: int
     rhs_norm: float
     abs_error: float
-    rel_error: float
     exact_norm: float
     diagnostics: dict | None
+
+    delta = property(lambda self: self.params.delta)
+    seed = property(lambda self: self.params.seed)
+    final_level = property(lambda self: self.levels[-1])
+    budgets = property(lambda self: tuple(max_iter_count(n, self.params) for n in self.levels))
+    total_iterations = property(lambda self: len(self.residual_norms))
+    rel_error = property(lambda self: self.abs_error / self.exact_norm
+                         if self.exact_norm > 0.0 else math.nan)
 
 
 def admissibility_threshold(spec: MethodSpec, gamma: float) -> float:
     """Smallest admissible discrepancy parameter,
-    kappa0 (1 + sqrt(1/2 + kappa2/kappa0) gamma)."""
+    kappa0 (1 + sqrt(1/2 + kappa_mu(2)/kappa0) gamma)."""
     return spec.kappa0 * (
-        1.0 + math.sqrt(0.5 + spec.kappa2 / spec.kappa0) * gamma
+        1.0 + math.sqrt(0.5 + spec.kappa_mu(2.0) / spec.kappa0) * gamma
     )
 
 
@@ -231,7 +237,7 @@ def theoretical_constants(spec: MethodSpec, p: RunParams, mu: float,
     if n < 1:
         raise ConfigError("n must be >= 1")
     k0 = spec.kappa0
-    k2 = spec.kappa2
+    k2 = spec.kappa_mu(2.0)
     kmu = spec.kappa_mu(mu)
     thr = admissibility_threshold(spec, p.gamma)
     c1 = k0 + 2.0 + (math.sqrt(k0 * (k0 / 2.0 + k2)) + 1.0 / (2.0 * n)) * p.gamma
@@ -316,7 +322,7 @@ class _SupportKernel:
     calls and one ``math.sqrt``.
     """
 
-    def __init__(self, op, data: NoisyData, residuals: list, cap: int):
+    def __init__(self, op, data: NoisyData, residuals: array, cap: int):
         """Read ``data`` on the level window: f_delta on R and off2."""
         rows, self.cols, self.forward, self.adjoint = op.block()
         self.data, self.off2 = data.window(op.dim, rows)
@@ -430,7 +436,7 @@ def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
     src = problem.fresh_source()
     first = n = initial_level(p)
     op = assemble(src, n)
-    residuals: list = []
+    residuals = array("d")
     while True:
         k_n = max_iter_count(n, p)
         if k_n >= 1:
@@ -453,27 +459,19 @@ def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
         diagnostics = None if mu is None else _diagnostics(spec, p, mu, levels)
     except (ValueError, ArithmeticError) as exc:  # e.g. mu > qualification
         diagnostics = {"mu": mu, "unavailable": str(exc)}
+    residual_norms = np.frombuffer(residuals)
+    residual_norms.flags.writeable = False
     return RunReport(
         algorithm=algorithm,
         method=spec.name,
-        delta=p.delta,
-        rho=p.rho,
-        gamma=p.gamma,
-        tau=p.tau,
-        r=p.r,
-        k_sec=p.k_sec,
-        seed=p.seed,
+        params=p,
         levels=levels,
-        budgets=tuple(max_iter_count(m, p) for m in levels),
-        final_level=n,
         stop_index=stop_index,
-        total_iterations=len(residuals),
         solution=Solution(kernel.cols, x, op.dim),
-        residual_norms=tuple(residuals),
+        residual_norms=residual_norms,
         info_count=src.eval_count,
         rhs_norm=rhs_norm,
         abs_error=abs_error,
-        rel_error=abs_error / exact_norm if exact_norm > 0.0 else math.nan,
         exact_norm=exact_norm,
         diagnostics=diagnostics,
     )

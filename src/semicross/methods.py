@@ -63,15 +63,14 @@ class MethodSpec:
 
     ``kappa0`` bounds the residual polynomials on [0, 1], ``kappa_mu(mu)``
     is the constant in the saturation bound |lam^(mu/2) r_k(lam)| <=
-    kappa_mu / (k+1)^mu for 0 < mu <= qualification, and ``kappa2`` is
-    kappa_mu at mu = 2 (meaningful when the qualification is >= 2; it feeds
-    the admissibility threshold of the discrepancy-principle driver).
+    kappa_mu / (k+1)^mu for 0 < mu <= qualification; ``kappa_mu(2)``
+    (meaningful when the qualification is >= 2) feeds the admissibility
+    threshold of the discrepancy-principle driver.
     """
 
     name: str
     steps: Callable[..., Iterator[tuple[float, float]]]
     kappa0: float
-    kappa2: float
     kappa_mu: Callable[[float], float]
     qualification: float
 
@@ -127,7 +126,7 @@ def nu_method(nu: float) -> MethodSpec:
             k += 1.0
 
     kap = max(1.0, math.gamma(2.0 * nu + 1.0))
-    return MethodSpec(name=f"nu-{nu:g}", steps=steps, kappa0=1.0, kappa2=kap,
+    return MethodSpec(name=f"nu-{nu:g}", steps=steps, kappa0=1.0,
                       kappa_mu=lambda mu: kap, qualification=2.0 * nu)
 
 

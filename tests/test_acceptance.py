@@ -135,7 +135,7 @@ def test_criterion_3_lipschitz_suites():
     ok = True
     for nu in (0.5, 1.0, 1.5):
         spec = nu_method(nu)
-        k0, k2 = spec.kappa0, spec.kappa2
+        k0, k2 = spec.kappa0, spec.kappa_mu(2.0)
         prof = residual_profile(spec, 100, points)
         for k in (1, 5, 20, 100):
             r_lam = prof[k][:10_000]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semicross import driver, problems
+from semicross.cli import acceptance_grids
 from semicross.coeffs import CoeffVec
 from semicross.driver import (
     CapExceededError,
@@ -70,7 +71,8 @@ def test_run_params_take_numpy_integers():
                k_abs_max=np.uint16(1000), noise_dim=np.int64(2 ** 14))
     a, b = (run_balancing(get_problem("p1"), NU32, q)
             for q in (p, params(2.0 ** -5, seed=3, k_abs_max=1000)))
-    assert a.residual_norms == b.residual_norms and a.rel_error == b.rel_error
+    assert a.residual_norms.tobytes() == b.residual_norms.tobytes()
+    assert a.rel_error == b.rel_error
     assert np.array_equal(a.solution.dense(), b.solution.dense())
 
 
@@ -305,7 +307,7 @@ def test_balancing_run_report_consistency():
     assert report.stop_index <= report.budgets[-1]
     assert report.info_count == gamma_count(report.final_level)
     assert report.abs_error <= report.diagnostics["error_bound_alg2"]
-    assert report.k_sec == 20
+    assert report.params.k_sec == 20
 
 
 def test_balancing_accepts_low_qualification_methods():
@@ -347,7 +349,7 @@ def test_runs_are_deterministic():
     b = run_discrepancy(get_problem("p1"), NU32, p, mu=1.2)
     assert a.levels == b.levels
     assert a.stop_index == b.stop_index
-    assert a.residual_norms == b.residual_norms
+    assert a.residual_norms.tobytes() == b.residual_norms.tobytes()
     assert a.rel_error == b.rel_error
     assert np.array_equal(a.solution.dense(), b.solution.dense())
     c = run_balancing(get_problem("p2"), NU32, p, mu=0.2)
@@ -365,11 +367,18 @@ def test_seed_changes_noise_but_not_structure():
 
 
 def _assert_same_report(a, b):
+    """Every stored field of two reports is equal, arrays byte for byte, and
+    so is every derived attribute."""
     for field in dataclasses.fields(a):
         x, y = getattr(a, field.name), getattr(b, field.name)
         if isinstance(x, driver.Solution):
             x, y = x.dense().tobytes(), y.dense().tobytes()
+        elif isinstance(x, np.ndarray):
+            x, y = (x.dtype, x.tobytes()), (y.dtype, y.tobytes())
         assert x == y, field.name
+    for name in ("delta", "seed", "final_level", "budgets", "total_iterations",
+                 "rel_error"):
+        assert getattr(a, name) == getattr(b, name), name
 
 
 def _drop_closed_forms():
@@ -653,6 +662,34 @@ def test_a_level_10_run_holds_nothing_of_window_length():
         assert peak < 4 * 2 ** 20, peak
     _assert_same_report(*reports)
     assert reports[0].levels == (7, 8, 9, 10)
+
+
+def test_a_report_holds_its_params_and_one_array_of_residual_norms():
+    # p2 at delta 2^-16 with the acceptance parameters runs levels 7-10 for
+    # 11,881 steps: their norms are one read-only float64 array (93 KiB), and
+    # with the 16 KiB solution that is all a warm report holds
+    grid, = (g for g in acceptance_grids() if (g.algorithm, g.problem_id) == (1, "p2"))
+    p, problem = dataclasses.replace(grid.params, delta=2.0 ** -16), get_problem("p2")
+    run_discrepancy(problem, NU32, p)
+    tracemalloc.start()
+    try:
+        report = run_discrepancy(problem, NU32, p)
+        held, peak = tracemalloc.get_traced_memory()
+        norms = report.residual_norms
+        assert report.params is p
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "algorithm", "method", "params", "levels", "stop_index", "solution",
+            "residual_norms", "info_count", "rhs_norm", "abs_error", "exact_norm",
+            "diagnostics"]
+        assert (report.levels, report.total_iterations) == ((7, 8, 9, 10), 11_881)
+        assert norms.dtype == np.float64 and norms.shape == (report.total_iterations,)
+        assert not norms.flags.writeable
+        del report, norms
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed < 160 * 1024, freed
+    assert peak < 320 * 1024, peak
 
 
 def test_cold_run_allocates_nothing_of_noise_dim_length():
@@ -953,7 +990,7 @@ def test_shipped_runs_never_gather_and_bincount(monkeypatch):
     monkeypatch.setattr(np, "bincount", bincount)
     after = [runner(problem, NU32, params(2.0 ** -8)) for runner, problem in runs]
     for old, new in zip(before, after):
-        assert new.residual_norms == old.residual_norms
+        assert new.residual_norms.tobytes() == old.residual_norms.tobytes()
         assert np.array_equal(new.solution.dense(), old.solution.dense())
 
 

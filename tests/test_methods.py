@@ -81,7 +81,7 @@ def test_qualifications_and_constants():
     assert NU_ONE.qualification == 2.0
     for spec in (NU_HALF, NU_ONE, NU_32):
         assert spec.kappa0 == 1.0
-    assert NU_32.kappa2 == pytest.approx(6.0)
+    assert NU_32.kappa_mu(2.0) == pytest.approx(6.0)
     assert NU_32.kappa_mu(1.2) == pytest.approx(6.0)
     assert NU_ONE.kappa_mu(2.0) == pytest.approx(2.0)
     assert NU_HALF.kappa_mu(0.5) == pytest.approx(1.0)
@@ -106,13 +106,13 @@ def test_omega_values_chebyshev():
 
 def test_omega_is_one_for_zero_alpha0():
     spec = MethodSpec("flat", recurrence_steps(lambda k: 0.0, lambda k: 0.25),
-                      1.0, 1.0, lambda mu: 1.0, 2.0)
+                      1.0, lambda mu: 1.0, 2.0)
     assert next(spec.steps())[1] == 2.0
 
 
 def test_omega_degeneracy_detected():
     spec = MethodSpec("bad", recurrence_steps(lambda k: 1.0, lambda k: 0.25),
-                      1.0, 1.0, lambda mu: 1.0, 2.0)
+                      1.0, lambda mu: 1.0, 2.0)
     with pytest.raises(NumericalDegeneracyError, match="k=0"):
         next(spec.steps())
 
@@ -156,7 +156,7 @@ def test_coefficient_table_is_the_omega_chain(nu):
     # the omega recursion on the Jacobi recurrence, run in exact rationals
     # and rounded once, gives the product form's bits
     exact = MethodSpec("chain", recurrence_steps(*jacobi_recurrence(nu, exact=True)),
-                       1.0, 1.0, lambda mu: 1.0, 2.0 * nu)
+                       1.0, lambda mu: 1.0, 2.0 * nu)
     for chain, product in zip(_arrays(exact, 501), _arrays(nu_method(nu), 501)):
         assert np.array_equal(chain, product)
 
@@ -553,7 +553,6 @@ def test_interface_admits_larger_kappa0_methods():
         steps=recurrence_steps(lambda k: -0.5 if k == 0 else 0.0,
                                lambda k: 0.55 if k == 1 else 0.25),
         kappa0=1.5,
-        kappa2=2.0,
         kappa_mu=lambda mu: 2.0,
         qualification=2.0,
     )
