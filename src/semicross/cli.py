@@ -49,7 +49,7 @@ CSV_COLUMNS = (
     "rel_error", "expected_rate", "info_count", "seed",
 )
 
-#: default diagnostic smoothness per problem
+#: default smoothness mu per problem (the expected_rate column; p1 also for ``constants``)
 DEFAULT_MU = {"p1": 1.2, "p2": 0.2}
 #: the acceptance grid (``acceptance_grids``): tau just above the nu = 3/2
 #: threshold, and delta = 2^-4 .. 2^-13
@@ -125,8 +125,7 @@ def _run_row(payload: dict) -> dict:
     """Execute one grid row; failures are recorded in-row. Each realization
     waits for its noise norm's draw in ``payload["draws"]`` if started, else
     draws it itself."""
-    delta = payload["delta"]
-    mu = payload["mu"]
+    delta, mu = payload["delta"], payload["mu"]
     row = {
         "algorithm": payload["algorithm"],
         "nu": payload["nu"],
@@ -152,7 +151,7 @@ def _run_row(payload: dict) -> dict:
             if seed in draws and not draws[seed].cancel():  # running or done
                 concurrent.futures.wait([draws[seed]])
             params = dataclasses.replace(payload["params"], delta=delta, seed=seed)
-            report = runner(problem, spec, params, mu=mu)
+            report = runner(problem, spec, params)
             errors.append(report.rel_error)
             first = first or report
     except CapExceededError as exc:
@@ -406,7 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cons = sub.add_parser("constants", parents=[shared], help="print a-priori constants")
     cons.set_defaults(handler=_cmd_constants)
     cons.add_argument("--delta", type=float, default=2.0 ** -4)
-    cons.add_argument("--mu", type=_positive_float, default=1.2)
+    cons.add_argument("--mu", type=_positive_float, default=None,
+                      help="default: 1.2, or the method's qualification 2 nu if lower")
     cons.add_argument("--level", type=int, default=6)
     return parser
 
@@ -476,8 +476,9 @@ def _cmd_gamma_dump(args) -> int:
 def _cmd_constants(args) -> int:
     spec = _method(args.nu)
     params = _params(args, args.delta)
+    mu = min(DEFAULT_MU["p1"], spec.qualification) if args.mu is None else args.mu
     try:
-        cons = theoretical_constants(spec, params, args.mu, args.level)
+        cons = theoretical_constants(spec, params, mu, args.level)
     except ArithmeticError as exc:
         raise ConfigError(f"the constants leave the float range: {exc}") from None
     print(f"method {spec.name} qualification {spec.qualification:g} "

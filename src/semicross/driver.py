@@ -360,29 +360,31 @@ class _SupportKernel:
 
 
 def _diagnostics(spec: MethodSpec, p: RunParams, mu: float, levels) -> dict:
-    n_final = levels[-1]
-    cons = theoretical_constants(spec, p, mu, n_final, check_tau=False)
-    diag = dict(cons)
-    diag["mu"] = mu
-    rate = p.rho ** (1.0 / (mu + 1.0)) * p.delta ** (mu / (mu + 1.0))
-    diag["error_bound_alg2"] = cons["c_alg2"] * rate
-    diag["error_bound_alg1"] = (
-        cons["c_alg1"] * rate if cons["c_alg1"] is not None else None
-    )
-    diag["k_bound"] = (
-        cons["c2"] * p.rho ** (1.0 / (mu + 1.0)) * p.delta ** (-1.0 / (mu + 1.0))
-        if cons["c2"] is not None else None
-    )
-    diag["n_bound"] = None
-    diag["info_bound"] = None
-    if len(levels) > 1 and cons["c4"] is not None:
-        logratio = math.log(p.rho / p.delta)
-        diag["n_bound"] = cons["c4"] + cons["c5"] * logratio
-        diag["info_bound"] = (
-            cons["c3"]
-            * (p.rho / p.delta) ** ((mu + 2.0) / (p.r * (mu + 1.0)))
-            * (1.0 + cons["c4"] + cons["c5"] * logratio) ** (1.0 + 1.0 / p.r)
-        )
+    """``theoretical_constants`` at the last of a run's ``levels``, ``mu`` and
+    the bounds error_bound_alg2, error_bound_alg1, k_bound, n_bound and
+    info_bound, each None, an int or a float. All but c1, c_alg2, k_opt,
+    tau_threshold, mu and error_bound_alg2 are None for tau at or below the
+    threshold, qualification below 2 or mu above qualification - 1; n_bound
+    and info_bound also for a run that never refined or a base
+    1 + c4 + c5 log(rho/delta) <= 0. Any ValueError or ArithmeticError (say
+    mu > qualification, or overflow) returns {"mu": mu, "unavailable": reason}."""
+    try:
+        cons = theoretical_constants(spec, p, mu, levels[-1], check_tau=False)
+        rate = p.rho ** (1.0 / (mu + 1.0)) * p.delta ** (mu / (mu + 1.0))
+        diag = dict(cons, mu=mu, error_bound_alg2=cons["c_alg2"] * rate,
+                    error_bound_alg1=None, k_bound=None, n_bound=None, info_bound=None)
+        if cons["c2"] is not None:
+            diag["error_bound_alg1"] = cons["c_alg1"] * rate
+            diag["k_bound"] = cons["c2"] * p.rho ** (1.0 / (mu + 1.0)) \
+                * p.delta ** (-1.0 / (mu + 1.0))
+            logratio = math.log(p.rho / p.delta)
+            base = 1.0 + cons["c4"] + cons["c5"] * logratio
+            if len(levels) > 1 and base > 0:
+                diag["n_bound"] = cons["c4"] + cons["c5"] * logratio
+                diag["info_bound"] = cons["c3"] * (p.rho / p.delta) ** (
+                    (mu + 2.0) / (p.r * (mu + 1.0))) * base ** (1.0 + 1.0 / p.r)
+    except (ValueError, ArithmeticError) as exc:  # e.g. mu > qualification
+        return {"mu": mu, "unavailable": str(exc)}
     return diag
 
 
@@ -455,10 +457,6 @@ def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
     stop_index, x = hit
     levels = tuple(range(first, n + 1))
     abs_error, exact_norm = _error_norms(problem, kernel.cols, x, max(op.dim, p.noise_dim))
-    try:
-        diagnostics = None if mu is None else _diagnostics(spec, p, mu, levels)
-    except (ValueError, ArithmeticError) as exc:  # e.g. mu > qualification
-        diagnostics = {"mu": mu, "unavailable": str(exc)}
     residual_norms = np.frombuffer(residuals)
     residual_norms.flags.writeable = False
     return RunReport(
@@ -473,7 +471,7 @@ def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
         rhs_norm=rhs_norm,
         abs_error=abs_error,
         exact_norm=exact_norm,
-        diagnostics=diagnostics,
+        diagnostics=None if mu is None else _diagnostics(spec, p, mu, levels),
     )
 
 

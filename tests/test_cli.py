@@ -857,6 +857,86 @@ def test_main_constants(capsys):
     assert float(values["c2"]) >= 1.0
 
 
+@pytest.mark.parametrize("argv, printed", [
+    ([], """\
+method nu-1.5 qualification 3 kappa0 1 kappa2 6
+tau 2.2847548783981959
+tau_threshold 2.274754878
+c1 4.316421545
+c2 18.31454033
+c_alg1 57.7430289
+c_alg2 49.33263545
+k_opt 5
+c3 196.6731023
+c4 5.827174603
+c5 1.049232757
+"""),
+    (["--nu", "30"], """\
+method nu-30 qualification 60 kappa0 1 kappa2 8.32099e+81
+tau 4.5609722408553958e+40
+tau_threshold 4.560972241e+40
+c1 4.560972241e+40
+c2 7.575344152e+25
+c_alg1 2.272822964e+26
+c_alg2 3.765930636e+38
+k_opt 3.688901684e+37
+c3 3.999890855e+14
+c4 46.71447271
+c5 1.049232757
+"""),
+    (["--nu", "0.5", "--mu", "0.5"], """\
+method nu-0.5 qualification 1 kappa0 1 kappa2 1
+tau 1.6223724356957945
+tau_threshold 1.612372436
+c1 3.654039102
+c2 n/a
+c_alg1 n/a
+c_alg2 17.30699484
+k_opt 4
+c3 n/a
+c4 n/a
+c5 n/a
+"""),
+    (["--nu", "2", "--tau", "5", "--level", "3"], """\
+method nu-2 qualification 4 kappa0 1 kappa2 24
+tau 5
+tau_threshold 3.474873734
+c1 5.558207067
+c2 3.499837883
+c_alg1 14.11629216
+c_alg2 92.63987266
+k_opt 10
+c3 85.97474984
+c4 4.633359857
+c5 1.049232757
+"""),
+])
+def test_constants_prints_its_pinned_lines(argv, printed, capsys):
+    assert main(["constants", *argv]) == 0
+    assert capsys.readouterr().out == printed
+
+
+def test_constants_default_mu_is_capped_at_the_qualification(capsys):
+    # nu = 0.5 has qualification 1, below the default mu 1.2
+    assert main(["constants", "--nu", "0.5"]) == 0
+    default = capsys.readouterr().out
+    assert main(["constants", "--nu", "0.5", "--mu", "1.0"]) == 0
+    assert default == capsys.readouterr().out
+
+
+def test_a_run_row_computes_no_diagnostics(monkeypatch):
+    from semicross import driver
+
+    payload = _row_payload(small_grid(), 0)
+    row = _run_row(payload)
+
+    def refuse(*args):
+        raise AssertionError("a row computed the diagnostics")
+
+    monkeypatch.setattr(driver, "_diagnostics", refuse)
+    assert _run_row(payload) == row and row["error"] is None
+
+
 @pytest.mark.parametrize("nu", [1.5, 13.0, 14.0, 30.0, 85.0])
 def test_the_default_tau_lies_above_the_threshold_at_every_nu(nu, capsys):
     # 0.01 is lost to rounding from nu = 14 on (threshold 2.76e14 at gamma
@@ -929,7 +1009,7 @@ _FLAGS = {
         (("--delta",), "delta", float, 2.0 ** -4, None),
         (("--rho",), "rho", float, 1.0, None),
         (("--r",), "r", float, 2.0, None),
-        (("--mu",), "mu", cli._positive_float, 1.2, None),
+        (("--mu",), "mu", cli._positive_float, None, None),
         (("--level",), "level", int, 6, None),
     ],
 }

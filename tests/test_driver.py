@@ -1072,3 +1072,41 @@ def test_diagnostics_outside_qualification_do_not_abort_the_run():
     assert np.isfinite(report.rel_error)
     assert report.diagnostics["mu"] == 1.2
     assert "mu must lie" in report.diagnostics["unavailable"]
+
+
+@pytest.mark.parametrize("pid, exponent, mu, levels", [
+    ("p1", 6, 1.2, (1, 2)), ("p2", 8, 0.2, (1, 2, 3, 4))])
+def test_cost_bounds_are_none_where_their_base_is_not_positive(pid, exponent, mu, levels):
+    # rho = 1e-6 puts c4 + c5 log(rho/delta) below -1: n_bound would be
+    # negative and info_bound a complex power of a negative base
+    p = RunParams(delta=2.0 ** -exponent, rho=1e-6, gamma=0.5, tau=TAU_REF)
+    report = run_discrepancy(get_problem(pid), NU32, p, mu=mu)
+    d = report.diagnostics
+    assert report.levels == levels and "unavailable" not in d
+    assert 1.0 + d["c4"] + d["c5"] * math.log(p.rho / p.delta) <= 0
+    assert d["n_bound"] is None and d["info_bound"] is None
+    assert all(v is None or type(v) in (int, float) for v in d.values())
+
+
+def test_diagnostics_past_the_float_range_are_unavailable():
+    # r = 0.01: every constant is finite, but the base of info_bound is
+    # raised to the power 1 + 1/r = 101
+    p = RunParams(delta=2.0 ** -4, gamma=0.5, tau=TAU_REF, r=0.01)
+    cons = theoretical_constants(NU32, p, 1.2, 2)
+    assert all(math.isfinite(v) for v in cons.values())
+    d = driver._diagnostics(NU32, p, 1.2, (1, 2))
+    assert d["mu"] == 1.2 and "out of range" in d["unavailable"]
+    assert d.keys() == {"mu", "unavailable"}
+
+
+def test_a_run_that_never_refined_has_no_cost_bounds():
+    p = RunParams(delta=2.0 ** -4, rho=1.0, gamma=0.5, tau=TAU_REF, r=2.0, k_sec=20)
+    report = run_balancing(get_problem("p1"), NU32, p, mu=1.2)
+    assert report.levels == (4,)
+    assert report.diagnostics == {
+        "c1": 4.337254878398197, "c_alg2": 49.33263544992445, "k_opt": 5,
+        "tau_threshold": 2.274754878398196, "c2": 18.314540328476067,
+        "c_alg1": 57.747844502245755, "c3": 196.67310231381782,
+        "c4": 5.82717460261316, "c5": 1.0492327570101554, "mu": 1.2,
+        "error_bound_alg2": 10.872804999640028, "error_bound_alg1": 12.72749867701248,
+        "k_bound": 64.58375437142583, "n_bound": None, "info_bound": None}
