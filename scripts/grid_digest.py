@@ -54,7 +54,7 @@ def main() -> int:
         problem, spec = get_problem(grid.problem_id), nu_method(grid.nu)
         for i, delta in enumerate(grid.deltas):
             p = dataclasses.replace(grid.params, delta=delta, seed=grid.params.seed + i)
-            r = runner(problem, spec, p, mu=grid.mu)
+            r = runner(problem, spec, p)
             res, sol = digests(r)
             print(f"a{grid.algorithm} {grid.problem_id} e{round(-math.log2(delta))} "
                   f"levels={list(r.levels)} budgets={list(r.budgets)} "

@@ -313,7 +313,7 @@ def _config_tokens(path, parser: argparse.ArgumentParser) -> list:
     long flags of ``parser`` (``run``'s) -- as ``--key=value`` tokens; a
     boolean flag becomes ``--key`` when true and is dropped when false."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
@@ -380,7 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--repeats", type=int, default=1,
                      help="noise realizations averaged per row (rel_error)")
     run.add_argument("--mu-diagnostic", type=_positive_float, default=None,
-                     help="default: 1.2 for p1, 0.2 for p2")
+                     help="smoothness of the expected_rate column, its only "
+                          "use (default: 1.2 for p1, 0.2 for p2)")
     run.add_argument("--no-scaling", action="store_true",
                      help="disable the operator/rhs rescaling to norm 1")
     run.add_argument("--no-normalize", action="store_true",

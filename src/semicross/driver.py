@@ -1,5 +1,5 @@
 """Adaptive drivers: level initialization, per-level iteration budgets, the
-refinement loop, and the a-priori constants used as runtime diagnostics.
+refinement loop, and the a-priori constants behind a report's diagnostics.
 
 Both drivers run one level loop, which reads the run's data, steps the
 levels and builds the report; they differ only in its stopping rule. The
@@ -149,19 +149,20 @@ class Solution:
 
 @dataclass(frozen=True, eq=False)
 class RunReport:
-    """Record of one adaptive run with the ``RunParams`` it ran with.
-    ``solution`` is the stop iterate on the final level's nonzero operator
-    columns: on p1/p2 at level 12, 4,096 values (64 KiB) of 16,777,216
-    coefficients (128 MiB as ``dense()``). ``residual_norms`` is a read-only
-    float64 array, one norm per step of the run, across its levels.
+    """Record of one adaptive run with the ``MethodSpec`` and ``RunParams`` it
+    ran with. ``solution`` is the stop iterate on the final level's nonzero
+    operator columns: on p1/p2 at level 12, 4,096 values (64 KiB) of
+    16,777,216 coefficients (128 MiB as ``dense()``). ``residual_norms`` is a
+    read-only float64 array, one norm per step of the run, across its levels.
 
     Derived attributes: ``delta`` and ``seed`` (of ``params``),
     ``final_level`` (the last of ``levels``), ``budgets`` (K_n per level),
     ``total_iterations`` (the steps run) and ``rel_error`` (abs_error /
-    exact_norm, NaN for a zero exact solution)."""
+    exact_norm, NaN for a zero exact solution); ``diagnostics(mu)`` computes
+    the a-priori bounds on request."""
 
     algorithm: int
-    method: str
+    method: MethodSpec
     params: RunParams
     levels: tuple
     stop_index: int
@@ -171,7 +172,6 @@ class RunReport:
     rhs_norm: float
     abs_error: float
     exact_norm: float
-    diagnostics: dict | None
 
     delta = property(lambda self: self.params.delta)
     seed = property(lambda self: self.params.seed)
@@ -180,6 +180,10 @@ class RunReport:
     total_iterations = property(lambda self: len(self.residual_norms))
     rel_error = property(lambda self: self.abs_error / self.exact_norm
                          if self.exact_norm > 0.0 else math.nan)
+
+    def diagnostics(self, mu: float) -> dict:
+        """``_diagnostics(method, params, mu, levels)`` of this run."""
+        return _diagnostics(self.method, self.params, mu, self.levels)
 
 
 def admissibility_threshold(spec: MethodSpec, gamma: float) -> float:
@@ -366,25 +370,22 @@ def _diagnostics(spec: MethodSpec, p: RunParams, mu: float, levels) -> dict:
     tau_threshold, mu and error_bound_alg2 are None for tau at or below the
     threshold, qualification below 2 or mu above qualification - 1; n_bound
     and info_bound also for a run that never refined or a base
-    1 + c4 + c5 log(rho/delta) <= 0. Any ValueError or ArithmeticError (say
-    mu > qualification, or overflow) returns {"mu": mu, "unavailable": reason}."""
-    try:
-        cons = theoretical_constants(spec, p, mu, levels[-1], check_tau=False)
-        rate = p.rho ** (1.0 / (mu + 1.0)) * p.delta ** (mu / (mu + 1.0))
-        diag = dict(cons, mu=mu, error_bound_alg2=cons["c_alg2"] * rate,
-                    error_bound_alg1=None, k_bound=None, n_bound=None, info_bound=None)
-        if cons["c2"] is not None:
-            diag["error_bound_alg1"] = cons["c_alg1"] * rate
-            diag["k_bound"] = cons["c2"] * p.rho ** (1.0 / (mu + 1.0)) \
-                * p.delta ** (-1.0 / (mu + 1.0))
-            logratio = math.log(p.rho / p.delta)
-            base = 1.0 + cons["c4"] + cons["c5"] * logratio
-            if len(levels) > 1 and base > 0:
-                diag["n_bound"] = cons["c4"] + cons["c5"] * logratio
-                diag["info_bound"] = cons["c3"] * (p.rho / p.delta) ** (
-                    (mu + 2.0) / (p.r * (mu + 1.0))) * base ** (1.0 + 1.0 / p.r)
-    except (ValueError, ArithmeticError) as exc:  # e.g. mu > qualification
-        return {"mu": mu, "unavailable": str(exc)}
+    1 + c4 + c5 log(rho/delta) <= 0. A mu outside (0, qualification] raises
+    ConfigError, and a bound past the float range OverflowError."""
+    cons = theoretical_constants(spec, p, mu, levels[-1], check_tau=False)
+    rate = p.rho ** (1.0 / (mu + 1.0)) * p.delta ** (mu / (mu + 1.0))
+    diag = dict(cons, mu=mu, error_bound_alg2=cons["c_alg2"] * rate,
+                error_bound_alg1=None, k_bound=None, n_bound=None, info_bound=None)
+    if cons["c2"] is not None:
+        diag["error_bound_alg1"] = cons["c_alg1"] * rate
+        diag["k_bound"] = cons["c2"] * p.rho ** (1.0 / (mu + 1.0)) \
+            * p.delta ** (-1.0 / (mu + 1.0))
+        logratio = math.log(p.rho / p.delta)
+        base = 1.0 + cons["c4"] + cons["c5"] * logratio
+        if len(levels) > 1 and base > 0:
+            diag["n_bound"] = cons["c4"] + cons["c5"] * logratio
+            diag["info_bound"] = cons["c3"] * (p.rho / p.delta) ** (
+                (mu + 2.0) / (p.r * (mu + 1.0))) * base ** (1.0 + 1.0 / p.r)
     return diag
 
 
@@ -411,7 +412,7 @@ def _balancing_stop(kernel, k_n: int, p: RunParams, spec: MethodSpec):
     return None if stop is None else (stop, window[stop - 1].copy())
 
 
-def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
+def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams,
                 algorithm: int, stop_rule) -> RunReport:
     """The run both drivers share, from its data to its report. It is called
     by a driver, so a warning's stacklevel of 3 names the driver's caller.
@@ -461,7 +462,7 @@ def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
     residual_norms.flags.writeable = False
     return RunReport(
         algorithm=algorithm,
-        method=spec.name,
+        method=spec,
         params=p,
         levels=levels,
         stop_index=stop_index,
@@ -471,7 +472,6 @@ def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams, mu,
         rhs_norm=rhs_norm,
         abs_error=abs_error,
         exact_norm=exact_norm,
-        diagnostics=None if mu is None else _diagnostics(spec, p, mu, levels),
     )
 
 
@@ -489,22 +489,20 @@ def _check_discrepancy(spec: MethodSpec, p: RunParams) -> None:
         )
 
 
-def run_discrepancy(problem: Problem, spec: MethodSpec, p: RunParams,
-                    mu: float | None = None) -> RunReport:
+def run_discrepancy(problem: Problem, spec: MethodSpec, p: RunParams) -> RunReport:
     """Adaptive run stopped by the residual discrepancy test.
 
     Requires a method of qualification >= 2 and tau above the admissibility
     threshold. Per level, iterates k = 1..K_n are tested in order against
     the data truncated to the level window; the first residual norm at or
-    below tau delta stops the run. ``mu`` attaches a-priori bound
-    diagnostics to the report.
+    below tau delta stops the run. The report's ``diagnostics(mu)`` gives
+    the a-priori bounds.
     """
     _check_discrepancy(spec, p)
-    return _level_loop(problem, spec, p, mu, 1, _discrepancy_stop)
+    return _level_loop(problem, spec, p, 1, _discrepancy_stop)
 
 
-def run_balancing(problem: Problem, spec: MethodSpec, p: RunParams,
-                  mu: float | None = None) -> RunReport:
+def run_balancing(problem: Problem, spec: MethodSpec, p: RunParams) -> RunReport:
     """Adaptive run stopped by the balancing principle.
 
     Per level, K_n + k_sec iterates are computed and the admissible set with
@@ -512,6 +510,6 @@ def run_balancing(problem: Problem, spec: MethodSpec, p: RunParams,
     refinement, otherwise the smallest admissible index is returned. The
     iterate window holds the iterates on the operator's nonzero column
     support (every iterate vanishes off it), which bounds memory without
-    changing any norm.
+    changing any norm; the report's ``diagnostics(mu)`` gives the bounds.
     """
-    return _level_loop(problem, spec, p, mu, 2, _balancing_stop)
+    return _level_loop(problem, spec, p, 2, _balancing_stop)

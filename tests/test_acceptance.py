@@ -68,7 +68,7 @@ def grid_reports():
             problem = get_problem(pid)
             t0 = time.time()
             reports = [
-                runner(problem, spec, _grid_params(d, seed=i), mu=GRID_MU[pid])
+                runner(problem, spec, _grid_params(d, seed=i))
                 for i, d in enumerate(GRID_DELTAS)
             ]
             times[(algorithm, pid)] = time.time() - t0
@@ -293,14 +293,14 @@ def test_criterion_8_theorem_bounds(grid_reports):
     ok = True
     for pid in ("p1", "p2"):
         for rep in reports[(1, pid)]:
-            d = rep.diagnostics
+            d = rep.diagnostics(GRID_MU[pid])
             ok &= rep.abs_error <= d["error_bound_alg1"]
             ok &= rep.stop_index < d["k_bound"]
             if len(rep.levels) > 1:
                 ok &= rep.final_level < d["n_bound"]
                 ok &= rep.info_count < d["info_bound"]
         for rep in reports[(2, pid)]:
-            ok &= rep.abs_error <= rep.diagnostics["error_bound_alg2"]
+            ok &= rep.abs_error <= rep.diagnostics(GRID_MU[pid])["error_bound_alg2"]
     _ok("criterion 8 (error/stop-index/cost bounds on all runs)", ok)
 
 

@@ -1198,6 +1198,25 @@ def test_config_file_that_is_not_utf8_is_a_configuration_error(tmp_path, capsys)
     assert err.count("\n") == 1 and str(cfg) in err and "UTF-8" in err
 
 
+def test_config_file_with_a_byte_order_mark_gives_the_same_tokens(tmp_path):
+    # Notepad and PowerShell 5's `Out-File -Encoding utf8` start UTF-8 files
+    # with a BOM, which must not become part of the first key
+    text = "problem = p2\nalgorithm = 2\ndelta-max = 0.0625\ndelta-min = 0.0625\n"
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(text.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    run = cli._build_parser().parse_args(["run"]).parser
+    tokens = cli._config_tokens(plain, run)
+    assert tokens[0] == "--problem=p2"
+    assert cli._config_tokens(bom, run) == tokens
+    outs = {cfg: tmp_path / f"{cfg.stem}.csv" for cfg in (plain, bom)}
+    for cfg, out in outs.items():
+        assert main(["run", "--config", str(cfg), "--noise-dim", "4096",
+                     "--out", str(out)]) == 0
+    assert outs[bom].read_bytes() == outs[plain].read_bytes()
+    assert read_csv(outs[bom])[0]["algorithm"] == 2
+
+
 def test_config_line_splits_at_its_first_separator(tmp_path):
     out = tmp_path / "a=b.csv"
     cfg = tmp_path / "run.cfg"

@@ -35,6 +35,10 @@ from helpers import (EDGE_RUNS, BandSource, BlockSource, HeldData, SwapSource,
 
 TAU_REF = 1.01 + math.sqrt(13.0 / 8.0)
 NU32 = nu_method(1.5)
+#: the entries of every ``_diagnostics`` dict
+DIAGNOSTIC_KEYS = {"c1", "c_alg2", "k_opt", "tau_threshold", "c2", "c_alg1", "c3", "c4",
+                   "c5", "mu", "error_bound_alg2", "error_bound_alg1", "k_bound",
+                   "n_bound", "info_bound"}
 
 
 def params(delta, **kw):
@@ -275,7 +279,7 @@ def test_warns_on_unscaled_operator():
 
 def test_discrepancy_run_report_consistency():
     p = params(2.0 ** -6)
-    report = run_discrepancy(get_problem("p1"), NU32, p, mu=1.2)
+    report = run_discrepancy(get_problem("p1"), NU32, p)
     assert report.algorithm == 1
     # visited levels increase strictly by one
     assert list(report.levels) == list(
@@ -294,7 +298,7 @@ def test_discrepancy_run_report_consistency():
     assert dense.flags.writeable and not np.delete(dense, cols).any()
     assert dense[cols].tobytes() == sol.values.tobytes()
     assert 0 < report.rel_error < 1
-    d = report.diagnostics
+    d = report.diagnostics(1.2)
     assert d["mu"] == 1.2
     assert report.abs_error <= d["error_bound_alg1"]
     assert report.stop_index < d["k_bound"]
@@ -302,11 +306,11 @@ def test_discrepancy_run_report_consistency():
 
 def test_balancing_run_report_consistency():
     p = params(2.0 ** -6)
-    report = run_balancing(get_problem("p1"), NU32, p, mu=1.2)
+    report = run_balancing(get_problem("p1"), NU32, p)
     assert report.algorithm == 2
     assert report.stop_index <= report.budgets[-1]
     assert report.info_count == gamma_count(report.final_level)
-    assert report.abs_error <= report.diagnostics["error_bound_alg2"]
+    assert report.abs_error <= report.diagnostics(1.2)["error_bound_alg2"]
     assert report.params.k_sec == 20
 
 
@@ -321,12 +325,12 @@ def test_alternative_method_runs_through_both_drivers():
     spec = nu_method(1.0)
     tau = admissibility_threshold(spec, 0.5) + 0.01
     p = params(2.0 ** -6, tau=tau)
-    rep1 = run_discrepancy(get_problem("p2"), spec, p, mu=0.2)
-    rep2 = run_balancing(get_problem("p2"), spec, p, mu=0.2)
+    rep1 = run_discrepancy(get_problem("p2"), spec, p)
+    rep2 = run_balancing(get_problem("p2"), spec, p)
     for rep in (rep1, rep2):
         assert rep.stop_index >= 1
         assert rep.rel_error < 1.0
-        assert rep.abs_error <= rep.diagnostics[f"error_bound_alg{rep.algorithm}"]
+        assert rep.abs_error <= rep.diagnostics(0.2)[f"error_bound_alg{rep.algorithm}"]
 
 
 def test_zero_operator_balancing_stops_immediately():
@@ -345,15 +349,15 @@ def test_zero_operator_balancing_stops_immediately():
 
 def test_runs_are_deterministic():
     p = params(2.0 ** -7)
-    a = run_discrepancy(get_problem("p1"), NU32, p, mu=1.2)
-    b = run_discrepancy(get_problem("p1"), NU32, p, mu=1.2)
+    a = run_discrepancy(get_problem("p1"), NU32, p)
+    b = run_discrepancy(get_problem("p1"), NU32, p)
     assert a.levels == b.levels
     assert a.stop_index == b.stop_index
     assert a.residual_norms.tobytes() == b.residual_norms.tobytes()
     assert a.rel_error == b.rel_error
     assert np.array_equal(a.solution.dense(), b.solution.dense())
-    c = run_balancing(get_problem("p2"), NU32, p, mu=0.2)
-    d = run_balancing(get_problem("p2"), NU32, p, mu=0.2)
+    c = run_balancing(get_problem("p2"), NU32, p)
+    d = run_balancing(get_problem("p2"), NU32, p)
     assert c.stop_index == d.stop_index
     assert np.array_equal(c.solution.dense(), d.solution.dense())
 
@@ -679,8 +683,7 @@ def test_a_report_holds_its_params_and_one_array_of_residual_norms():
         assert report.params is p
         assert [f.name for f in dataclasses.fields(report)] == [
             "algorithm", "method", "params", "levels", "stop_index", "solution",
-            "residual_norms", "info_count", "rhs_norm", "abs_error", "exact_norm",
-            "diagnostics"]
+            "residual_norms", "info_count", "rhs_norm", "abs_error", "exact_norm"]
         assert (report.levels, report.total_iterations) == ((7, 8, 9, 10), 11_881)
         assert norms.dtype == np.float64 and norms.shape == (report.total_iterations,)
         assert not norms.flags.writeable
@@ -1053,9 +1056,9 @@ def test_nonfinite_residual_raises():
 def test_balancing_diagnostics_do_not_depend_on_tau():
     # tau = 2.0 is at or below nu-1.5's admissibility threshold 2.27475,
     # which concerns the discrepancy analysis only
-    low, high = (run_balancing(get_problem("p1"), NU32, params(2.0 ** -6, tau=tau),
-                               mu=1.2).diagnostics for tau in (2.0, TAU_REF))
-    assert "unavailable" not in low and low.keys() == high.keys()
+    low, high = (run_balancing(get_problem("p1"), NU32, params(2.0 ** -6, tau=tau))
+                 .diagnostics(1.2) for tau in (2.0, TAU_REF))
+    assert low.keys() == high.keys() == DIAGNOSTIC_KEYS
     for key in ("mu", "c1", "c_alg2", "k_opt", "tau_threshold", "error_bound_alg2"):
         assert low[key] == high[key]
     for key in ("c2", "c_alg1", "c3", "c4", "c5", "error_bound_alg1", "k_bound",
@@ -1066,12 +1069,12 @@ def test_balancing_diagnostics_do_not_depend_on_tau():
 
 
 def test_diagnostics_outside_qualification_do_not_abort_the_run():
-    # mu = 1.2 exceeds the qualification 0.5 of the nu = 1/4 method
-    report = run_balancing(get_problem("p1"), nu_method(0.25), params(2.0 ** -5),
-                           mu=1.2)
+    # mu = 1.2 exceeds the qualification 0.5 of the nu = 1/4 method: the run
+    # computes no diagnostics, and asking for them is a configuration error
+    report = run_balancing(get_problem("p1"), nu_method(0.25), params(2.0 ** -5))
     assert np.isfinite(report.rel_error)
-    assert report.diagnostics["mu"] == 1.2
-    assert "mu must lie" in report.diagnostics["unavailable"]
+    with pytest.raises(ConfigError, match=r"mu must lie in \(0, 0.5\], got 1.2"):
+        report.diagnostics(1.2)
 
 
 @pytest.mark.parametrize("pid, exponent, mu, levels", [
@@ -1080,33 +1083,72 @@ def test_cost_bounds_are_none_where_their_base_is_not_positive(pid, exponent, mu
     # rho = 1e-6 puts c4 + c5 log(rho/delta) below -1: n_bound would be
     # negative and info_bound a complex power of a negative base
     p = RunParams(delta=2.0 ** -exponent, rho=1e-6, gamma=0.5, tau=TAU_REF)
-    report = run_discrepancy(get_problem(pid), NU32, p, mu=mu)
-    d = report.diagnostics
-    assert report.levels == levels and "unavailable" not in d
+    report = run_discrepancy(get_problem(pid), NU32, p)
+    d = report.diagnostics(mu)
+    assert report.levels == levels and d.keys() == DIAGNOSTIC_KEYS
     assert 1.0 + d["c4"] + d["c5"] * math.log(p.rho / p.delta) <= 0
     assert d["n_bound"] is None and d["info_bound"] is None
     assert all(v is None or type(v) in (int, float) for v in d.values())
 
 
-def test_diagnostics_past_the_float_range_are_unavailable():
+def test_diagnostics_past_the_float_range_raise_overflow():
     # r = 0.01: every constant is finite, but the base of info_bound is
     # raised to the power 1 + 1/r = 101
     p = RunParams(delta=2.0 ** -4, gamma=0.5, tau=TAU_REF, r=0.01)
     cons = theoretical_constants(NU32, p, 1.2, 2)
     assert all(math.isfinite(v) for v in cons.values())
-    d = driver._diagnostics(NU32, p, 1.2, (1, 2))
-    assert d["mu"] == 1.2 and "out of range" in d["unavailable"]
-    assert d.keys() == {"mu", "unavailable"}
+    with pytest.raises(OverflowError, match="out of range"):
+        driver._diagnostics(NU32, p, 1.2, (1, 2))
 
 
 def test_a_run_that_never_refined_has_no_cost_bounds():
     p = RunParams(delta=2.0 ** -4, rho=1.0, gamma=0.5, tau=TAU_REF, r=2.0, k_sec=20)
-    report = run_balancing(get_problem("p1"), NU32, p, mu=1.2)
+    report = run_balancing(get_problem("p1"), NU32, p)
     assert report.levels == (4,)
-    assert report.diagnostics == {
+    assert report.diagnostics(1.2) == {
         "c1": 4.337254878398197, "c_alg2": 49.33263544992445, "k_opt": 5,
         "tau_threshold": 2.274754878398196, "c2": 18.314540328476067,
         "c_alg1": 57.747844502245755, "c3": 196.67310231381782,
         "c4": 5.82717460261316, "c5": 1.0492327570101554, "mu": 1.2,
         "error_bound_alg2": 10.872804999640028, "error_bound_alg1": 12.72749867701248,
         "k_bound": 64.58375437142583, "n_bound": None, "info_bound": None}
+
+
+@pytest.mark.parametrize("runner", [run_discrepancy, run_balancing])
+def test_a_report_holds_the_method_it_ran_with(runner):
+    spec = nu_method(1.5)
+    report = runner(get_problem("p1"), spec, params(2.0 ** -6))
+    assert report.method is spec
+    assert report.diagnostics(1.2) == driver._diagnostics(spec, report.params, 1.2,
+                                                          report.levels)
+
+
+@pytest.mark.parametrize("runner", [run_discrepancy, run_balancing])
+def test_a_run_computes_no_diagnostics(runner, monkeypatch):
+    p = params(2.0 ** -6)
+    expected = runner(get_problem("p1"), NU32, p)
+
+    def refuse(*args):
+        raise AssertionError("a run computed the diagnostics")
+
+    monkeypatch.setattr(driver, "_diagnostics", refuse)
+    _assert_same_report(runner(get_problem("p1"), NU32, p), expected)
+
+
+def test_diagnostics_of_a_refined_run_keep_their_bits():
+    # the acceptance run of p1 discrepancy at delta 2^-13 (seed 9) refines
+    # over levels 6-8, so every bound is present
+    grid, = (g for g in acceptance_grids() if (g.algorithm, g.problem_id) == (1, "p1"))
+    p = dataclasses.replace(grid.params, delta=2.0 ** -13, seed=9)
+    report = run_discrepancy(get_problem("p1"), NU32, p)
+    assert report.levels == (6, 7, 8)
+    d = report.diagnostics(1.2)
+    assert d.pop("k_opt") == 83
+    assert {k: v.hex() for k, v in d.items()} == {
+        "c1": "0x1.1395957c48bfep+2", "c_alg2": "0x1.8aa93cc657538p+5",
+        "tau_threshold": "0x1.232b2af8917fbp+1", "c2": "0x1.25085b70813ebp+4",
+        "c_alg1": "0x1.cdecc96492e1cp+5", "c3": "0x1.8958a0ddd16b4p+7",
+        "c4": "0x1.74f06dbe938a5p+2", "c5": "0x1.0c9a84994022ep+0",
+        "mu": "0x1.3333333333333p+0", "error_bound_alg2": "0x1.728f3ac7182a7p-2",
+        "error_bound_alg1": "0x1.b1b7325aaa8a6p-2", "k_bound": "0x1.13232d3378c6ep+10",
+        "n_bound": "0x1.e903d9c803f3cp+3", "info_bound": "0x1.14a919ca4656cp+23"}

@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import semicross
@@ -29,3 +32,15 @@ def test_readme_imports_only_front_door_names():
                 imported.update(alias.name for alias in node.names)
     assert imported  # the library sketch imports from the top level
     assert imported <= FRONT_DOOR
+
+
+def test_readme_library_sketch_runs():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    section = readme.split("\n## Library sketch\n", 1)[1].split("\n## ", 1)[0]
+    sketch, = re.findall(r"```python\n(.*?)```", section, re.S)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", sketch], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 3

@@ -140,7 +140,7 @@ def test_driver_window_with_long_rejection_chains_matches_pairwise_distances(mon
     monkeypatch.setattr(driver, "balancing_stop_index", keep)
     p = RunParams(delta=2.0 ** -13, rho=1.0, gamma=0.5,
                   tau=1.01 + np.sqrt(13.0 / 8.0), r=2.0, k_sec=20, seed=9)
-    driver.run_balancing(get_problem("p2"), nu_method(1.5), p, mu=0.2)
+    driver.run_balancing(get_problem("p2"), nu_method(1.5), p)
     w = windows[-1]
     x, m = w.iterates, len(w.iterates)
     assert (w.k_n, x.shape[1]) == (496, 256)
