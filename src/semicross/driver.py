@@ -140,6 +140,9 @@ class Solution:
     def __post_init__(self):
         self.indices.flags.writeable = self.values.flags.writeable = False
 
+    def __reduce__(self):  # copies go through __init__: their arrays are read-only too
+        return Solution, (self.indices, self.values, self.dim)
+
     def dense(self) -> np.ndarray:
         """All ``dim`` coefficients, as a new array."""
         out = np.zeros(self.dim)
@@ -180,6 +183,12 @@ class RunReport:
     total_iterations = property(lambda self: len(self.residual_norms))
     rel_error = property(lambda self: self.abs_error / self.exact_norm
                          if self.exact_norm > 0.0 else math.nan)
+
+    def __post_init__(self):
+        self.residual_norms.flags.writeable = False
+
+    def __reduce__(self):  # copies go through __init__: their arrays are read-only too
+        return RunReport, tuple(vars(self).values())
 
     def diagnostics(self, mu: float) -> dict:
         """``_diagnostics(method, params, mu, levels)`` of this run."""
@@ -456,18 +465,15 @@ def _level_loop(problem: Problem, spec: MethodSpec, p: RunParams,
         op = refine(op, src)
         n += 1
     stop_index, x = hit
-    levels = tuple(range(first, n + 1))
     abs_error, exact_norm = _error_norms(problem, kernel.cols, x, max(op.dim, p.noise_dim))
-    residual_norms = np.frombuffer(residuals)
-    residual_norms.flags.writeable = False
     return RunReport(
         algorithm=algorithm,
         method=spec,
         params=p,
-        levels=levels,
+        levels=tuple(range(first, n + 1)),
         stop_index=stop_index,
         solution=Solution(kernel.cols, x, op.dim),
-        residual_norms=residual_norms,
+        residual_norms=np.frombuffer(residuals),
         info_count=src.eval_count,
         rhs_norm=rhs_norm,
         abs_error=abs_error,

@@ -66,6 +66,10 @@ class MethodSpec:
     kappa_mu / (k+1)^mu for 0 < mu <= qualification; ``kappa_mu(2)``
     (meaningful when the qualification is >= 2) feeds the admissibility
     threshold of the discrepancy-principle driver.
+
+    A spec compares, hashes and pickles through ``steps`` and ``kappa_mu``,
+    so one to compare or send to another process needs module-level or
+    frozen-dataclass callables, as ``nu_method``'s; closures run in process.
     """
 
     name: str
@@ -87,6 +91,33 @@ class IterState:
     k: int
     x_curr: CoeffVec
     x_prev: CoeffVec
+
+
+@dataclass(frozen=True)
+class _NuSteps:
+    """``MethodSpec.steps`` of the nu-method: the pairs of ``nu_method``."""
+
+    nu: float
+
+    def __call__(self, k: int = 0):
+        nu, k = self.nu, float(k)
+        two_nu, c_odd, c_den = 2.0 * nu, 2.0 * nu + 1.0, 4.0 * nu + 1.0
+        while True:
+            two_k = k + k
+            odd = two_k + c_odd  # 2k + 2 nu + 1
+            den = (k + two_nu) * (two_k + c_den)
+            # mu_0 = 0, where the product is 0/0 at nu = 1/2
+            mu = (two_k - 1.0) * k * odd / (den * (odd - 2.0)) if k else 0.0
+            yield mu, 4.0 * odd * (k + nu) / den
+            k += 1.0
+
+
+@dataclass(frozen=True)
+class _Constant:
+    value: float
+
+    def __call__(self, mu: float) -> float:
+        return self.value
 
 
 def nu_method(nu: float) -> MethodSpec:
@@ -112,22 +143,10 @@ def nu_method(nu: float) -> MethodSpec:
     # to -1/2; nu <= 85: Gamma(2 nu + 1) stays a float
     if not (2.0 * nu - 0.5 > -0.5 and nu <= 85.0):
         raise ValueError(f"nu must lie in (0, 85] with 2 nu - 1/2 > -1/2, got {nu}")
-    two_nu, c_odd, c_den = 2.0 * nu, 2.0 * nu + 1.0, 4.0 * nu + 1.0
-
-    def steps(k: int = 0):
-        k = float(k)
-        while True:
-            two_k = k + k
-            odd = two_k + c_odd  # 2k + 2 nu + 1
-            den = (k + two_nu) * (two_k + c_den)
-            # mu_0 = 0, where the product is 0/0 at nu = 1/2
-            mu = (two_k - 1.0) * k * odd / (den * (odd - 2.0)) if k else 0.0
-            yield mu, 4.0 * odd * (k + nu) / den
-            k += 1.0
-
-    kap = max(1.0, math.gamma(2.0 * nu + 1.0))
-    return MethodSpec(name=f"nu-{nu:g}", steps=steps, kappa0=1.0,
-                      kappa_mu=lambda mu: kap, qualification=2.0 * nu)
+    nu = float(nu)  # nu_method(1) == nu_method(np.float64(1.0)), with float pairs
+    return MethodSpec(name=f"nu-{nu:g}", steps=_NuSteps(nu), kappa0=1.0,
+                      kappa_mu=_Constant(max(1.0, math.gamma(2.0 * nu + 1.0))),
+                      qualification=2.0 * nu)
 
 
 def _advance(mu_k: float, two_omega_k: float, x_curr: np.ndarray,

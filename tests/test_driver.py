@@ -1,10 +1,14 @@
+import copy
 import dataclasses
 import math
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -693,6 +697,45 @@ def test_a_report_holds_its_params_and_one_array_of_residual_norms():
         tracemalloc.stop()
     assert freed < 160 * 1024, freed
     assert peak < 320 * 1024, peak
+
+
+def _assert_copy_of(report, copied):
+    """``copied`` is ``report`` field for field, arrays byte for byte, its
+    method equal and its arrays read-only, with the same diagnostics."""
+    _assert_same_report(report, copied)
+    for name in ("indices", "values"):
+        x, y = getattr(report.solution, name), getattr(copied.solution, name)
+        assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes()) and not y.flags.writeable
+    assert not copied.residual_norms.flags.writeable
+    assert copied.diagnostics(1.2) == report.diagnostics(1.2)
+
+
+def _pickled(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+def test_a_report_round_trips_through_pickle_with_an_equal_method():
+    report = run_discrepancy(get_problem("p1"), nu_method(1.5), params(2.0 ** -6))
+    restored = _pickled(report)
+    assert restored.method == report.method and restored.method is not report.method
+    _assert_copy_of(report, restored)
+
+
+@pytest.mark.parametrize("copy_of", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_a_copied_solution_and_report_keep_their_arrays_read_only(copy_of):
+    report = run_balancing(get_problem("p2"), NU32, params(2.0 ** -5))
+    sol = copy_of(report.solution)
+    assert not sol.indices.flags.writeable and not sol.values.flags.writeable
+    assert sol.dim == report.solution.dim
+    _assert_copy_of(report, copy_of(report))
+
+
+def test_a_run_in_a_spawned_worker_returns_the_same_report():
+    problem, p = get_problem("p1"), params(2.0 ** -4, noise_dim=4096)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        remote = pool.submit(run_discrepancy, problem, NU32, p).result(timeout=120)
+    _assert_copy_of(run_discrepancy(problem, NU32, p), remote)
 
 
 def test_cold_run_allocates_nothing_of_noise_dim_length():

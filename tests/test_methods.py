@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import pickle
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -85,6 +86,29 @@ def test_qualifications_and_constants():
     assert NU_32.kappa_mu(1.2) == pytest.approx(6.0)
     assert NU_ONE.kappa_mu(2.0) == pytest.approx(2.0)
     assert NU_HALF.kappa_mu(0.5) == pytest.approx(1.0)
+
+
+def test_a_spec_is_equal_to_a_fresh_spec_of_its_nu():
+    spec = nu_method(1.5)
+    assert spec == NU_32 and hash(spec) == hash(NU_32) and spec != NU_ONE
+    assert {NU_32: "nu-1.5"}[spec] == "nu-1.5"
+    assert "0x" not in repr(spec)
+    assert "steps=_NuSteps(nu=1.5), kappa0=1.0, kappa_mu=_Constant(value=6.0)" in repr(spec)
+    assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def test_nu_is_kept_as_a_float():
+    specs = [nu_method(nu) for nu in (1, 1.0, np.float64(1.0))]
+    assert specs[0] == specs[1] == specs[2]
+    assert len({hash(spec) for spec in specs}) == 1
+    assert all(repr(spec.steps) == "_NuSteps(nu=1.0)" for spec in specs)
+    spec = nu_method(np.float64(1.5))
+    assert type(spec.qualification) is float and type(spec.kappa_mu(1.2)) is float
+    pairs = list(itertools.islice(spec.steps(), 40)) + [next(spec.steps(10_000))]
+    assert all(type(x) is float for pair in pairs for x in pair)
+    assert pairs[:40] == list(itertools.islice(NU_32.steps(), 40))
+    with pytest.raises(TypeError):
+        nu_method("1.5")
 
 
 def test_beta_positive():
