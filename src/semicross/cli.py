@@ -32,10 +32,10 @@ from .driver import (
     RunParams,
     _check_discrepancy,
     _check_integers,
+    _diagnostics,
     admissibility_threshold,
     run_balancing,
     run_discrepancy,
-    theoretical_constants,
 )
 from .hypercross import export_gamma, gamma_count
 from .methods import nu_method
@@ -479,9 +479,11 @@ def _cmd_constants(args) -> int:
     params = _params(args, args.delta)
     mu = min(DEFAULT_MU["p1"], spec.qualification) if args.mu is None else args.mu
     try:
-        cons = theoretical_constants(spec, params, mu, args.level)
+        cons = _diagnostics(spec, params, mu, (args.level,))
     except ArithmeticError as exc:
         raise ConfigError(f"the constants leave the float range: {exc}") from None
+    if spec.qualification >= 2.0 and mu <= spec.qualification - 1.0:
+        _check_discrepancy(spec, params)  # c2 to c5 need tau above the threshold
     print(f"method {spec.name} qualification {spec.qualification:g} "
           f"kappa0 {spec.kappa0:g} kappa2 {spec.kappa_mu(2.0):g}")
     print(f"tau {params.tau:.17g}")

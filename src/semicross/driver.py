@@ -50,7 +50,6 @@ __all__ = [
     "admissibility_threshold",
     "initial_level",
     "max_iter_count",
-    "theoretical_constants",
     "run_discrepancy",
     "run_balancing",
 ]
@@ -229,24 +228,25 @@ def max_iter_count(n: int, p: RunParams) -> int:
     return max(math.ceil(bound) - 1, 0)
 
 
-def theoretical_constants(spec: MethodSpec, p: RunParams, mu: float,
-                          n: int, *, check_tau: bool = True) -> dict:
-    """A-priori constants of the error and cost bounds at smoothness mu and
-    level n.
+def _diagnostics(spec: MethodSpec, p: RunParams, mu: float, levels) -> dict:
+    """A-priori constants and bounds of a run over ``levels`` at smoothness mu.
 
-    Returns c1, c2, c_alg1 (discrepancy-driver error constant), c_alg2
-    (balancing-driver error constant), k_opt, and the cost-bound constants
-    c3, c4, c5. The constants tied to the discrepancy analysis (c2, c_alg1,
-    c3, c4) additionally require mu <= qualification - 1 with qualification
-    >= 2 and tau above the admissibility threshold. A mu outside
-    (0, qualification], n < 1, or such a tau at or below the threshold
-    raises ConfigError; with ``check_tau=False`` such a tau leaves those
-    constants None instead.
+    The constants are c1, c_alg2 (balancing-driver error constant), k_opt,
+    tau_threshold, c2, c_alg1 (discrepancy-driver error constant) and the
+    cost-bound constants c3, c4, c5, at the last of ``levels``; the bounds
+    are error_bound_alg2, error_bound_alg1, k_bound, n_bound and info_bound.
+    Each entry, with ``mu``, is None, an int or a float. The discrepancy
+    analysis's entries (c2 to c5, c_alg1 and the bounds after
+    error_bound_alg2) are None for tau at or below the threshold,
+    qualification below 2 or mu above qualification - 1; n_bound and
+    info_bound also for a run that never refined or a base
+    1 + c4 + c5 log(rho/delta) <= 0. A mu outside (0, qualification] or a
+    last level below 1 raises ConfigError, and a constant or bound past the
+    float range OverflowError.
     """
     if not 0 < mu <= spec.qualification:
-        raise ConfigError(
-            f"mu must lie in (0, {spec.qualification}], got {mu}"
-        )
+        raise ConfigError(f"mu must lie in (0, {spec.qualification}], got {mu}")
+    n = levels[-1]
     if n < 1:
         raise ConfigError("n must be >= 1")
     k0 = spec.kappa0
@@ -260,24 +260,14 @@ def theoretical_constants(spec: MethodSpec, p: RunParams, mu: float,
     k_opt = math.ceil(
         (2.0 * (1.0 + p.gamma) * p.delta / (kmu * p.rho)) ** (-1.0 / (mu + 1.0))
     )
-    out = {
-        "c1": c1,
-        "c_alg2": c_alg2,
-        "k_opt": k_opt,
-        "tau_threshold": thr,
-        "c2": None,
-        "c_alg1": None,
-        "c3": None,
-        "c4": None,
-        "c5": None,
+    rate = p.rho ** (1.0 / (mu + 1.0)) * p.delta ** (mu / (mu + 1.0))
+    diag = {
+        "c1": c1, "c_alg2": c_alg2, "k_opt": k_opt, "tau_threshold": thr,
+        "c2": None, "c_alg1": None, "c3": None, "c4": None, "c5": None,
+        "mu": mu, "error_bound_alg2": c_alg2 * rate, "error_bound_alg1": None,
+        "k_bound": None, "n_bound": None, "info_bound": None,
     }
-    if spec.qualification >= 2.0 and mu <= spec.qualification - 1.0:
-        if p.tau <= thr:
-            if check_tau:
-                raise ConfigError(
-                    f"tau={p.tau} at or below admissibility threshold {thr:.6g}"
-                )
-            return out
+    if spec.qualification >= 2.0 and mu <= spec.qualification - 1.0 and p.tau > thr:
         c2 = max((kmu / (p.tau - thr)) ** (1.0 / (mu + 1.0)), 1.0)
         c_alg1 = k0 ** (1.0 / (mu + 1.0)) * (p.tau + c1) ** (mu / (mu + 1.0)) \
             + 2.0 * k0 * (1.0 + p.gamma) * c2
@@ -287,8 +277,17 @@ def theoretical_constants(spec: MethodSpec, p: RunParams, mu: float,
         ) / (p.r * math.log(2.0))
         c5 = (mu + 2.0) / ((mu + 1.0) * p.r * math.log(2.0))
         c3 = ((c2 / p.gamma) * 2.0 ** (2.0 * p.r + 1.0) * big) ** (1.0 / p.r)
-        out.update({"c2": c2, "c_alg1": c_alg1, "c3": c3, "c4": c4, "c5": c5})
-    return out
+        diag.update(c2=c2, c_alg1=c_alg1, c3=c3, c4=c4, c5=c5,
+                    error_bound_alg1=c_alg1 * rate)
+        diag["k_bound"] = c2 * p.rho ** (1.0 / (mu + 1.0)) \
+            * p.delta ** (-1.0 / (mu + 1.0))
+        logratio = math.log(p.rho / p.delta)
+        base = 1.0 + c4 + c5 * logratio
+        if len(levels) > 1 and base > 0:
+            diag["n_bound"] = c4 + c5 * logratio
+            diag["info_bound"] = c3 * (p.rho / p.delta) ** (
+                (mu + 2.0) / (p.r * (mu + 1.0))) * base ** (1.0 + 1.0 / p.r)
+    return diag
 
 
 # ---------------------------------------------------------------------------
@@ -370,32 +369,6 @@ class _SupportKernel:
         if last < m:
             raise CapExceededError(
                 "iterations", f"total iteration cap k_abs_max={self.cap} exceeded")
-
-
-def _diagnostics(spec: MethodSpec, p: RunParams, mu: float, levels) -> dict:
-    """``theoretical_constants`` at the last of a run's ``levels``, ``mu`` and
-    the bounds error_bound_alg2, error_bound_alg1, k_bound, n_bound and
-    info_bound, each None, an int or a float. All but c1, c_alg2, k_opt,
-    tau_threshold, mu and error_bound_alg2 are None for tau at or below the
-    threshold, qualification below 2 or mu above qualification - 1; n_bound
-    and info_bound also for a run that never refined or a base
-    1 + c4 + c5 log(rho/delta) <= 0. A mu outside (0, qualification] raises
-    ConfigError, and a bound past the float range OverflowError."""
-    cons = theoretical_constants(spec, p, mu, levels[-1], check_tau=False)
-    rate = p.rho ** (1.0 / (mu + 1.0)) * p.delta ** (mu / (mu + 1.0))
-    diag = dict(cons, mu=mu, error_bound_alg2=cons["c_alg2"] * rate,
-                error_bound_alg1=None, k_bound=None, n_bound=None, info_bound=None)
-    if cons["c2"] is not None:
-        diag["error_bound_alg1"] = cons["c_alg1"] * rate
-        diag["k_bound"] = cons["c2"] * p.rho ** (1.0 / (mu + 1.0)) \
-            * p.delta ** (-1.0 / (mu + 1.0))
-        logratio = math.log(p.rho / p.delta)
-        base = 1.0 + cons["c4"] + cons["c5"] * logratio
-        if len(levels) > 1 and base > 0:
-            diag["n_bound"] = cons["c4"] + cons["c5"] * logratio
-            diag["info_bound"] = cons["c3"] * (p.rho / p.delta) ** (
-                (mu + 2.0) / (p.r * (mu + 1.0))) * base ** (1.0 + 1.0 / p.r)
-    return diag
 
 
 def _discrepancy_stop(kernel, k_n: int, p: RunParams, spec: MethodSpec):

@@ -35,7 +35,7 @@ from semicross.cli import (
     _row_payload,
     _run_row,
 )
-from semicross.driver import ConfigError, RunParams, admissibility_threshold
+from semicross.driver import ConfigError, RunParams, admissibility_threshold, run_balancing
 from semicross.methods import nu_method
 
 from helpers import EDGE_RUNS
@@ -922,6 +922,46 @@ def test_constants_default_mu_is_capped_at_the_qualification(capsys):
     default = capsys.readouterr().out
     assert main(["constants", "--nu", "0.5", "--mu", "1.0"]) == 0
     assert default == capsys.readouterr().out
+
+
+#: the constants of the discrepancy analysis, which need tau above the threshold
+_DISCREPANCY_CONSTANTS = ("c2", "c_alg1", "c3", "c4", "c5")
+
+
+def _printed_values(text):
+    return dict(line.split() for line in text.splitlines() if len(line.split()) == 2)
+
+
+def test_constants_takes_a_tau_above_the_threshold_where_c2_applies(capsys):
+    # nu = 1.5 (qualification 3) at the default mu 1.2 <= qualification - 1
+    assert main(["constants", "--tau", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "configuration error:" in err and "admissibility threshold" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mu", "2.5", "--tau", "2"],  # mu above qualification - 1 = 2
+    ["--nu", "0.75", "--mu", "0.3", "--tau", "1"],  # qualification 1.5 < 2
+])
+def test_constants_outside_the_discrepancy_analysis_take_any_tau(argv, capsys):
+    assert main(["constants", *argv]) == 0
+    values = _printed_values(capsys.readouterr().out)
+    assert float(values["tau"]) < float(values["tau_threshold"])
+    assert [values[key] for key in _DISCREPANCY_CONSTANTS] == ["n/a"] * 5
+
+
+def test_constants_prints_what_a_report_computes(capsys):
+    # p1 balancing at delta 2^-4 stops on its first level, 4
+    report = run_balancing(problems.get_problem("p1"), nu_method(1.5),
+                           RunParams(delta=2.0 ** -4, tau=cli.ACCEPTANCE_TAU))
+    assert report.levels == (4,)
+    diag = report.diagnostics(1.2)
+    assert main(["constants", "--delta", "0.0625", "--level", "4",
+                 "--tau", repr(cli.ACCEPTANCE_TAU)]) == 0
+    values = _printed_values(capsys.readouterr().out)
+    keys = ("tau_threshold", "c1", "c_alg2", "k_opt", *_DISCREPANCY_CONSTANTS)
+    assert {key: values[key] for key in keys} == {key: f"{diag[key]:.10g}" for key in keys}
 
 
 def test_a_run_row_computes_no_diagnostics(monkeypatch):

@@ -26,7 +26,6 @@ from semicross.driver import (
     max_iter_count,
     run_balancing,
     run_discrepancy,
-    theoretical_constants,
 )
 from semicross.hypercross import DiagonalSource, _product, assemble, gamma_count, refine
 from semicross.methods import (NumericalDegeneracyError, _advance, init_state, nu_method,
@@ -206,7 +205,7 @@ def test_admissibility_threshold_example():
 
 def test_constants_values():
     p = params(0.0625)
-    cons = theoretical_constants(NU32, p, mu=1.2, n=6)
+    cons = driver._diagnostics(NU32, p, 1.2, (6,))
     k0, k2 = 1.0, 6.0
     c1 = k0 + 2.0 + (math.sqrt(k0 * (k0 / 2 + k2)) + 1.0 / 12.0) * 0.5
     assert cons["c1"] == pytest.approx(c1, rel=1e-12)
@@ -222,25 +221,27 @@ def test_constants_values():
 
 def test_constants_c1_decreases_to_limit():
     p = params(0.01)
-    vals = [theoretical_constants(NU32, p, 1.0, n)["c1"] for n in (1, 2, 5, 20)]
+    vals = [driver._diagnostics(NU32, p, 1.0, (n,))["c1"] for n in (1, 2, 5, 20)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     limit = 1.0 + 2.0 + math.sqrt(6.5) * 0.5
     assert vals[-1] == pytest.approx(limit, abs=0.02)
 
 
 def test_constants_validation():
+    # a tau at or below the threshold leaves c2 to c5 None here; the
+    # ``constants`` command rejects it (tests/test_cli.py)
     p = params(0.01)
-    with pytest.raises(ValueError):
-        theoretical_constants(NU32, p, mu=0.0, n=3)
-    with pytest.raises(ValueError):
-        theoretical_constants(NU32, p, mu=3.5, n=3)
-    with pytest.raises(ConfigError):
-        theoretical_constants(NU32, params(0.01, tau=2.0), mu=1.0, n=3)
+    with pytest.raises(ConfigError, match="mu must lie"):
+        driver._diagnostics(NU32, p, 0.0, (3,))
+    with pytest.raises(ConfigError, match="mu must lie"):
+        driver._diagnostics(NU32, p, 3.5, (3,))
+    with pytest.raises(ConfigError, match="n must be >= 1"):
+        driver._diagnostics(NU32, p, 1.0, (0,))
 
 
 def test_constants_outside_discrepancy_range():
     # mu above qualification-1: balancing constants only
-    cons = theoretical_constants(NU32, params(0.01), mu=2.5, n=3)
+    cons = driver._diagnostics(NU32, params(0.01), 2.5, (3,))
     assert cons["c2"] is None and cons["c_alg1"] is None
     assert cons["c_alg2"] is not None and cons["k_opt"] >= 1
 
@@ -1107,8 +1108,6 @@ def test_balancing_diagnostics_do_not_depend_on_tau():
     for key in ("c2", "c_alg1", "c3", "c4", "c5", "error_bound_alg1", "k_bound",
                 "n_bound", "info_bound"):
         assert low[key] is None
-    with pytest.raises(ConfigError, match="admissibility threshold"):
-        theoretical_constants(NU32, params(2.0 ** -6, tau=2.0), 1.2, 5)
 
 
 def test_diagnostics_outside_qualification_do_not_abort_the_run():
@@ -1138,8 +1137,9 @@ def test_diagnostics_past_the_float_range_raise_overflow():
     # r = 0.01: every constant is finite, but the base of info_bound is
     # raised to the power 1 + 1/r = 101
     p = RunParams(delta=2.0 ** -4, gamma=0.5, tau=TAU_REF, r=0.01)
-    cons = theoretical_constants(NU32, p, 1.2, 2)
-    assert all(math.isfinite(v) for v in cons.values())
+    cons = driver._diagnostics(NU32, p, 1.2, (2,))
+    assert [k for k, v in cons.items() if v is None] == ["n_bound", "info_bound"]
+    assert all(math.isfinite(v) for v in cons.values() if v is not None)
     with pytest.raises(OverflowError, match="out of range"):
         driver._diagnostics(NU32, p, 1.2, (1, 2))
 
