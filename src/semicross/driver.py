@@ -279,13 +279,13 @@ def _diagnostics(spec: MethodSpec, p: RunParams, mu: float, levels) -> dict:
         c3 = ((c2 / p.gamma) * 2.0 ** (2.0 * p.r + 1.0) * big) ** (1.0 / p.r)
         diag.update(c2=c2, c_alg1=c_alg1, c3=c3, c4=c4, c5=c5,
                     error_bound_alg1=c_alg1 * rate)
-        diag["k_bound"] = c2 * p.rho ** (1.0 / (mu + 1.0)) \
-            * p.delta ** (-1.0 / (mu + 1.0))
-        logratio = math.log(p.rho / p.delta)
+        ratio = p.rho / p.delta
+        diag["k_bound"] = c2 * ratio ** (1.0 / (mu + 1.0))
+        logratio = math.log(ratio)
         base = 1.0 + c4 + c5 * logratio
         if len(levels) > 1 and base > 0:
             diag["n_bound"] = c4 + c5 * logratio
-            diag["info_bound"] = c3 * (p.rho / p.delta) ** (
+            diag["info_bound"] = c3 * ratio ** (
                 (mu + 2.0) / (p.r * (mu + 1.0))) * base ** (1.0 + 1.0 / p.r)
     return diag
 

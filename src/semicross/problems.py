@@ -48,11 +48,13 @@ on the blocks that hold the support alone. The bits depend on the values,
 that order and np.sum's summation of a leaf, which numpy does not pick
 per CPU.
 
-Kept values. What a process keeps between runs lives here, each value
-behind a bounded cache reset by ``cache_clear()``: the noise norm per (seed,
-dim), each closed form's block sums per (problem, rhs, dim), and,
-read-only in ``_windows`` (at most 1 MiB, oldest out first), each level
-window of a run's data per (problem, noise_dim, delta, seed, dim, rows).
+Kept values. What a process keeps between runs lives here, in three
+``functools.lru_cache`` functions, each reset by ``cache_clear()``: the
+noise norm per (seed, dim) (``_noise_norm``, 1,024 floats), each closed
+form's block sums per (problem, rhs, dim) (``_sumsq``, 64 tuples), and a
+run's data per (problem, noise_dim, delta, seed) (``_noisy_data``, 64 runs'
+data), which holds read-only each level window its runs drew: 16 2^n bytes
+with its rows at level n, about 1 MiB in all at the paper's levels n <= 9.
 A serial ``cli.run_grid`` draws noise norms in threads and in the calling
 thread, which reads them all. No closed-form coefficient outlives the window
 draw or the run that evaluated it: after a p2 discrepancy run at delta 2^-20
@@ -180,21 +182,6 @@ def _noise_norm(seed: int, dim: int) -> float:
     return g_norm
 
 
-class _Kept(dict):
-    """``(value, nbytes)`` per key, up to ``limit`` bytes in all, oldest out first."""
-
-    cache_clear, limit = dict.clear, 2 ** 20
-
-    def keep(self, key, value, nbytes: int) -> None:
-        self[key] = value, nbytes
-        while sum(n for _, n in self.values()) > self.limit:
-            del self[next(iter(self))]
-
-
-#: the level windows of ``_noisy_data``'s data: 86 KiB for the paper's grid
-_windows = _Kept()
-
-
 class NoisyData:
     """The perturbed data f_delta = f + (delta / ||g||) g, one window at a time.
 
@@ -206,17 +193,15 @@ class NoisyData:
     dim), so it is kept per process (``_noise_norm``). Of the draw only the
     seed is kept: each window is drawn again from it, in chunks of at most
     ``_LEAF`` coefficients (chunked draws concatenate to the single draw).
-    Given a ``key``, as ``_noisy_data`` passes (problem, dim, delta, seed),
-    windows are kept read-only in ``_windows`` (at most 1 MiB) under it,
-    their dim and rows, so runs on the same data draw each window once per
-    process.
+    Each window is kept read-only with the data, per its dim and rows, so
+    runs that share the data (``_noisy_data``'s) draw it once.
     """
 
-    def __init__(self, rhs, dim: int, delta: float, seed: int, key=None):
+    def __init__(self, rhs, dim: int, delta: float, seed: int):
         if delta < 0:
             raise ValueError("delta must be nonnegative")
         seed = operator.index(seed)  # a kept norm needs a reproducible draw
-        self.rhs, self.dim, self.seed, self.key = rhs, dim, seed, key
+        self.rhs, self.dim, self.seed, self._windows = rhs, dim, seed, {}
         self.scale = delta / _noise_norm(seed, dim)
 
     def window(self, dim: int, rows: np.ndarray):
@@ -224,15 +209,14 @@ class NoisyData:
         ``self.dim``, at the sorted 0-based ``rows``; off2 is the
         ``_block_sumsq`` sum of squares of f_delta over coefficients
         1..min(dim, self.dim) with the entries at rows set to zero. Drawn
-        in its leaves, in ascending order."""
-        key = self.key and (self.key, dim, rows.size, rows.tobytes())
-        if key in _windows:
-            return _windows[key][0]
-        out, off2 = self._draw(dim, rows)
-        if key:
+        in its leaves, in ascending order, on the first call for its dim
+        and rows; f_delta[rows] is read-only."""
+        key = dim, rows.tobytes()
+        if key not in self._windows:
+            out, off2 = self._draw(dim, rows)
             out.flags.writeable = False
-            _windows.keep(key, (out, off2), out.nbytes + len(key[-1]))
-        return out, off2
+            self._windows[key] = out, off2
+        return self._windows[key]
 
     def _draw(self, dim: int, rows: np.ndarray):
         rng, out = np.random.default_rng(self.seed), np.zeros(rows.size)
@@ -331,12 +315,14 @@ def _sumsq(problem: Problem, rhs: bool, dim: int) -> tuple:
     return tuple(_block_sumsq(dim, functools.partial(problem.coeff_range, rhs=rhs), _HEAD))
 
 
+@functools.lru_cache(maxsize=64)
 def _noisy_data(problem: Problem, dim: int, delta: float, seed: int):
     """A run's ``NoisyData`` at ``dim``, evaluating the right-hand side's
-    closed form per drawn chunk, and ||f|| from its kept block sums."""
+    closed form per drawn chunk, and ||f|| from its kept block sums; kept,
+    with the windows its runs drew, for the runs on the same data."""
     f_norm = math.sqrt(math.fsum(_sumsq(problem, True, dim)))
     rhs = functools.partial(problem.coeff_range, rhs=True)
-    return NoisyData(rhs, dim, delta, seed, (problem, dim, delta, seed)), f_norm
+    return NoisyData(rhs, dim, delta, seed), f_norm
 
 
 def _error_norms(problem: Problem, cols: np.ndarray, x: np.ndarray, dim: int):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
+from semicross import problems
 from semicross.coeffs import CoeffVec
 from semicross.hypercross import GalerkinInfoSource
 from semicross.methods import NumericalDegeneracyError
@@ -73,6 +74,13 @@ EDGE_RUNS = st.fixed_dictionaries({
     "k_abs_max": st.sampled_from([1, 30, 300]),
     "noise_dim": st.sampled_from([1, 7, 64, 4096]),
 })
+
+
+def clear_draws():
+    """Forget the kept noise norms and the kept run data with its windows,
+    so that the next run draws them cold."""
+    problems._noise_norm.cache_clear()
+    problems._noisy_data.cache_clear()
 
 
 class HeldData:

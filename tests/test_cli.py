@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import semicross
-from semicross import cli, problems
+from semicross import cli, driver, problems
 from semicross.cli import (
     CSV_COLUMNS,
     ExperimentGrid,
@@ -38,7 +38,7 @@ from semicross.cli import (
 from semicross.driver import ConfigError, RunParams, admissibility_threshold, run_balancing
 from semicross.methods import nu_method
 
-from helpers import EDGE_RUNS
+from helpers import EDGE_RUNS, clear_draws
 
 TAU_REF = 1.01 + math.sqrt(13.0 / 8.0)
 
@@ -247,9 +247,9 @@ def _counted_streams(monkeypatch, fail_seed=None):
 
 def test_serial_rows_equal_a_plain_row_loop():
     grid = dataclasses.replace(small_grid(problem="p2", algorithm=2), repeats=3)
-    problems._noise_norm.cache_clear()
+    clear_draws()
     plain = [_run_row(_row_payload(grid, i)) for i in range(len(grid.deltas))]
-    problems._noise_norm.cache_clear()
+    clear_draws()
     rows = run_grid(grid)
     assert rows == plain
     assert all(r["error"] is None for r in rows)
@@ -257,16 +257,18 @@ def test_serial_rows_equal_a_plain_row_loop():
             == [r["rel_error"].hex() for r in plain])
 
 
-def test_the_four_paper_sweeps_draw_each_window_once(monkeypatch):
-    # alg1 p1, alg1 p2, alg2 p1, alg2 p2 over delta 2^-4..2^-13, as
-    # scripts/run_tables.py runs them: the balancing sweeps read the windows
-    # the discrepancy sweeps drew, so 54 of the 91 level windows are drawn,
-    # and every row is that of a run that draws each window afresh
+def _paper_sweeps():
+    """alg1 p1, alg1 p2, alg2 p1, alg2 p2 over delta 2^-4..2^-13, as
+    scripts/run_tables.py runs them."""
     params = RunParams(delta=2.0 ** -4, tau=TAU_REF)
-    grids = [ExperimentGrid(problem_id=pid, algorithm=algorithm, nu=1.5,
-                            deltas=tuple(2.0 ** -e for e in range(4, 14)),
-                            params=params, mu=cli.DEFAULT_MU[pid])
-             for algorithm in (1, 2) for pid in ("p1", "p2")]
+    return [ExperimentGrid(problem_id=pid, algorithm=algorithm, nu=1.5,
+                           deltas=tuple(2.0 ** -e for e in range(4, 14)),
+                           params=params, mu=cli.DEFAULT_MU[pid])
+            for algorithm in (1, 2) for pid in ("p1", "p2")]
+
+
+def _counted_window_draws(monkeypatch) -> list:
+    """The dims of the windows ``NoisyData`` draws from now on."""
     draws, draw = [], problems.NoisyData._draw
 
     def counted(self, dim, rows):
@@ -274,23 +276,42 @@ def test_the_four_paper_sweeps_draw_each_window_once(monkeypatch):
         return draw(self, dim, rows)
 
     monkeypatch.setattr(problems.NoisyData, "_draw", counted)
-    problems._windows.cache_clear()
+    return draws
+
+
+def test_the_four_paper_sweeps_draw_each_window_once(monkeypatch):
+    # the balancing sweeps read the windows the discrepancy sweeps drew, so
+    # 54 of the 91 level windows are drawn, and every row is that of a run
+    # that draws each window afresh
+    grids, draws = _paper_sweeps(), _counted_window_draws(monkeypatch)
+    problems._noisy_data.cache_clear()
     kept = [run_grid(grid) for grid in grids]
     assert len(draws) == 54
     draws.clear()
-    problems._windows.cache_clear()
-    monkeypatch.setattr(problems._windows, "limit", 0)  # keeps no window
+    # a run's data made anew for each run keeps no window across runs
+    monkeypatch.setattr(driver, "_noisy_data", problems._noisy_data.__wrapped__)
     fresh = [run_grid(grid) for grid in grids]
     assert len(draws) == 91
     assert fresh == kept
     assert all(row["error"] is None for rows in kept for row in rows)
 
 
+def test_a_second_pass_over_the_paper_sweeps_draws_nothing(monkeypatch):
+    grids, draws = _paper_sweeps(), _counted_window_draws(monkeypatch)
+    clear_draws()
+    first = [run_grid(grid) for grid in grids]
+    draws.clear()
+    norms = problems._noise_norm.cache_info().misses
+    assert [run_grid(grid) for grid in grids] == first
+    assert problems._noise_norm.cache_info().misses == norms
+    assert draws == []
+
+
 def test_each_noise_norm_is_drawn_once_per_process(monkeypatch):
     dim = 2 ** 16  # past every level window the rows read
     grid = dataclasses.replace(small_grid(), repeats=2, params=RunParams(
         delta=2.0 ** -5, tau=TAU_REF, noise_dim=dim))
-    problems._noise_norm.cache_clear()
+    clear_draws()
     streams = _counted_streams(monkeypatch)
     run_grid(grid)
     run_grid(grid)
@@ -302,7 +323,7 @@ def test_the_calling_thread_draws_every_cpu_count_th_norm(monkeypatch):
     cpus, dim = len(os.sched_getaffinity(0)), 2 ** 16
     grid = dataclasses.replace(small_grid(), repeats=2, params=RunParams(
         delta=2.0 ** -5, tau=TAU_REF, noise_dim=dim))
-    problems._noise_norm.cache_clear()
+    clear_draws()
     before = threading.active_count()
     streams = _counted_streams(monkeypatch)
     run_grid(grid)
@@ -327,7 +348,7 @@ def test_a_row_draws_itself_a_norm_whose_draw_has_not_started():
 
 
 def test_a_failed_draw_fails_only_its_own_row(monkeypatch):
-    problems._noise_norm.cache_clear()
+    clear_draws()
     _counted_streams(monkeypatch, fail_seed=1)
     rows = run_grid(small_grid())
     assert [r["error"] for r in rows] == [
@@ -345,7 +366,7 @@ def test_no_draw_thread_outlives_run_grid(monkeypatch):
     grid = dataclasses.replace(
         small_grid(deltas=(2.0 ** -5,)), repeats=8 * workers + 8,
         params=RunParams(delta=2.0 ** -5, tau=TAU_REF, noise_dim=2 ** 18))
-    problems._noise_norm.cache_clear()
+    clear_draws()
     payloads = []
 
     def interrupted(*args, **kwargs):
@@ -382,7 +403,7 @@ def test_closing_the_row_stream_early_cancels_its_queued_draws(monkeypatch):
     drawn_ahead.cache_info = problems._noise_norm.cache_info  # sizes the look-ahead
     monkeypatch.setattr(cli, "_run_row", kept_row)
     monkeypatch.setattr(cli, "_noise_norm", drawn_ahead)
-    problems._noise_norm.cache_clear()
+    clear_draws()
     before = threading.active_count()
     it = iter_rows(grid)
     assert next(it)["error"] is None
@@ -951,6 +972,13 @@ def test_constants_outside_the_discrepancy_analysis_take_any_tau(argv, capsys):
     assert [values[key] for key in _DISCREPANCY_CONSTANTS] == ["n/a"] * 5
 
 
+def test_constants_compute_a_k_bound_whose_delta_factor_alone_overflows(capsys):
+    # delta^(-1/(mu+1)) is past the float range here, while k_bound, c2
+    # (rho/delta)^(1/(mu+1)), is about 3e302
+    assert main(["constants", "--delta", "1e-320", "--rho", "1e-20", "--mu", "0.001"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_constants_prints_what_a_report_computes(capsys):
     # p1 balancing at delta 2^-4 stops on its first level, 4
     report = run_balancing(problems.get_problem("p1"), nu_method(1.5),
@@ -965,8 +993,6 @@ def test_constants_prints_what_a_report_computes(capsys):
 
 
 def test_a_run_row_computes_no_diagnostics(monkeypatch):
-    from semicross import driver
-
     payload = _row_payload(small_grid(), 0)
     row = _run_row(payload)
 

@@ -34,7 +34,7 @@ from semicross.problems import get_problem, green_operator, perturb
 from semicross.stopping import BalancingWindow, balancing_stop_index
 
 from helpers import (EDGE_RUNS, BandSource, BlockSource, HeldData, SwapSource,
-                     block_sumsq, entry_positions, norm)
+                     block_sumsq, clear_draws, entry_positions, norm)
 
 TAU_REF = 1.01 + math.sqrt(13.0 / 8.0)
 NU32 = nu_method(1.5)
@@ -391,9 +391,9 @@ def _assert_same_report(a, b):
 
 
 def _drop_closed_forms():
-    """Drop the kept closed-form norms and the windows drawn from them."""
+    """Drop the kept closed-form norms and the data drawn from them."""
     problems._sumsq.cache_clear()
-    problems._windows.cache_clear()
+    problems._noisy_data.cache_clear()
 
 
 def _counted_ranges(monkeypatch) -> list:
@@ -501,15 +501,14 @@ def test_each_seed_is_drawn_in_full_once_per_process(monkeypatch):
     def run(runner, pid, e):
         return runner(get_problem(pid), NU32, params(2.0 ** -e, seed=e - 4))
 
-    problems._noise_norm.cache_clear()
-    problems._windows.cache_clear()
+    clear_draws()
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
     reports = [run(*r) for r in runs]
     assert sorted(r.seed for r in rngs if sum(r.sizes) == 2 ** 14) == [0, 1, 2]
     assert max(max(r.sizes, default=0) for r in rngs) <= 2 ** 13
     monkeypatch.undo()
     for r, report in zip(runs, reports):
-        problems._noise_norm.cache_clear()
+        clear_draws()
         _assert_same_report(report, run(*r))
 
 
@@ -602,7 +601,7 @@ def test_warm_run_allocates_nothing_of_noise_dim_length():
     p = params(2.0 ** -4, noise_dim=2 ** 20)
     problem = get_problem("p1")
     cold = run_discrepancy(problem, NU32, p)
-    problems._windows.cache_clear()  # the warm run draws its window
+    problems._noisy_data.cache_clear()  # the warm run draws its window
     tracemalloc.start()
     try:
         warm = run_discrepancy(problem, NU32, p)
@@ -620,7 +619,7 @@ def test_warm_run_holds_nothing_of_window_length():
     p = params(2.0 ** -13, noise_dim=2 ** 20)
     problem = get_problem("p2")
     cold = run_discrepancy(problem, NU32, p)
-    problems._windows.cache_clear()  # the warm run streams its windows
+    problems._noisy_data.cache_clear()  # the warm run streams its windows
     tracemalloc.start()
     try:
         warm = run_discrepancy(problem, NU32, p)
@@ -657,11 +656,11 @@ def test_a_level_10_run_holds_nothing_of_window_length():
     # windows again, the run and its report stay under 4 MiB
     problem, p = get_problem("p2"), params(2.0 ** -15, noise_dim=2 ** 20)
     _drop_closed_forms()
-    problems._noise_norm.cache_clear()
+    clear_draws()
     spec = nu_method(1.5)  # a fresh spec, as a new process makes
     reports = []
     for _ in ("cold", "warm"):
-        problems._windows.cache_clear()
+        problems._noisy_data.cache_clear()
         tracemalloc.start()
         try:
             reports.append(run_discrepancy(problem, spec, p))
@@ -746,7 +745,7 @@ def test_cold_run_allocates_nothing_of_noise_dim_length():
     p = params(2.0 ** -4, noise_dim=2 ** 20, seed=4242)
     problem = get_problem("p1")
     _drop_closed_forms()
-    problems._noise_norm.cache_clear()
+    clear_draws()
     tracemalloc.start()
     try:
         cold = run_discrepancy(problem, NU32, p)

@@ -179,6 +179,14 @@ def test_assemble_queries_once_per_pair():
     assert src.eval_count == 48
 
 
+def test_a_source_without_values_cannot_answer_a_block():
+    class Bare(GalerkinInfoSource):
+        pass
+
+    with pytest.raises(NotImplementedError):
+        Bare().entry_block(0, 2, 0, 2)
+
+
 def test_refine_queries_only_the_difference():
     src = HashSource()
     op1 = assemble(src, 1)

@@ -22,7 +22,7 @@ from semicross.problems import (
     perturb,
 )
 
-from helpers import (BandSource, BlockSource, block_sumsq, green_spectrum,
+from helpers import (BandSource, BlockSource, block_sumsq, clear_draws, green_spectrum,
                      monomial_sine_coeffs, norm, smoothness_envelope)
 
 SQRT2 = math.sqrt(2.0)
@@ -272,10 +272,10 @@ def test_noisy_data_head_is_the_window_of_perturb(cold):
     # with every index a row, the window is the head of perturb's f_delta,
     # zero past f.dim, and nothing is left off the rows
     f, _ = _pair("p2", 5000)
-    problems._noise_norm.cache_clear()
+    clear_draws()
     full = perturb(f, 0.1, seed=3).coeffs  # leaves the seed's norm kept
     if cold:
-        problems._noise_norm.cache_clear()
+        clear_draws()
     data = NoisyData(lambda lo, hi: f.coeffs[lo:hi], f.dim, 0.1, seed=3)
     for d in (1, 3, 4, 1024, 4096, 5000, 6000):
         expect = np.zeros(d)
@@ -369,7 +369,7 @@ def test_window_is_the_pair_of_the_full_window(kind, dim, noise_dim, monkeypatch
 @pytest.mark.parametrize("dim", [2 ** 20, 1_000_003, 3000])
 @pytest.mark.parametrize("seed", [0, 9001])
 def test_streamed_noise_norm_is_the_norm_of_the_full_draw(seed, dim):
-    problems._noise_norm.cache_clear()
+    clear_draws()
     data = NoisyData(lambda lo, hi: np.zeros(hi - lo), dim, 1.0, seed)
     g = np.random.default_rng(seed).standard_normal(dim)
     g_norm = math.sqrt(block_sumsq(g, problems._LEAF))
@@ -488,39 +488,45 @@ def test_streamed_sums_do_not_depend_on_numpys_cpu_dispatch():
 
 
 def test_kept_windows_stay_within_their_bound():
-    # level-12 windows of the shipped operator (rows 0..2^12-1 of 2^24
-    # coefficients) keep 64 KiB each with their rows' key: sixteen fit in
-    # 1 MiB, and the oldest go first
-    problems._windows.cache_clear()
-    rows, kept = np.arange(2 ** 12), problems._windows
-    for seed in range(20):
-        data, _ = problems._noisy_data(get_problem("p1"), 2 ** 12, 0.1, seed)
-        data.window(2 ** 24, rows)
-        held = sum(f.nbytes + len(key[-1]) for key, ((f, _), _) in kept.items())
-        assert held == sum(n for _, n in kept.values()) <= 2 ** 20
-    assert [key[0][3] for key in kept] == list(range(4, 20))
-    kept.cache_clear()
-    assert not kept
+    # 64 runs' data are kept, each with the windows its runs drew: the 65th
+    # evicts the first, and its windows with it
+    problems._noisy_data.cache_clear()
+    rows = np.arange(2 ** 4)
+    kept = [problems._noisy_data(get_problem("p1"), 2 ** 12, 0.1, seed)[0]
+            for seed in range(65)]
+    windows = [data.window(2 ** 8, rows)[0] for data in kept]
+    assert problems._noisy_data.cache_info().currsize == 64
+    for seed in range(64, 0, -1):
+        data = problems._noisy_data(get_problem("p1"), 2 ** 12, 0.1, seed)[0]
+        assert data is kept[seed] and data.window(2 ** 8, rows)[0] is windows[seed]
+    first = problems._noisy_data(get_problem("p1"), 2 ** 12, 0.1, 0)[0]
+    assert first is not kept[0] and first.window(2 ** 8, rows)[0] is not windows[0]
+    problems._noisy_data.cache_clear()
+    assert problems._noisy_data.cache_info().currsize == 0
 
 
 def test_a_kept_window_is_read_only_and_equals_a_fresh_draw():
-    problems._windows.cache_clear()
+    problems._noisy_data.cache_clear()
     problem, rows = get_problem("p2"), np.arange(1, 2 ** 10, 3)
     f_r, off2 = problems._noisy_data(problem, 5000, 0.01, 7)[0].window(2 ** 12, rows)
     again = problems._noisy_data(problem, 5000, 0.01, 7)[0].window(2 ** 12, rows)
     assert again[0] is f_r and again[1] == off2
     assert not f_r.flags.writeable
-    # data built directly is drawn afresh, and writable as drawn
+    # data built directly keeps its own windows, read-only too
     rhs = functools.partial(problem.coeff_range, rhs=True)
-    fresh = NoisyData(rhs, 5000, 0.01, 7).window(2 ** 12, rows)
-    assert fresh[0].flags.writeable
+    data = NoisyData(rhs, 5000, 0.01, 7)
+    fresh = data.window(2 ** 12, rows)
+    assert data.window(2 ** 12, rows)[0] is fresh[0] is not f_r
+    assert not fresh[0].flags.writeable
     assert fresh[0].tobytes() == f_r.tobytes() and fresh[1] == off2 > 0.0
-    # each part of the key makes its own window
-    for dim, delta, seed, at in ((5000, 0.02, 7, rows), (5000, 0.01, 8, rows),
-                                 (4999, 0.01, 7, rows), (5000, 0.01, 7, rows[1:])):
+    # each of the data's key and the window's dim and rows makes its own window
+    for dim, delta, seed, at, size in (
+            (5000, 0.02, 7, rows, 2 ** 12), (5000, 0.01, 8, rows, 2 ** 12),
+            (4999, 0.01, 7, rows, 2 ** 12), (5000, 0.01, 7, rows[1:], 2 ** 12),
+            (5000, 0.01, 7, rows, 2 ** 11)):
         data = problems._noisy_data(problem, dim, delta, seed)[0]
-        assert data.window(2 ** 12, at)[0] is not f_r
-    assert len(problems._windows) == 5
+        assert data.window(size, at)[0] is not f_r
+    assert problems._noisy_data.cache_info().currsize == 4
 
 
 def test_zero_delta_returns_data_unchanged():
